@@ -16,10 +16,9 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,25 +33,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_ASSERTION = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    dim_cap: int | None = None
-    output_format: str = "text"
-    instances: int = 20
-    jobs: int = 1
-    tolerance_overrides: dict = field(default_factory=dict)
-
-    def validated(self) -> "RunConfig":
-        if self.instances <= 0:
-            raise ValidationError("instance count must be positive")
-        if self.jobs <= 0:
-            raise ValidationError("worker count must be positive")
-        if self.dim_cap is not None and self.dim_cap <= 0:
-            raise ValidationError("dimension cap must be positive")
-        return self
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,13 +204,9 @@ def _cmd_induced(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        seed=args.seed,
-        output_format=args.format,
-        instances=args.instances,
-        jobs=args.jobs,
-    ).validated()
-    rows = suites.run_suite(args.suite, config.instances, config.seed, jobs=config.jobs)
+    if args.instances <= 0:
+        raise ValidationError("instance count must be positive")
+    rows = suites.run_suite(args.suite, args.instances, args.seed)
     counts: dict[str, dict[str, int]] = {}
     for row in rows:
         slot = counts.setdefault(f"{row.suite}:{row.assertion}", {"pass": 0, "fail": 0})
@@ -238,7 +214,7 @@ def _cmd_verify(args) -> int:
     failures = [row for row in rows if not row.passed]
     results = {
         "suite": args.suite,
-        "instances": config.instances,
+        "instances": args.instances,
         "rows": [asdict(row) for row in rows],
         "counts": counts,
         "failures": len(failures),
@@ -253,8 +229,8 @@ def _cmd_verify(args) -> int:
     if failures:
         repro = {
             "suite": args.suite,
-            "seed": config.seed,
-            "instances": config.instances,
+            "seed": args.seed,
+            "instances": args.instances,
             "failing": [asdict(row) for row in failures],
         }
         repro_path = args.repro_out or "qdiv-repro.json"
@@ -363,7 +339,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a property suite on seeded instances")
     p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
     p.add_argument("--repro-out", default=None)
     common(p)
     p.set_defaults(fn=_cmd_verify)

@@ -23,6 +23,8 @@ from .linalg import (
     as_matrix,
     as_positive,
     positive_part_trace,
+    spectral_fn,
+    support_cutoff,
 )
 
 INF = math.inf
@@ -86,17 +88,32 @@ def _is_contained(rho: PositiveOperator, sigma: PositiveOperator) -> bool:
     return _support_leak(rho, sigma) <= 1e-10 * max(1.0, rho.trace)
 
 
-def _spectral_power(op: PositiveOperator, power: float) -> np.ndarray:
-    """op**power; powers <= 0 act on the support only (pseudo-inverse)."""
-    evals = op.eigenvalues
-    if power <= 0.0:
-        cut = op.cutoff
-        out = np.where(evals > cut, evals, 1.0) ** power
-        out[evals <= cut] = 0.0
-    else:
-        out = np.clip(evals, 0.0, None) ** power
-    v = op.eigenvectors
-    return (v * out) @ v.conj().T
+def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
+    """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
+
+    The one evaluator of the sandwiched quantity: K = X^((1-a)/2a) is taken
+    on the support of X for a >= 1, and Q = sum of a-th powers of the
+    eigenvalues of K rho K.
+    """
+    cut = support_cutoff(evals, evals.size)
+    half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), cut)
+    inner = half @ r_mat @ half
+    ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
+    return float(np.sum(ev**alpha))
+
+
+def _xlogx_sum(evals: np.ndarray) -> float:
+    """Tr[X log X] over the support of X (minus the entropy of a state)."""
+    cut = support_cutoff(evals, evals.size)
+    return float(sum(x * math.log2(x) for x in evals if x > cut))
+
+
+def _log_cross(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> float:
+    """Tr[rho log X] over the support of X, from the eigendecomposition of X."""
+    mask = evals > support_cutoff(evals, evals.size)
+    v = vecs[:, mask]
+    weights = np.einsum("ji,jk,ki->i", v.conj(), r_mat, v).real
+    return float(np.dot(weights, np.log2(evals[mask])))
 
 
 def q_alpha(rho, sigma, alpha) -> float:
@@ -117,11 +134,7 @@ def q_alpha(rho, sigma, alpha) -> float:
         mask = r.eigenvalues > r.cutoff
         v = r.eigenvectors[:, mask]
         return float(np.einsum("ij,jk,ki->", v.conj().T, s.mat, v).real)
-    power = (1.0 - a) / (2.0 * a)
-    half = _spectral_power(s, power)
-    inner = half @ r.mat @ half
-    evals = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    return float(np.sum(evals**a))
+    return _sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, a)
 
 
 def d_min(rho, sigma) -> DivergenceValue:
@@ -142,7 +155,7 @@ def d_max(rho, sigma) -> DivergenceValue:
     _check_dims(r, s)
     if not _is_contained(r, s):
         return DivergenceValue(INF, "not_contained")
-    half = _spectral_power(s, -0.5)
+    half = spectral_fn(s.eigenvalues, s.eigenvectors, -0.5, s.cutoff)
     inner = half @ r.mat @ half
     top = float(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))[-1])
     if top <= 0.0:
@@ -157,13 +170,8 @@ def d_umegaki(rho, sigma) -> DivergenceValue:
     _check_dims(r, s)
     if not _is_contained(r, s):
         return DivergenceValue(INF, "not_contained")
-    r_evals = r.eigenvalues
-    r_cut = r.cutoff
-    ent = float(sum(x * math.log2(x) for x in r_evals if x > r_cut))
-    mask = s.eigenvalues > s.cutoff
-    v = s.eigenvectors[:, mask]
-    weights = np.einsum("ji,jk,ki->i", v.conj(), r.mat, v).real
-    cross = float(np.dot(weights, np.log2(s.eigenvalues[mask])))
+    ent = _xlogx_sum(r.eigenvalues)
+    cross = _log_cross(r.mat, s.eigenvalues, s.eigenvectors)
     return DivergenceValue(ent - cross, "umegaki")
 
 
@@ -228,7 +236,9 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     The optimal effect is the projector onto the positive part of
     mu*rho - sigma plus a fractional weight on its kernel eigenspace; mu is
     found by bisection on the nondecreasing map mu -> Tr[rho P_+(mu)], and
-    the kernel weight is chosen so Tr[rho Lambda] = 1 - eps exactly.
+    the kernel weight is chosen so Tr[rho Lambda] = 1 - eps exactly.  If rho
+    puts weight 1 - eps or more on the kernel of sigma, the value is +inf and
+    the effect is a multiple of that kernel's projector.
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"eps must be in [0, 1), got {eps}")
@@ -248,6 +258,13 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
         return DivergenceValue(-math.log2(beta), "hypothesis"), test
 
     target = 1.0 - eps
+    leak = _support_leak(r, s)
+    if leak >= target:  # a test on the kernel of sigma passes rho at zero cost
+        ker = s.eigenvectors[:, s.eigenvalues <= s.cutoff]
+        effect = PositiveOperator((target / leak) * (ker @ ker.conj().T))
+        alpha_pass = float(np.trace(r.mat @ effect.mat).real)
+        beta = float(np.trace(s.mat @ effect.mat).real)
+        return DivergenceValue(INF, "not_contained"), NeymanPearsonTest(INF, effect, alpha_pass, beta)
     scale = max(1.0, float(s.eigenvalues[-1]))
 
     def cond(mu: float) -> float:
@@ -304,6 +321,8 @@ def d_tilde_max(rho, sigma, eps: float) -> DivergenceValue:
     _check_dims(r, s)
     if s.trace <= 0.0:
         raise ValidationError("sigma is zero; no finite threshold exists")
+    if _support_leak(r, s) > eps:  # Tr(rho - t sigma)_+ falls to this weight as t grows
+        return DivergenceValue(INF, "not_contained")
 
     def margin(lam: float) -> float:
         return positive_part_trace(r.mat - (2.0**lam) * s.mat) - eps

@@ -20,7 +20,20 @@ from typing import Callable
 import numpy as np
 
 from . import _roots
-from .divergences import INF, canon_alpha, d_max, d_min, d_umegaki
+from .divergences import (
+    INF,
+    _is_contained,
+    _is_orthogonal,
+    _log_cross,
+    _sandwiched_q,
+    _support_leak,
+    _xlogx_sum,
+    canon_alpha,
+    d_alpha,
+    d_max,
+    d_min,
+    d_umegaki,
+)
 from .linalg import (
     DensityOperator,
     PositiveOperator,
@@ -28,38 +41,11 @@ from .linalg import (
     as_density,
     as_matrix,
     as_positive,
-    support_cutoff,
 )
 
-_EPS = np.finfo(np.float64).eps
 
 LAMBDA_CEILING = 60.0  # condition still holding at t = 2^60 means +inf
 LAMBDA_FLOOR = -200.0
-
-
-def _q_against(r_mat: np.ndarray, x_mat: np.ndarray, alpha: float) -> float:
-    """Q_alpha(rho || X) from a fresh eigendecomposition of X."""
-    evals, vecs = np.linalg.eigh(x_mat)
-    dim = x_mat.shape[0]
-    power = (1.0 - alpha) / (2.0 * alpha)
-    cut = support_cutoff(evals, dim)
-    if power <= 0.0:
-        vals = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** power, 0.0)
-    else:
-        vals = np.clip(evals, 0.0, None) ** power
-    half = (vecs * vals) @ vecs.conj().T
-    inner = half @ r_mat @ half
-    ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    return float(np.sum(ev**alpha))
-
-
-def _umegaki_against(r_mat: np.ndarray, x_mat: np.ndarray, ent_r: float) -> float:
-    evals, vecs = np.linalg.eigh(x_mat)
-    cut = support_cutoff(evals, x_mat.shape[0])
-    mask = evals > cut
-    v = vecs[:, mask]
-    weights = np.einsum("ji,jk,ki->i", v.conj(), r_mat, v).real
-    return ent_r - float(np.dot(weights, np.log2(evals[mask])))
 
 
 @dataclass(frozen=True)
@@ -105,8 +91,6 @@ class ParentDivergence:
     def evaluate(self, rho, sigma) -> float:
         """Parent value D(rho || sigma)."""
         if self.kind == "renyi":
-            from .divergences import d_alpha
-
             return d_alpha(rho, sigma, self.alpha).value
         if self.kind == "umegaki":
             return d_umegaki(rho, sigma).value
@@ -125,15 +109,11 @@ class ParentDivergence:
         resolution): for Renyi orders above 1 the limit of Q_alpha is the
         weight of rho outside the support of sigma.
         """
-        from .divergences import _is_orthogonal, _support_leak
-
         log_1me = math.log2(1.0 - eps)
         if self.kind == "min":
             on_support = sigma.trace - _support_leak(sigma, rho)  # Tr[sigma Pi_rho]
             return -log_1me if on_support <= 1e-12 * max(1.0, sigma.trace) else -math.inf
         if self.kind == "max":
-            from .divergences import _is_contained
-
             return -math.inf if _is_contained(rho, sigma) else -log_1me
         if self.kind == "umegaki":
             return -log_1me if _is_orthogonal(rho, sigma) else -math.inf
@@ -182,14 +162,11 @@ class ParentDivergence:
             return margin
 
         if self.kind == "umegaki":
-            cut = rho.cutoff
-            ent_r = float(
-                sum(x * math.log2(x) for x in rho.eigenvalues if x > cut)
-            )
+            ent_r = _xlogx_sum(rho.eigenvalues)
 
             def margin(lam: float) -> float:
                 x = r_mat + (2.0**lam) * s_mat
-                return _umegaki_against(r_mat, x, ent_r) - log_1me
+                return ent_r - _log_cross(r_mat, *np.linalg.eigh(x)) - log_1me
 
             return margin
 
@@ -200,13 +177,13 @@ class ParentDivergence:
 
                 def margin(lam: float) -> float:
                     x = r_mat + (2.0**lam) * s_mat
-                    return _q_against(r_mat, x, a) - threshold
+                    return _sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold
 
             else:
 
                 def margin(lam: float) -> float:
                     x = r_mat + (2.0**lam) * s_mat
-                    return threshold - _q_against(r_mat, x, a)
+                    return threshold - _sandwiched_q(r_mat, *np.linalg.eigh(x), a)
 
             return margin
 
@@ -294,49 +271,6 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
 def induced_renyi(rho, sigma, alpha, eps: float) -> InducedResult:
     """Induced sandwiched-Renyi divergence; alpha 0 and inf use min/max."""
     return induced(ParentDivergence.renyi(alpha), rho, sigma, eps)
-
-
-def _closed_form(kind: str, parent_value: float, eps: float) -> InducedResult:
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must be in (0, 1), got {eps}")
-    if not math.isfinite(parent_value):
-        return _infinite_result(eps, kind)
-    lam = parent_value + math.log2(eps / (1.0 - eps))
-    return InducedResult(lam, 2.0**lam, lam, parent_value, eps, 0.0, kind)
-
-
-def induced_min_closed(rho, sigma, eps: float) -> InducedResult:
-    """Self-induced closed form: raw threshold D_min + log(eps/(1-eps))."""
-    result = _closed_form("min", d_min(rho, sigma).value, eps)
-    if result.is_finite:
-        margin = ParentDivergence.min_().margin_factory(as_density(rho), as_positive(sigma), eps)
-        result = InducedResult(
-            result.lambda_star,
-            result.t_star,
-            result.raw,
-            result.normalized,
-            eps,
-            abs(margin(result.lambda_star)),
-            "min",
-        )
-    return result
-
-
-def induced_max_closed(rho, sigma, eps: float) -> InducedResult:
-    """Self-induced closed form: raw threshold D_max + log(eps/(1-eps))."""
-    result = _closed_form("max", d_max(rho, sigma).value, eps)
-    if result.is_finite:
-        margin = ParentDivergence.max_().margin_factory(as_density(rho), as_positive(sigma), eps)
-        result = InducedResult(
-            result.lambda_star,
-            result.t_star,
-            result.raw,
-            result.normalized,
-            eps,
-            abs(margin(result.lambda_star)),
-            "max",
-        )
-    return result
 
 
 @dataclass(frozen=True)

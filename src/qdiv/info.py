@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .divergences import canon_alpha, d_umegaki
+from . import _roots
+from .divergences import _log_cross, _sandwiched_q, _xlogx_sum, canon_alpha, d_umegaki
 from .induced import InducedResult, induced_renyi
 from .linalg import (
     DensityOperator,
@@ -26,6 +27,7 @@ from .linalg import (
     as_density,
     _ptrace,
     permute_systems,
+    spectral_fn,
     support_cutoff,
     trace_distance,
 )
@@ -44,7 +46,7 @@ def _invsqrt_divided_differences(evals: np.ndarray, cut: float) -> np.ndarray:
     """Loewner matrix of first divided differences of x^(-1/2) on the support."""
     n = evals.size
     phi = np.zeros((n, n))
-    f = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** -0.5, 0.0)
+    f = spectral_fn(evals, None, -0.5, cut)
     for i in range(n):
         for j in range(n):
             if evals[i] <= cut or evals[j] <= cut:
@@ -63,8 +65,7 @@ def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.n
     evals, vecs = np.linalg.eigh(x_mat)
     dim = x_mat.shape[0]
     cut = support_cutoff(evals, dim)
-    inv_sqrt = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** -0.5, 0.0)
-    k = (vecs * inv_sqrt) @ vecs.conj().T
+    k = spectral_fn(evals, vecs, -0.5, cut)
     kr = k @ rho_mat
     q2 = float(np.trace(kr @ kr).real)
     w = rho_mat @ k @ rho_mat
@@ -73,15 +74,6 @@ def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.n
     g = 2.0 * (vecs @ (phi * wt) @ vecs.conj().T)
     g = 0.5 * (g + g.conj().T)
     return q2, g
-
-
-def q2_value(rho_mat: np.ndarray, x_mat: np.ndarray) -> float:
-    """Q_2(rho || X) computed on the support of X."""
-    evals, vecs = np.linalg.eigh(x_mat)
-    cut = support_cutoff(evals, x_mat.shape[0])
-    inv_sqrt = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** -0.5, 0.0)
-    k = (vecs * inv_sqrt) @ vecs.conj().T
-    return float(np.trace(rho_mat @ k @ rho_mat @ k).real)
 
 
 def _contract_first(g: np.ndarray, rho_a: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -94,12 +86,6 @@ def _contract_second(g: np.ndarray, rho_b: np.ndarray, da: int, db: int) -> np.n
     """M with Tr[G (H (x) rho_B)] = Tr[M H] for every H on the first factor."""
     g4 = g.reshape(da, db, da, db)
     return np.einsum("abcd,db->ac", g4, rho_b)
-
-
-def _entropy(mat: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(mat)
-    cut = support_cutoff(evals, mat.shape[0])
-    return float(-sum(x * math.log2(x) for x in evals if x > cut))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +250,7 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
             x = np.kron(rho_a, sigma)
             evals, vecs = np.linalg.eigh(x)
             cut = support_cutoff(evals, x.shape[0])
-            inv_sqrt = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** -0.5, 0.0)
-            k = (vecs * inv_sqrt) @ vecs.conj().T
+            k = spectral_fn(evals, vecs, -0.5, cut)
             m = k @ r.mat @ k
             m_evals, m_vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
             top = float(m_evals[-1])
@@ -403,52 +388,56 @@ class ChannelMutualInfo(NamedTuple):
     epsilon: float | None
 
 
-def _diag_vectors(chan: Channel) -> list[np.ndarray] | None:
-    if not chan.is_classical():
-        return None
-    return [np.diag(o.mat).real.copy() for o in chan.outputs]
+def _diagonal_q2(a: np.ndarray, x: np.ndarray) -> float:
+    """Q_2(a || x) for commuting diagonals given as vectors."""
+    mask = x > 0.0
+    return float(np.sum(a[mask] ** 2 / x[mask]))
+
+
+def _diagonal_q2_and_gradient(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Diagonal Q_2(a || x) and its gradient in x."""
+    mask = x > 0.0
+    grad = np.zeros_like(x)
+    grad[mask] = -(a[mask] ** 2) / x[mask] ** 2
+    return _diagonal_q2(a, x), grad
+
+
+def _matrix_q2(a: np.ndarray, x: np.ndarray) -> float:
+    return _sandwiched_q(a, *np.linalg.eigh(x), 2.0)
 
 
 def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
     """Objective p -> raw induced D_2 of the cq state, with implicit gradient.
 
     The direct-sum identity reduces the defining condition to blocks of size
-    |B|: sum_x p_x Q_2(sigma_x || sigma_x + t sigma_bar) = 1 - eps.
+    |B|: g(p, t) = sum_x p_x Q_2(sigma_x || sigma_x + t sigma_bar) = 1 - eps,
+    and d lambda / dp = -(dg/dp) / (dg/dlambda).  Classical channels keep
+    their outputs as diagonal vectors; only the per-block (Q_2, dQ_2)
+    evaluation depends on that.
     """
-    from . import _roots
+    if chan.is_classical():
+        outs = [np.diag(o.mat).real.copy() for o in chan.outputs]
+        q2, q2_grad, pair = _diagonal_q2, _diagonal_q2_and_gradient, np.dot
+    else:
+        outs = [o.mat for o in chan.outputs]
+        q2, q2_grad = _matrix_q2, q2_and_gradient
 
-    diag = _diag_vectors(chan)
-    mats = [o.mat for o in chan.outputs]
+        def pair(g: np.ndarray, h: np.ndarray) -> float:
+            return np.trace(g @ h).real
+
     k = chan.input_size
     target = 1.0 - eps
 
     def value_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
-        if diag is not None:
-            sbar = sum(p[x] * diag[x] for x in range(k))
-
-            def g_of(t: float) -> float:
-                total = 0.0
-                for x in range(k):
-                    if p[x] <= 0.0:
-                        continue
-                    dx = diag[x] + t * sbar
-                    mask = dx > 0.0
-                    total += p[x] * float(np.sum(diag[x][mask] ** 2 / dx[mask]))
-                return total
-
-        else:
-            sbar = sum(p[x] * mats[x] for x in range(k))
-
-            def g_of(t: float) -> float:
-                total = 0.0
-                for x in range(k):
-                    if p[x] <= 0.0:
-                        continue
-                    total += p[x] * q2_value(mats[x], mats[x] + t * sbar)
-                return total
+        sbar = sum(p[x] * outs[x] for x in range(k))
 
         def margin(lam: float) -> float:
-            return g_of(2.0**lam) - target
+            t = 2.0**lam
+            total = 0.0
+            for x in range(k):
+                if p[x] > 0.0:
+                    total += p[x] * q2(outs[x], outs[x] + t * sbar)
+            return total - target
 
         lam0 = math.log2(eps / (1.0 - eps))
         if margin(lam0) >= 0.0:
@@ -460,43 +449,13 @@ def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
         lam = _roots.bisect_decreasing(margin, lo, hi, value_tol=1e-10)
         t = 2.0**lam
 
-        # implicit gradient of lam(p) through g(p, t) = 1 - eps
+        grads = [q2_grad(outs[x], outs[x] + t * sbar) for x in range(k)]
+        live = [y for y in range(k) if p[y] > 0.0]
         dgdp = np.zeros(k)
-        dgdt = 0.0
-        if diag is not None:
-            grads = []
-            for x in range(k):
-                dx = diag[x] + t * sbar
-                mask = dx > 0.0
-                vq = np.zeros_like(dx)
-                vq[mask] = -(diag[x][mask] ** 2) / dx[mask] ** 2
-                q2x = float(np.sum(diag[x][mask] ** 2 / dx[mask]))
-                grads.append((q2x, vq))
-            for x in range(k):
-                q2x, _ = grads[x]
-                cross = sum(
-                    p[y] * float(np.dot(grads[y][1], diag[x])) for y in range(k) if p[y] > 0.0
-                )
-                dgdp[x] = q2x + t * cross
-            dgdt = sum(
-                p[y] * float(np.dot(grads[y][1], sbar)) for y in range(k) if p[y] > 0.0
-            )
-        else:
-            grads = []
-            for x in range(k):
-                q2x, gx = q2_and_gradient(mats[x], mats[x] + t * sbar)
-                grads.append((q2x, gx))
-            for x in range(k):
-                q2x, _ = grads[x]
-                cross = sum(
-                    p[y] * float(np.trace(grads[y][1] @ mats[x]).real)
-                    for y in range(k)
-                    if p[y] > 0.0
-                )
-                dgdp[x] = q2x + t * cross
-            dgdt = sum(
-                p[y] * float(np.trace(grads[y][1] @ sbar).real) for y in range(k) if p[y] > 0.0
-            )
+        for x in range(k):
+            cross = sum(p[y] * float(pair(grads[y][1], outs[x])) for y in live)
+            dgdp[x] = grads[x][0] + t * cross
+        dgdt = sum(p[y] * float(pair(grads[y][1], sbar)) for y in live)
         dgdlam = _LN2 * t * dgdt
         if abs(dgdlam) < 1e-300:
             return lam, np.zeros(k)
@@ -508,21 +467,15 @@ def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
 def _holevo_value_grad(chan: Channel) -> Callable:
     mats = [o.mat for o in chan.outputs]
     k = chan.input_size
-    entropies = [_entropy(m) for m in mats]
+    entropies = [-_xlogx_sum(np.linalg.eigvalsh(m)) for m in mats]
 
     def value_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
         sbar = sum(p[x] * mats[x] for x in range(k))
-        evals, vecs = np.linalg.eigh(sbar)
-        cut = support_cutoff(evals, sbar.shape[0])
-        mask = evals > cut
-        v = vecs[:, mask]
-        logs = np.log2(evals[mask])
+        eig = np.linalg.eigh(sbar)
         value = 0.0
         grad = np.zeros(k)
         for x in range(k):
-            weights = np.einsum("ji,jk,ki->i", v.conj(), mats[x], v).real
-            cross = float(np.dot(weights, logs))
-            grad[x] = -cross - entropies[x]
+            grad[x] = -_log_cross(mats[x], *eig) - entropies[x]
             if p[x] > 0.0:
                 value += p[x] * grad[x]
         return value, grad
@@ -541,20 +494,19 @@ def _collision_channel_value_grad(chan: Channel) -> Callable:
         def inner(sigma: np.ndarray) -> tuple[float, np.ndarray]:
             total = 0.0
             grad = np.zeros((db, db), dtype=np.complex128)
-            per_x = []
             for x in range(k):
                 q2x, gx = q2_and_gradient(mats[x], sigma)
-                per_x.append(q2x)
                 if p[x] > 0.0:
                     total += p[x] * q2x
                     grad = grad + p[x] * gx
             return math.log2(total), grad / (total * _LN2)
 
         sigma, value, _, _ = minimize_density(inner, db, sigma0=sbar)
+        eig = np.linalg.eigh(sigma)
         total = 0.0
         qs = np.zeros(k)
         for x in range(k):
-            qs[x] = q2_value(mats[x], sigma)
+            qs[x] = _sandwiched_q(mats[x], *eig, 2.0)
             if p[x] > 0.0:
                 total += p[x] * qs[x]
         return value, qs / (total * _LN2)

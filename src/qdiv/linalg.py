@@ -135,29 +135,26 @@ def as_density(op) -> DensityOperator:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues and the unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-@dataclass(frozen=True)
 class SupportProjector:
     projector: PositiveOperator
     rank: int
     cutoff: float
 
 
-def eig_hermitian(op) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    herm = as_herm(op)
-    evals, evecs = np.linalg.eigh(herm.mat)
-    return SpectralDecomposition(evals, evecs)
+def spectral_fn(evals: np.ndarray, vecs: np.ndarray | None, power: float, cut: float) -> np.ndarray:
+    """V diag(evals**power) V^dag from an eigendecomposition (values if vecs is None).
+
+    Powers <= 0 act on the support only: eigenvalues at or below ``cut`` map
+    to zero (pseudo-inverse).  Positive powers clip negative eigenvalues to
+    zero first, which makes power 1 the positive part.
+    """
+    if power <= 0.0:
+        vals = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** power, 0.0)
+    else:
+        vals = np.clip(evals, 0.0, None) ** power
+    if vecs is None:
+        return vals
+    return (vecs * vals) @ vecs.conj().T
 
 
 def mat_fn(op, f: Callable[[float], float], support_only: bool = False) -> HermitianOperator:
@@ -257,7 +254,7 @@ def fidelity_and_purified(rho, sigma) -> tuple[float, float]:
     s = as_positive(sigma)
     if r.dim != s.dim:
         raise ValidationError("fidelity needs equal dimensions")
-    sqrt_s = mat_fn(s, math.sqrt).mat
+    sqrt_s = HermitianOperator(spectral_fn(s.eigenvalues, s.eigenvectors, 0.5, s.cutoff)).mat
     inner = sqrt_s @ r.mat @ sqrt_s
     evals = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     fid = float(np.sum(np.sqrt(evals)))

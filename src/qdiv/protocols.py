@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergences import d_hypothesis
+from .divergences import _sandwiched_q, d_hypothesis
 from .induced import InducedResult, induced_renyi
-from .info import CondMutualInfo, channel_mutual_info, cond_mutual_info, q2_value
+from .info import CondMutualInfo, channel_mutual_info, cond_mutual_info
 from .linalg import (
     DensityOperator,
     PositiveOperator,
@@ -29,6 +29,7 @@ from .linalg import (
     _ptrace,
     fidelity_and_purified,
     permute_systems,
+    spectral_fn,
     support_cutoff,
 )
 from .states import Channel, check_dim_cap, pairwise_tensor_family, purify
@@ -62,13 +63,12 @@ def pgm(states: Sequence) -> Povm:
         raise ValidationError("pgm states must share one dimension")
     eta = sum(mats)
     evals, vecs = np.linalg.eigh(eta)
-    cut = support_cutoff(evals, dim)
-    inv_sqrt = np.where(evals > cut, np.where(evals > cut, evals, 1.0) ** -0.5, 0.0)
-    half = (vecs * inv_sqrt) @ vecs.conj().T
+    half = spectral_fn(evals, vecs, -0.5, support_cutoff(evals, dim))
     effects = [half @ m @ half for m in mats]
     deficit = np.eye(dim, dtype=np.complex128) - sum(effects)
     effects[0] = effects[0] + 0.5 * (deficit + deficit.conj().T)
-    povm = Povm(tuple(PositiveOperator(e) for e in effects))
+    # an ill-conditioned eta leaves half @ m @ half visibly non-Hermitian
+    povm = Povm(tuple(PositiveOperator(0.5 * (e + e.conj().T)) for e in effects))
     total = sum(e.mat for e in povm.effects)
     if float(np.max(np.abs(total - np.eye(dim)))) > RECON_TOL:
         raise ValidationError("pgm completion does not sum to the identity")
@@ -163,7 +163,7 @@ def tc_upper(chan: Channel, m: int, probs) -> float:
     for p, out in zip(cq.probs, cq.outputs):
         if p <= 0.0:
             continue
-        total += p * q2_value(out.mat, out.mat + (m - 1) * sbar)
+        total += p * _sandwiched_q(out.mat, *np.linalg.eigh(out.mat + (m - 1) * sbar), 2.0)
     return max(0.0, 1.0 - total)
 
 
@@ -331,7 +331,7 @@ def convex_split_check(
     check_dim_cap(total, cap)
 
     rho_rb = _ptrace(rho.mat, [d_rb, d_bp], [0])
-    mu = q2_value(rho.mat, np.kron(rho_rb, sigma.mat)) - 1.0
+    mu = _sandwiched_q(rho.mat, *np.linalg.eigh(np.kron(rho_rb, sigma.mat)), 2.0) - 1.0
     mu = max(mu, 0.0)
 
     base = rho.mat

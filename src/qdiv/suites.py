@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +27,7 @@ from .divergences import (
     q_alpha,
 )
 from .induced import ParentDivergence, induced, induced_block_property, induced_renyi
-from .linalg import DensityOperator, PositiveOperator, mat_fn, op_meet
+from .linalg import DensityOperator, HermitianOperator, PositiveOperator, op_meet, spectral_fn
 from .protocols import (
     brute_force_tc,
     convex_split_check,
@@ -85,7 +84,7 @@ def _row(suite: str, assertion: str, instance: int, seed: int, lhs: float, rhs: 
         margin = -math.inf
     else:
         margin = rhs - lhs
-        ok = margin >= 0.0
+        ok = bool(margin >= 0.0)
     return Row(suite, assertion, instance, seed, float(lhs), float(rhs), float(margin), ok)
 
 
@@ -169,7 +168,7 @@ def _suite_cheng(instance: int, base_seed: int) -> list[Row]:
     rho = _random_positive(dim, dim, seed, 0.3 + 1.5 * rng.random())
     sigma = _random_positive(dim, 1 + int(rng.integers(dim)), seed + 1, 0.3 + 1.5 * rng.random())
     lam = PositiveOperator(rho.mat + sigma.mat)
-    half = mat_fn(lam, lambda x: x**-0.5, support_only=True).mat
+    half = HermitianOperator(spectral_fn(lam.eigenvalues, lam.eigenvectors, -0.5, lam.cutoff)).mat
     rhs_val = float(np.trace(rho.mat @ half @ sigma.mat @ half).real)
     meet = float(np.trace(op_meet(rho, sigma).mat).real)
     rows = [
@@ -596,19 +595,14 @@ SUITES: dict[str, SuiteSpec] = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def run_suite(name: str, instances: int, seed: int, jobs: int = 1) -> list[Row]:
+def run_suite(name: str, instances: int, seed: int) -> list[Row]:
     if name == "all":
         rows: list[Row] = []
         for sub in SUITES:
-            rows.extend(run_suite(sub, instances, seed, jobs))
+            rows.extend(run_suite(sub, instances, seed))
         return rows
     spec = SUITES[name]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda i: spec.instance_fn(i, seed), range(instances)))
-    else:
-        chunks = [spec.instance_fn(i, seed) for i in range(instances)]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for i in range(instances) for row in spec.instance_fn(i, seed)]
     if spec.summary_fn is not None:
         rows.extend(spec.summary_fn(rows))
     return rows

@@ -124,6 +124,14 @@ def classical_induced_collision_t(p, q, eps: float, tol: float = 1e-13) -> float
     return 0.5 * (lo + hi)
 
 
+def q2_trace_form(rho_mat, x_mat, cut: float = 1e-12) -> float:
+    """Q_2(rho || X) = Tr[rho K rho K] with K = X^(-1/2) on the support of X."""
+    ev, v = np.linalg.eigh(x_mat)
+    inv_sqrt = np.array([e**-0.5 if e > cut else 0.0 for e in ev])
+    k = (v * inv_sqrt) @ v.conj().T
+    return float(np.trace(rho_mat @ k @ rho_mat @ k).real)
+
+
 def relative_entropy_bits(a, b) -> float:
     """Umegaki relative entropy in bits, computed spectrally (oracle copy)."""
     ea, _ = np.linalg.eigh(a)

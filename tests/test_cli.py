@@ -141,7 +141,7 @@ def test_verify_suite_passes(tmp_path, capsys):
 def test_verify_failure_exit_code_and_repro(tmp_path, monkeypatch, capsys):
     from qdiv.suites import Row
 
-    def fake_run_suite(name, instances, seed, jobs=1):
+    def fake_run_suite(name, instances, seed):
         return [Row("cheng", "forced", 0, seed, 1.0, 0.0, -1.0, False)]
 
     monkeypatch.setattr(cli.suites, "run_suite", fake_run_suite)
@@ -152,6 +152,22 @@ def test_verify_failure_exit_code_and_repro(tmp_path, monkeypatch, capsys):
     assert code == 3
     payload = json.loads(repro.read_text())
     assert payload["failing"][0]["assertion"] == "forced"
+
+
+def test_verify_rejects_nonpositive_instances():
+    assert run(["verify", "--suite", "cheng", "--instances", "0"]) == 1
+
+
+def test_verify_json_with_numpy_row_values(tmp_path, monkeypatch):
+    from qdiv.suites import _row
+
+    row = _row("s", "a", 0, 0, np.float64(0.5), np.float64(1.0))
+    assert type(row.passed) is bool
+    monkeypatch.setattr(cli.suites, "run_suite", lambda name, instances, seed: [row])
+    out = tmp_path / "report.json"
+    code = run(["verify", "--suite", "cheng", "--instances", "1", "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["results"]["rows"][0]["passed"] is True
 
 
 def test_verify_csv_format(tmp_path):

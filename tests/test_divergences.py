@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bloch_grid_beta, classical_np_beta, classical_q_alpha
+from oracles import bloch_grid_beta, classical_np_beta, classical_q_alpha, q2_trace_form
 
 from qdiv import (
     DensityOperator,
@@ -29,6 +29,7 @@ from qdiv.states import (
     random_isometry_channel,
     rng_from_seed,
 )
+from qdiv.divergences import _sandwiched_q
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 
@@ -45,6 +46,17 @@ def diag_density(*probs):
 def test_q2_normalization():
     rho = random_density(3, 3, 0)
     assert abs(q_alpha(rho, rho, 2.0) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_q2_core_matches_trace_form_on_rank_deficient(seed):
+    dim = 2 + seed % 3
+    rho = random_density(dim, dim, seed)
+    x = PositiveOperator(1.7 * random_density(dim, max(1, dim // 2), seed + 40).mat)
+    expected = q2_trace_form(rho.mat, x.mat)
+    evals, vecs = np.linalg.eigh(x.mat)
+    for got in (_sandwiched_q(rho.mat, evals, vecs, 2.0), q_alpha(rho, x, 2.0)):
+        assert abs(got - expected) <= 1e-13 * max(1.0, expected)
 
 
 def test_q_alpha_commuting_matches_classical():
@@ -227,6 +239,19 @@ def test_hypothesis_matches_bloch_grid(seed):
     assert abs(dv.value + math.log2(beta)) < 1e-3
 
 
+def test_hypothesis_infinite_when_kernel_of_sigma_passes():
+    # rank-2 sigma on C^4: rho puts weight 0.61 >= 1 - eps on its kernel
+    rho = random_density(4, 4, 3)
+    sigma = random_density(4, 2, 4)
+    eps = 0.5
+    dv, test = d_hypothesis(rho, sigma, eps)
+    assert dv.value == math.inf
+    assert test.alpha_err >= 1.0 - eps - 1e-9
+    assert float(np.trace(rho.mat @ test.effect.mat).real) >= 1.0 - eps - 1e-9
+    evals = np.linalg.eigvalsh(test.effect.mat)
+    assert evals.min() >= -1e-9 and evals.max() <= 1.0 + 1e-9
+
+
 def test_hypothesis_eps_validation():
     rho = random_density(2, 2, 0)
     with pytest.raises(ValidationError):
@@ -261,6 +286,12 @@ def test_ispec_monotone_in_eps(seed):
     v1 = d_tilde_max(rho, sigma, 0.2).value
     v2 = d_tilde_max(rho, sigma, 0.6).value
     assert v1 >= v2 - 1e-10
+
+
+def test_ispec_infinite_when_kernel_weight_exceeds_eps():
+    # pure sigma on C^2: rho puts weight 0.81 > eps outside its support
+    dv = d_tilde_max(random_density(2, 2, 0), random_density(2, 1, 500), 0.1)
+    assert dv.value == math.inf
 
 
 def test_ispec_rejects_zero_sigma():

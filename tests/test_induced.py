@@ -16,8 +16,6 @@ from qdiv import (
     d_umegaki,
     induced,
     induced_block_property,
-    induced_max_closed,
-    induced_min_closed,
     induced_renyi,
 )
 from qdiv.states import basis_state, maximally_mixed, random_density, rng_from_seed
@@ -60,19 +58,19 @@ def test_closed_forms_match_engine(seed):
     rho = random_density(2, 2, seed)
     sigma = random_density(2, 2, seed + 300)
     eps = 0.05 + 0.9 * (seed / 20.0)
-    for closed, parent in (
-        (induced_min_closed, ParentDivergence.min_()),
-        (induced_max_closed, ParentDivergence.max_()),
+    # self-induced closed form: raw threshold = D_min / D_max + log(eps/(1-eps))
+    for parent_value, parent in (
+        (d_min(rho, sigma).value, ParentDivergence.min_()),
+        (d_max(rho, sigma).value, ParentDivergence.max_()),
     ):
-        a = closed(rho, sigma, eps)
-        b = induced(parent, rho, sigma, eps)
-        assert abs(a.raw - b.raw) <= 1e-8
-        assert a.residual <= 1e-9 and b.residual <= 1e-9
+        res = induced(parent, rho, sigma, eps)
+        assert abs(res.raw - (parent_value + math.log2(eps / (1.0 - eps)))) <= 1e-8
+        assert res.residual <= 1e-9
 
 
 def test_closed_form_pure_vs_uniform():
     for m in (2, 3, 5):
-        res = induced_min_closed(basis_state(0, m), maximally_mixed(m), 0.3)
+        res = induced(ParentDivergence.min_(), basis_state(0, m), maximally_mixed(m), 0.3)
         expected = math.log2(m) + math.log2(0.3 / 0.7)
         assert abs(res.raw - expected) < 1e-12
 

@@ -9,13 +9,13 @@ from qdiv import (
     HermitianOperator,
     PositiveOperator,
     ValidationError,
-    eig_hermitian,
     fidelity_and_purified,
     mat_fn,
     op_meet,
     partial_trace,
     permute_systems,
     positive_part_trace,
+    spectral_fn,
     support_projector,
     tensor,
     trace_distance,
@@ -27,34 +27,61 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def test_eig_identity():
-    dec = eig_hermitian(np.eye(2))
-    npt.assert_allclose(dec.eigenvalues, [1.0, 1.0])
+    pos = PositiveOperator(np.eye(2))
+    npt.assert_allclose(pos.eigenvalues, [1.0, 1.0])
 
 
 def test_eig_diag_ascending():
-    dec = eig_hermitian(np.diag([3.0, 1.0]).astype(complex))
-    npt.assert_allclose(dec.eigenvalues, [1.0, 3.0])
+    pos = PositiveOperator(np.diag([3.0, 1.0]).astype(complex))
+    npt.assert_allclose(pos.eigenvalues, [1.0, 3.0])
 
 
 def test_eig_pauli_x():
-    # char poly lambda^2 - 1 = 0 by hand
-    dec = eig_hermitian(PAULI_X)
-    npt.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    # char poly of X + I: (lambda - 1)^2 - 1 = 0, so lambda in {0, 2}
+    pos = PositiveOperator(PAULI_X + np.eye(2))
+    npt.assert_allclose(pos.eigenvalues, [0.0, 2.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_eig_reconstruction_roundtrip(seed):
     rho = random_density(4, 4, seed)
-    dec = eig_hermitian(rho)
-    assert np.max(np.abs(dec.reconstruct() - rho.mat)) <= RECON_TOL
+    pos = PositiveOperator(rho.mat)
+    rebuilt = spectral_fn(pos.eigenvalues, pos.eigenvectors, 1.0, pos.cutoff)
+    assert np.max(np.abs(rebuilt - rho.mat)) <= RECON_TOL
     # eigenvector matrix unitary
-    v = dec.eigenvectors
+    v = pos.eigenvectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= RECON_TOL
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        PositiveOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_spectral_fn_support_only_on_rank_deficient():
+    # rank-2 state on C^3: negative powers invert on the support only
+    v = np.linalg.qr(random_density(3, 3, 11).mat)[0]
+    pos = PositiveOperator((v * np.array([0.0, 0.25, 0.75])) @ v.conj().T)
+    inv = spectral_fn(pos.eigenvalues, pos.eigenvectors, -1.0, pos.cutoff)
+    npt.assert_allclose(inv, (v * np.array([0.0, 4.0, 4.0 / 3.0])) @ v.conj().T, atol=1e-12)
+    proj = spectral_fn(pos.eigenvalues, pos.eigenvectors, 0.0, pos.cutoff)
+    npt.assert_allclose(proj, support_projector(pos).projector.mat, atol=1e-12)
+    npt.assert_allclose(
+        spectral_fn(pos.eigenvalues, None, -0.5, pos.cutoff), [0.0, 2.0, 0.75**-0.5], atol=1e-12
+    )
+
+
+def test_spectral_fn_clips_negative_for_positive_power():
+    evals = np.array([-0.5, 0.0, 4.0])
+    npt.assert_array_equal(spectral_fn(evals, None, 0.5, 1e-12), [0.0, 0.0, 2.0])
+    npt.assert_allclose(spectral_fn(evals, np.eye(3), 2.0, 1e-12), np.diag([0.0, 0.0, 16.0]))
+
+
+def test_spectral_fn_positive_part_of_pauli_x():
+    evals, vecs = np.linalg.eigh(PAULI_X)
+    part = spectral_fn(evals, vecs, 1.0, 0.0)
+    npt.assert_allclose(part, 0.5 * (np.eye(2) + PAULI_X), atol=1e-14)
+    assert abs(np.trace(part).real - positive_part_trace(PAULI_X)) < 1e-14
 
 
 def test_mat_fn_sqrt_identity():

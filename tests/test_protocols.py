@@ -65,6 +65,18 @@ def test_pgm_valid_povm(seed):
 # ---------------------------------------------------------------------------
 
 
+def test_pgm_ill_conditioned_family_decodes():
+    # unconditioned draw: the PGM of its size-6 family used to come out
+    # non-Hermitian at the 1e-9 level and was rejected by its own validation
+    rho = random_density(4, 4, 0)
+    sigma_a = random_density(2, 2, 1)
+    sigma_ra = DensityOperator(np.kron(_ptrace(rho.mat, [2, 2], [0]), sigma_a.mat))
+    eps = 0.414234375  # puts t* near 5.5
+    rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
+    assert rep.n == 6 and not rep.aborted
+    assert rep.min_success >= 1.0 - eps - 1e-8
+
+
 def test_pbd_equal_states():
     rho = random_density(4, 4, 3)
     rep = pbd_simulate(rho, rho, (2, 2), 0.5)
