@@ -1,10 +1,17 @@
-"""Shared 1-D root bracketing and bisection.
+"""The one root-finder contract for continuous thresholds.
 
-Every scalar search in the package (information-spectrum divergence,
-Neyman-Pearson multiplier, induced-divergence threshold) is a monotone
-problem and goes through this contract: geometric bracket expansion by
-doubling, then bisection to an absolute tolerance of 1e-11 on the unknown,
-with a hard cap of 200 iterations.
+Every continuous threshold in the package (the induced-divergence
+threshold, the induced-D_2 channel objective and the information-spectrum
+divergence) is the largest x with f(x) >= 0 for a nonincreasing f, and is
+found by ``bisect_decreasing``: one evaluation at a start point, a walk by
+doubling steps to bracket the sign change, then bisection to an absolute
+width of 1e-11 on the unknown and a residual of at most 1e-10, with a hard
+cap of 200 steps.  No point is evaluated twice.
+
+The Neyman-Pearson multiplier search in ``divergences.d_hypothesis`` is
+separate and shares only the constants.  Its condition is a step function of
+the multiplier: it looks for the jump, stops on bracket width alone and
+returns the upper endpoint, so folding it in would need a mode flag.
 """
 
 from __future__ import annotations
@@ -13,69 +20,53 @@ from typing import Callable
 
 BISECT_TOL = 1e-11
 BISECT_MAX_ITER = 200
+RESIDUAL_TOL = 1e-10
 
 
 class BracketError(RuntimeError):
-    """The expansion phase could not bracket a sign change."""
+    """No sign change could be bracketed above the floor."""
 
 
 def bisect_decreasing(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = BISECT_TOL,
-    max_iter: int = BISECT_MAX_ITER,
-    value_tol: float = 1e-10,
-) -> float:
-    """Largest x with f(x) >= 0 for nonincreasing f; needs f(lo)>=0>f(hi).
+    f: Callable[[float], float], start: float, floor: float, ceiling: float
+) -> tuple[float, float] | None:
+    """Largest x with f(x) >= 0 for nonincreasing f, as the pair (x, f(x)).
 
-    Bisects until the bracket width reaches ``tol`` and the midpoint residual
-    is at or below ``value_tol`` (or the iteration cap is hit), then returns
-    the certified lower endpoint.
+    Evaluates ``f(start)`` once, then walks up (while f >= 0) or down (while
+    f < 0) by steps of 1, 2, 4, ...; ``start`` stays the other end of the
+    bracket.  The upward walk is clamped at ``ceiling`` and gives None if f
+    is still >= 0 there; the downward walk raises ``BracketError`` once a
+    point at or below ``floor`` still has f < 0.  Bisection then stops when
+    the bracket is at most ``BISECT_TOL`` wide and the last residual is at
+    most ``RESIDUAL_TOL`` (or after ``BISECT_MAX_ITER`` steps) and returns
+    the certified lower endpoint, where f >= 0.
     """
-    if not lo < hi:
-        raise BracketError(f"invalid bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
+    lo = hi = start
+    f_lo = val = f(start)
+    step = 1.0
+    while val >= 0.0:
+        if hi >= ceiling:
+            return None
+        hi = min(ceiling, hi + step)
+        step *= 2.0
+        val = f(hi)
+    while f_lo < 0.0:
+        if lo <= floor:
+            raise BracketError(f"no point with f >= 0 above {floor}")
+        lo -= step
+        step *= 2.0
+        f_lo = f(lo)
+    if not lo < hi:  # f(start) is NaN: neither walk moved
+        raise BracketError(f"f is not a number at {start}")
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         val = f(mid)
         if val >= 0.0:
-            lo = mid
+            lo, f_lo = mid, val
         else:
             hi = mid
-        if hi - lo <= tol and abs(val) <= value_tol:
+        if hi - lo <= BISECT_TOL and abs(val) <= RESIDUAL_TOL:
             break
-    return lo
-
-
-def expand_down(
-    f: Callable[[float], float],
-    start: float,
-    step: float = 1.0,
-    limit: float = -200.0,
-) -> float:
-    """Walk left by doubling steps until f >= 0; for nonincreasing f."""
-    x = start
-    while f(x) < 0.0:
-        if x <= limit:
-            raise BracketError(f"no point with f >= 0 above {limit}")
-        x -= step
-        step *= 2.0
-    return x
-
-
-def expand_up(
-    f: Callable[[float], float],
-    start: float,
-    step: float = 1.0,
-    limit: float = 200.0,
-) -> float | None:
-    """Walk right by doubling steps until f < 0; None if still >= 0 at limit."""
-    x = start
-    while f(x) >= 0.0:
-        if x >= limit:
-            return None
-        x = min(limit, x + step)
-        step *= 2.0
-    return x
+    return lo, f_lo

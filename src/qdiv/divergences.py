@@ -22,7 +22,6 @@ from .linalg import (
     as_density,
     as_matrix,
     as_positive,
-    positive_part_trace,
     spectral_fn,
     support_cutoff,
 )
@@ -324,18 +323,14 @@ def d_tilde_max(rho, sigma, eps: float) -> DivergenceValue:
     if _support_leak(r, s) > eps:  # Tr(rho - t sigma)_+ falls to this weight as t grows
         return DivergenceValue(INF, "not_contained")
 
-    def margin(lam: float) -> float:
-        return positive_part_trace(r.mat - (2.0**lam) * s.mat) - eps
+    def margin(lam: float) -> float:  # Tr(rho - t sigma)_+ - eps; both operands are Hermitian
+        evals = np.linalg.eigvalsh(r.mat - (2.0**lam) * s.mat)
+        return float(np.sum(evals[evals > 0.0])) - eps
 
-    hi = _roots.expand_up(margin, 0.0, limit=220.0)
-    if hi is None:
+    found = _roots.bisect_decreasing(margin, 0.0, -220.0, 220.0)
+    if found is None:
         return DivergenceValue(INF, "not_contained")
-    if margin(0.0) < 0.0:
-        lo = _roots.expand_down(margin, 0.0, limit=-220.0)
-    else:
-        lo = 0.0
-    root = _roots.bisect_decreasing(margin, lo, hi)
-    return DivergenceValue(root, "ispec")
+    return DivergenceValue(found[0], "ispec")
 
 
 def sigma_pinching_projectors(sigma) -> list[np.ndarray]:

@@ -52,14 +52,20 @@ LAMBDA_FLOOR = -200.0
 class ParentDivergence:
     """A relative entropy usable as the parent of an induced divergence.
 
-    ``kind`` is one of renyi/umegaki/min/max/custom.  Custom parents supply
-    an evaluation (rho, sigma) -> extended real that is continuous and
-    nonincreasing under scaling of the second argument.
+    ``kind`` is one of renyi/umegaki/min/max for the built-in parents.  A
+    custom parent sets ``fn``, an evaluation (rho, sigma) -> extended real
+    that is continuous and nonincreasing under scaling of the second
+    argument; every evaluation goes through ``fn`` and ``kind`` is only its
+    name, whatever that name is.
     """
 
     kind: str
     alpha: float | None = None
     fn: Callable | None = None
+
+    def __post_init__(self):
+        if self.fn is None and self.kind not in ("renyi", "umegaki", "min", "max"):
+            raise ValidationError(f"unknown parent kind {self.kind!r}")
 
     @classmethod
     def renyi(cls, alpha) -> "ParentDivergence":
@@ -86,19 +92,19 @@ class ParentDivergence:
 
     @classmethod
     def custom(cls, fn: Callable, name: str = "custom") -> "ParentDivergence":
-        return cls(name if name != "custom" else "custom", fn=fn)
+        return cls(name, fn=fn)
 
     def evaluate(self, rho, sigma) -> float:
         """Parent value D(rho || sigma)."""
+        if self.fn is not None:
+            return float(self.fn(rho, sigma))
         if self.kind == "renyi":
             return d_alpha(rho, sigma, self.alpha).value
         if self.kind == "umegaki":
             return d_umegaki(rho, sigma).value
         if self.kind == "min":
             return d_min(rho, sigma).value
-        if self.kind == "max":
-            return d_max(rho, sigma).value
-        return float(self.fn(rho, sigma))
+        return d_max(rho, sigma).value
 
     def margin_limit(self, rho: DensityOperator, sigma: PositiveOperator, eps: float) -> float:
         """Limit of the margin as t -> infinity.
@@ -109,6 +115,8 @@ class ParentDivergence:
         resolution): for Renyi orders above 1 the limit of Q_alpha is the
         weight of rho outside the support of sigma.
         """
+        if self.fn is not None:
+            return -math.inf  # custom parents fall back to the numeric probe
         log_1me = math.log2(1.0 - eps)
         if self.kind == "min":
             on_support = sigma.trace - _support_leak(sigma, rho)  # Tr[sigma Pi_rho]
@@ -117,14 +125,12 @@ class ParentDivergence:
             return -math.inf if _is_contained(rho, sigma) else -log_1me
         if self.kind == "umegaki":
             return -log_1me if _is_orthogonal(rho, sigma) else -math.inf
-        if self.kind == "renyi":
-            a = self.alpha
-            threshold = (1.0 - eps) ** (a - 1.0)
-            if a > 1.0:
-                return _support_leak(rho, sigma) - threshold
-            coupled = 1.0 - _support_leak(rho, sigma)
-            return (threshold - 1.0) if coupled <= 1e-12 else -math.inf
-        return -math.inf  # custom parents fall back to the numeric probe
+        a = self.alpha  # renyi
+        threshold = (1.0 - eps) ** (a - 1.0)
+        if a > 1.0:
+            return _support_leak(rho, sigma) - threshold
+        coupled = 1.0 - _support_leak(rho, sigma)
+        return (threshold - 1.0) if coupled <= 1e-12 else -math.inf
 
     def margin_factory(
         self, rho: DensityOperator, sigma: PositiveOperator, eps: float
@@ -133,6 +139,15 @@ class ParentDivergence:
         r_mat = rho.mat
         s_mat = sigma.mat
         log_1me = math.log2(1.0 - eps)
+
+        if self.fn is not None:
+            fn = self.fn
+
+            def margin(lam: float) -> float:
+                x = PositiveOperator(r_mat + (2.0**lam) * s_mat)
+                return float(fn(rho, x)) - log_1me
+
+            return margin
 
         if self.kind == "min":
             overlap = float(
@@ -170,28 +185,19 @@ class ParentDivergence:
 
             return margin
 
-        if self.kind == "renyi":
-            a = self.alpha
-            threshold = (1.0 - eps) ** (a - 1.0)
-            if a > 1.0:
+        a = self.alpha  # renyi
+        threshold = (1.0 - eps) ** (a - 1.0)
+        if a > 1.0:
 
-                def margin(lam: float) -> float:
-                    x = r_mat + (2.0**lam) * s_mat
-                    return _sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold
+            def margin(lam: float) -> float:
+                x = r_mat + (2.0**lam) * s_mat
+                return _sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold
 
-            else:
+        else:
 
-                def margin(lam: float) -> float:
-                    x = r_mat + (2.0**lam) * s_mat
-                    return threshold - _sandwiched_q(r_mat, *np.linalg.eigh(x), a)
-
-            return margin
-
-        fn = self.fn
-
-        def margin(lam: float) -> float:
-            x = PositiveOperator(r_mat + (2.0**lam) * s_mat)
-            return float(fn(rho, x)) - log_1me
+            def margin(lam: float) -> float:
+                x = r_mat + (2.0**lam) * s_mat
+                return threshold - _sandwiched_q(r_mat, *np.linalg.eigh(x), a)
 
         return margin
 
@@ -223,7 +229,7 @@ def _infinite_result(eps: float, parent: str) -> InducedResult:
 
 
 def _parent_tag(parent: ParentDivergence) -> str:
-    if parent.kind == "renyi":
+    if parent.fn is None and parent.kind == "renyi":
         return f"renyi({parent.alpha:g})"
     return parent.kind
 
@@ -231,8 +237,14 @@ def _parent_tag(parent: ParentDivergence) -> str:
 def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     """Induced divergence of ``parent`` evaluated by bracketed bisection.
 
-    Returns +inf (not an error) when the defining condition still holds at
-    t = 2^60, which happens when sigma misses too much of rho's support.
+    The result is +inf (a value, not an error) when the defining condition
+    holds for every t, which happens when sigma misses too much of rho's
+    support.  A built-in parent detects this from the closed-form limit of
+    its margin as t -> infinity (``margin_limit``); a custom parent from one
+    probe at lambda = 45, the largest point within double-precision
+    eigenvalue resolution.  A condition still holding at the search ceiling
+    t = 2^60 also reads as +inf.  ``residual`` is |margin| at the returned
+    lambda*, the certified lower end of the final bracket.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -243,8 +255,8 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     tag = _parent_tag(parent)
     margin = parent.margin_factory(r, s, eps)
 
-    if parent.kind == "custom":
-        if margin(45.0) >= 0.0:  # largest probe within eigenvalue resolution
+    if parent.fn is not None:
+        if margin(45.0) >= 0.0:
             return _infinite_result(eps, tag)
     elif parent.margin_limit(r, s, eps) >= 0.0:
         return _infinite_result(eps, tag)
@@ -252,20 +264,12 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     dm = d_min(r, s).value
     guess = dm + math.log2(eps / (1.0 - eps)) if math.isfinite(dm) else 0.0
     guess = min(max(guess, LAMBDA_FLOOR + 1.0), LAMBDA_CEILING - 1.0)
-
-    if margin(guess) >= 0.0:
-        lo = guess
-        hi = _roots.expand_up(margin, guess, limit=LAMBDA_CEILING)
-        if hi is None:  # unreachable after the ceiling check, kept defensive
-            return _infinite_result(eps, tag)
-    else:
-        hi = guess
-        lo = _roots.expand_down(margin, guess, limit=LAMBDA_FLOOR)
-
-    lam = _roots.bisect_decreasing(margin, lo, hi, value_tol=1e-10)
-    residual = abs(margin(lam))
+    found = _roots.bisect_decreasing(margin, guess, LAMBDA_FLOOR, LAMBDA_CEILING)
+    if found is None:
+        return _infinite_result(eps, tag)
+    lam, value = found
     normalized = lam + math.log2((1.0 - eps) / eps)
-    return InducedResult(lam, 2.0**lam, lam, normalized, eps, residual, tag)
+    return InducedResult(lam, 2.0**lam, lam, normalized, eps, abs(value), tag)
 
 
 def induced_renyi(rho, sigma, alpha, eps: float) -> InducedResult:

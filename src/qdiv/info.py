@@ -439,14 +439,9 @@ def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
                     total += p[x] * q2(outs[x], outs[x] + t * sbar)
             return total - target
 
-        lam0 = math.log2(eps / (1.0 - eps))
-        if margin(lam0) >= 0.0:
-            lo = lam0
-            hi = _roots.expand_up(margin, lam0, limit=200.0)
-        else:
-            hi = lam0
-            lo = _roots.expand_down(margin, lam0, limit=-200.0)
-        lam = _roots.bisect_decreasing(margin, lo, hi, value_tol=1e-10)
+        # g falls to -(1 - eps) as t grows (each live sigma_x lies in the
+        # support of sbar), so the ceiling always brackets the root.
+        lam, _ = _roots.bisect_decreasing(margin, math.log2(eps / (1.0 - eps)), -200.0, 200.0)
         t = 2.0**lam
 
         grads = [q2_grad(outs[x], outs[x] + t * sbar) for x in range(k)]

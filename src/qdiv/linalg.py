@@ -53,11 +53,11 @@ class HermitianOperator:
 
     __slots__ = ("mat", "dim")
 
-    def __init__(self, mat, herm_tol: float = HERM_TOL):
+    def __init__(self, mat):
         mat = as_matrix(mat)
         scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)))
         defect = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if defect > herm_tol * scale:
+        if defect > HERM_TOL * scale:
             raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
         herm = 0.5 * (mat + mat.conj().T)
         herm.setflags(write=False)
@@ -75,18 +75,18 @@ class HermitianOperator:
 class PositiveOperator(HermitianOperator):
     """Hermitian operator with spectrum >= -PSD_TOL, clamped to >= 0.
 
-    Eigenvalues in [-psd_tol, 0) come from round-off (tensor products,
+    Eigenvalues in [-PSD_TOL, 0) come from round-off (tensor products,
     partial traces) and are clamped to zero; anything lower is an error.
     The spectral decomposition is computed once and cached.
     """
 
     __slots__ = ("eigenvalues", "eigenvectors")
 
-    def __init__(self, mat, psd_tol: float = PSD_TOL, herm_tol: float = HERM_TOL):
-        super().__init__(mat, herm_tol=herm_tol)
+    def __init__(self, mat):
+        super().__init__(mat)
         evals, evecs = np.linalg.eigh(self.mat)
         scale = max(1.0, float(evals[-1]) if evals.size else 1.0)
-        if evals.size and evals[0] < -psd_tol * scale:
+        if evals.size and evals[0] < -PSD_TOL * scale:
             raise ValidationError(
                 f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
             )
@@ -115,10 +115,10 @@ class DensityOperator(PositiveOperator):
 
     __slots__ = ()
 
-    def __init__(self, mat, trace_tol: float = TRACE_TOL, **kwargs):
-        super().__init__(mat, **kwargs)
+    def __init__(self, mat):
+        super().__init__(mat)
         tr = self.trace
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is {tr!r}, expected 1")
 
 

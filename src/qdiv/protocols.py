@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,7 +102,6 @@ def pbd_simulate(
     sigma_ra,
     dims: tuple[int, int],
     eps: float,
-    builder: Callable | None = None,
     cap: int | None = None,
 ) -> DecodingReport:
     """Position-based decoding at n = ceil(2^induced-D2) with the PGM.
@@ -126,17 +125,13 @@ def pbd_simulate(
     n_old = math.ceil(eps * 2.0**dh.value) if dh.is_finite else math.inf
 
     total_dim = d_r * d_a**n
-    limit = cap
     try:
-        check_dim_cap(total_dim, limit)
+        check_dim_cap(total_dim, cap)
     except ValidationError:
         return DecodingReport(n, (), math.nan, math.nan, res, n_old, dh.value, aborted=True)
 
-    if builder is None:
-        sigma_a = _ptrace(sigma.mat, [d_r, d_a], [1])
-        family = pairwise_tensor_family(rho, (d_r, d_a), DensityOperator(sigma_a), n, cap=limit)
-    else:
-        family = builder(rho, (d_r, d_a), sigma, n)
+    sigma_a = _ptrace(sigma.mat, [d_r, d_a], [1])
+    family = pairwise_tensor_family(rho, (d_r, d_a), DensityOperator(sigma_a), n, cap=cap)
     family.verify_marginals()
 
     povm = pgm([m.mat for m in family.members])

@@ -137,6 +137,52 @@ def test_custom_parent_matches_builtin():
     assert abs(a.raw - b.raw) < 1e-9
 
 
+class CountingParent:
+    """Umegaki parent as a custom function; records each second argument."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, r, s):
+        self.seen.append(s.mat.tobytes())
+        return d_umegaki(r, s).value
+
+
+def test_custom_parent_named_like_builtin_uses_its_function():
+    rho = random_density(2, 2, 21)
+    sigma = random_density(2, 2, 22)
+    fn = CountingParent()
+    parent = ParentDivergence.custom(fn, name="max")
+    res = induced(parent, rho, sigma, 0.3)
+    assert fn.seen
+    assert res.parent == "max"
+    assert res.raw == induced(ParentDivergence.custom(fn), rho, sigma, 0.3).raw
+    assert parent.evaluate(rho, sigma) == d_umegaki(rho, sigma).value
+
+
+def test_named_custom_parent_orthogonal_is_inf_after_one_probe():
+    fn = CountingParent()
+    parent = ParentDivergence.custom(fn, name="umegaki-fn")
+    res = induced(parent, basis_state(0, 2), basis_state(1, 2), 0.3)
+    assert res.raw == math.inf
+    assert len(fn.seen) == 1
+
+
+def test_induced_evaluates_each_lambda_once():
+    rho = random_density(3, 3, 23)
+    sigma = random_density(3, 2, 24)
+    for eps in (0.05, 0.5, 0.95):
+        fn = CountingParent()
+        res = induced(ParentDivergence.custom(fn), rho, sigma, eps)
+        assert res.is_finite
+        assert len(fn.seen) == len(set(fn.seen))
+
+
+def test_unknown_builtin_kind_is_rejected():
+    with pytest.raises(ValidationError):
+        ParentDivergence("umegaki-fn")
+
+
 def test_epsilon_near_one_proxy():
     rho = random_density(2, 2, 31)
     sigma = random_density(2, 2, 32)
