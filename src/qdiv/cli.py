@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -114,29 +113,34 @@ def _value_str(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _alpha(args, option: str) -> float:
+    """The --alpha value that ``option`` needs: a number, or inf/infinity."""
+    if args.alpha is None:
+        raise ValidationError(f"--alpha is required for {option}")
+    try:
+        return float(args.alpha)
+    except ValueError as exc:
+        raise ValidationError(f"--alpha must be a number or inf, got {args.alpha!r}") from exc
+
+
+_PLAIN_KINDS = {"min": d_min, "max": d_max, "umegaki": d_umegaki}
+
+
 def _cmd_divergence(args) -> int:
     rho = load_state(args.rho).state
     sigma = load_state(args.sigma).state
     kind = args.kind
     results: dict = {"kind": kind}
+    if kind in ("hypothesis", "ispec") and args.eps is None:
+        raise ValidationError(f"--eps is required for --kind {kind}")
     if kind == "renyi":
-        if args.alpha is None:
-            raise ValidationError("--alpha is required for --kind renyi")
-        alpha = math.inf if args.alpha in ("inf", "infinity") else float(args.alpha)
+        alpha = _alpha(args, "--kind renyi")
         dv = d_alpha(rho, sigma, alpha)
         results.update(alpha=alpha, value=dv.value, support_case=dv.support_case)
-    elif kind == "min":
-        dv = d_min(rho, sigma)
-        results.update(value=dv.value, support_case=dv.support_case)
-    elif kind == "max":
-        dv = d_max(rho, sigma)
-        results.update(value=dv.value, support_case=dv.support_case)
-    elif kind == "umegaki":
-        dv = d_umegaki(rho, sigma)
+    elif kind in _PLAIN_KINDS:
+        dv = _PLAIN_KINDS[kind](rho, sigma)
         results.update(value=dv.value, support_case=dv.support_case)
     elif kind == "hypothesis":
-        if args.eps is None:
-            raise ValidationError("--eps is required for --kind hypothesis")
         dv, test = d_hypothesis(rho, sigma, args.eps)
         results.update(
             eps=args.eps,
@@ -146,18 +150,12 @@ def _cmd_divergence(args) -> int:
             alpha_err=test.alpha_err,
             beta=test.beta,
         )
-    elif kind == "ispec":
-        if args.eps is None:
-            raise ValidationError("--eps is required for --kind ispec")
+    else:  # ispec; argparse restricts the choices
         dv = d_tilde_max(rho, sigma, args.eps)
         results.update(eps=args.eps, value=dv.value, support_case=dv.support_case)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown kind {kind}")
 
     report = _base_report("divergence", args, [args.rho, args.sigma], results)
-    lines = [f"{kind}: {_value_str(results['value'])}"]
-    if "support_case" in results:
-        lines.append(f"case: {results['support_case']}")
+    lines = [f"{kind}: {_value_str(dv.value)}", f"case: {dv.support_case}"]
     _emit(report, args.format, args.out, lines)
     return EXIT_OK
 
@@ -173,16 +171,13 @@ def _cmd_induced(args) -> int:
     rho = load_state(args.rho).state
     sigma = load_state(args.sigma).state
     if args.parent == "renyi":
-        if args.alpha is None:
-            raise ValidationError("--alpha is required for --parent renyi")
-        alpha = math.inf if args.alpha in ("inf", "infinity") else float(args.alpha)
-        parent = ParentDivergence.renyi(alpha)
+        parent = ParentDivergence.renyi(_alpha(args, "--parent renyi"))
     else:
         parent = _PARENTS[args.parent]()
     res = induced(parent, rho, sigma, args.eps)
     results = {
         "parent": args.parent,
-        "alpha": getattr(parent, "alpha", None),
+        "alpha": parent.alpha,
         "eps": args.eps,
         "lambda_star": res.lambda_star,
         "t_star": res.t_star,

@@ -382,7 +382,7 @@ class DirectSumReport:
     ok: bool
 
 
-def check_direct_sum(probs, rhos: Sequence, sigmas: Sequence, alpha, tol: float = 1e-9) -> DirectSumReport:
+def check_direct_sum(probs, rhos: Sequence, sigmas: Sequence, alpha) -> DirectSumReport:
     """Verify Q_alpha(rho^XA || sigma^XA) = sum_x p_x Q_alpha(rho_x || sigma_x)."""
     p = np.asarray(probs, dtype=np.float64)
     if len(rhos) != p.size or len(sigmas) != p.size:
@@ -406,4 +406,4 @@ def check_direct_sum(probs, rhos: Sequence, sigmas: Sequence, alpha, tol: float 
         )
     )
     gap = abs(lhs - rhs)
-    return DirectSumReport(lhs, rhs, gap, gap <= tol)
+    return DirectSumReport(lhs, rhs, gap, gap <= 1e-9)

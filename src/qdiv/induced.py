@@ -288,7 +288,7 @@ class BlockReport:
 
 
 def induced_block_property(
-    rho, sigma, omega, t: float, eps: float, parent: ParentDivergence, tol: float = 1e-8
+    rho, sigma, omega, t: float, eps: float, parent: ParentDivergence
 ) -> BlockReport:
     """Check D_ind(rho (+) 0 || t sigma (+) (1-t) omega) = D_ind(rho||sigma) - log t."""
     if not 0.0 < t <= 1.0:
@@ -307,4 +307,4 @@ def induced_block_property(
     if math.isinf(lhs) and math.isinf(rhs):
         return BlockReport(lhs, rhs, 0.0, True)
     gap = abs(lhs - rhs)
-    return BlockReport(lhs, rhs, gap, gap <= tol)
+    return BlockReport(lhs, rhs, gap, gap <= 1e-8)

@@ -110,13 +110,13 @@ def _expm_density(l_mat: np.ndarray) -> np.ndarray:
 def minimize_density(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     dim: int,
-    step: float = 0.5,
     max_iter: int = 500,
     tol: float = 1e-7,
     sigma0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, float]:
     """Exponentiated-gradient descent over density operators.
 
+    Each iteration tries step 0.5 and halves it until the value does not rise.
     Returns (sigma, value, iterations, residual) where the residual is the
     trace-norm displacement of the last accepted step divided by its step
     size (a gradient-mapping surrogate on the matrix simplex).
@@ -133,7 +133,7 @@ def minimize_density(
     residual = math.inf
     for it in range(max_iter):
         iterations = it + 1
-        eta = step
+        eta = 0.5
         accepted = False
         for _ in range(40):
             l_try = l_mat - eta * grad
@@ -169,15 +169,14 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 def maximize_simplex(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     starts: Sequence[np.ndarray],
-    max_iter: int = 200,
 ) -> tuple[float, np.ndarray]:
-    """Multi-start projected gradient ascent over the simplex."""
+    """Multi-start projected gradient ascent over the simplex, 200 steps per start."""
     best_val = -math.inf
     best_p = None
     for p0 in starts:
         p = project_simplex(np.asarray(p0, dtype=np.float64))
         val, grad = value_and_grad(p)
-        for _ in range(max_iter):
+        for _ in range(200):
             moved = False
             eta = 1.0
             for _ in range(40):
@@ -514,14 +513,13 @@ def channel_mutual_info(
     alpha=1.0,
     eps: float | None = None,
     seed: int = 0,
-    restarts: int = 20,
 ) -> ChannelMutualInfo:
     """Maximize the (induced) mutual information over input distributions.
 
     With ``eps`` given, the objective is the raw induced collision divergence
     of the cq state against the product of its marginals; otherwise it is
     I_alpha for alpha in {1, 2}.  Multi-start projected gradient ascent with
-    ``restarts`` seeded random starts plus the uniform start.
+    20 seeded random starts plus the uniform start.
     """
     k = chan.input_size
     if k > MAX_CHANNEL_INPUTS:
@@ -541,7 +539,7 @@ def channel_mutual_info(
             raise ValidationError("channel_mutual_info supports alpha in {1, 2}")
     rng = rng_from_seed(seed)
     starts = [np.full(k, 1.0 / k)]
-    for _ in range(restarts):
+    for _ in range(20):
         starts.append(random_probability(k, rng))
     value, best_p = maximize_simplex(vg, starts)
     return ChannelMutualInfo(value, best_p, a, eps)

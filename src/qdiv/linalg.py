@@ -55,6 +55,8 @@ class HermitianOperator:
 
     def __init__(self, mat):
         mat = as_matrix(mat)
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError("matrix has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)))
         defect = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
         if defect > HERM_TOL * scale:
@@ -254,8 +256,13 @@ def fidelity_and_purified(rho, sigma) -> tuple[float, float]:
     s = as_positive(sigma)
     if r.dim != s.dim:
         raise ValidationError("fidelity needs equal dimensions")
+    return _fidelity_and_purified(r.mat, s)
+
+
+def _fidelity_and_purified(r_mat: np.ndarray, s: PositiveOperator) -> tuple[float, float]:
+    """`fidelity_and_purified` of a positive matrix ``r_mat`` the caller vouches for."""
     sqrt_s = HermitianOperator(spectral_fn(s.eigenvalues, s.eigenvectors, 0.5, s.cutoff)).mat
-    inner = sqrt_s @ r.mat @ sqrt_s
+    inner = sqrt_s @ r_mat @ sqrt_s
     evals = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     fid = float(np.sum(np.sqrt(evals)))
     fid = min(max(fid, 0.0), 1.0)

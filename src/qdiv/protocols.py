@@ -26,13 +26,12 @@ from .linalg import (
     ValidationError,
     as_density,
     as_matrix,
+    _fidelity_and_purified,
     _ptrace,
-    fidelity_and_purified,
-    permute_systems,
     spectral_fn,
     support_cutoff,
 )
-from .states import Channel, check_dim_cap, pairwise_tensor_family, purify
+from .states import Channel, _slot_products, check_dim_cap, pairwise_tensor_family, purify
 
 
 class InfeasibleError(ValueError):
@@ -322,28 +321,18 @@ def convex_split_check(
         raise ValidationError(f"sigma dimension {sigma.dim} != {d_bp}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    total = d_rb * d_bp**n
-    check_dim_cap(total, cap)
+    check_dim_cap(d_rb * d_bp**n, cap)
 
     rho_rb = _ptrace(rho.mat, [d_rb, d_bp], [0])
     mu = _sandwiched_q(rho.mat, *np.linalg.eigh(np.kron(rho_rb, sigma.mat)), 2.0) - 1.0
     mu = max(mu, 0.0)
 
-    base = rho.mat
-    for _ in range(n - 1):
-        base = np.kron(base, sigma.mat)
-    sys_dims = [d_rb] + [d_bp] * n
-    tau = np.zeros((total, total), dtype=np.complex128)
-    for x in range(n):
-        order = list(range(n + 1))
-        order[1], order[1 + x] = order[1 + x], order[1]
-        tau += permute_systems(base, sys_dims, order)
-    tau /= n
-
+    # a mixture of slot-permuted products of validated states: no re-validation
+    tau = sum(_slot_products(rho.mat, sigma.mat, d_rb, d_bp, n)) / n
     product = rho_rb
     for _ in range(n):
         product = np.kron(product, sigma.mat)
-    _, pd = fidelity_and_purified(DensityOperator(tau), DensityOperator(product))
+    _, pd = _fidelity_and_purified(tau, DensityOperator(product))
     eps_n = math.sqrt(mu / (mu + n))
     return ConvexSplitReport(n, mu, eps_n, pd)
 

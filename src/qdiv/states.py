@@ -21,6 +21,7 @@ from .linalg import (
     RECON_TOL,
     TRACE_TOL,
     DensityOperator,
+    HermitianOperator,
     ValidationError,
     as_density,
     as_matrix,
@@ -101,6 +102,8 @@ def _validate_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probability vector must be a nonempty 1-D array")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("probability vector has non-finite entries")
     if np.any(p < -TRACE_TOL):
         raise ValidationError("probability vector has negative entries")
     if abs(p.sum() - 1.0) > TRACE_TOL:
@@ -172,10 +175,10 @@ class Channel:
     def cq_state(self, probs) -> CqState:
         return cq_state(probs, self.outputs)
 
-    def is_classical(self, tol: float = 1e-12) -> bool:
+    def is_classical(self) -> bool:
         for out in self.outputs:
             off = out.mat - np.diag(np.diag(out.mat))
-            if np.max(np.abs(off), initial=0.0) > tol:
+            if np.max(np.abs(off), initial=0.0) > 1e-12:
                 return False
         return True
 
@@ -225,22 +228,39 @@ def purify(rho) -> Purification:
     return Purification(DensityOperator(np.outer(vec, vec.conj())), r, d)
 
 
+def _slot_products(first: np.ndarray, other: np.ndarray, d_first: int, d_slot: int, n: int):
+    """Yield first (x) other^(x)(n-1) on F A^n with first's A factor moved to slot x = 0..n-1."""
+    base = first
+    for _ in range(n - 1):
+        base = np.kron(base, other)
+    sys_dims = [d_first] + [d_slot] * n
+    for x in range(n):
+        order = list(range(n + 1))
+        order[1], order[1 + x] = order[1 + x], order[1]
+        yield permute_systems(base, sys_dims, order)
+
+
 @dataclass(frozen=True)
 class PairwiseFamily:
-    """States tau_x on R A^n whose RA_y marginals are rho (y=x) or sigma."""
+    """States tau_x on R A^n whose RA_y marginals are rho (y=x) or sigma.
+
+    Members are `HermitianOperator`s: slot permutations of products of
+    validated states are states, so no eigendecomposition re-checks them;
+    a function that needs a state validates a member at its own entry.
+    """
 
     rho: DensityOperator  # on R (x) A
     sigma: DensityOperator  # on R (x) A
     dims: tuple[int, int]
     n: int
-    members: tuple[DensityOperator, ...]
+    members: tuple[HermitianOperator, ...]
 
     def marginal(self, x: int, y: int) -> np.ndarray:
         d_r, d_a = self.dims
         dims = [d_r] + [d_a] * self.n
         return partial_trace(self.members[x], dims, [0, 1 + y]).mat
 
-    def verify_marginals(self, tol: float = RECON_TOL) -> float:
+    def verify_marginals(self) -> float:
         """Largest deviation from the defining marginal conditions."""
         worst = 0.0
         for x in range(self.n):
@@ -248,7 +268,7 @@ class PairwiseFamily:
                 target = self.rho.mat if x == y else self.sigma.mat
                 dev = float(np.max(np.abs(self.marginal(x, y) - target), initial=0.0))
                 worst = max(worst, dev)
-        if worst > tol:
+        if worst > RECON_TOL:
             raise ValidationError(f"pairwise marginals deviate by {worst:.3e}")
         return worst
 
@@ -270,21 +290,11 @@ def pairwise_tensor_family(
         raise ValidationError(f"sigma dimension {sigma.dim} != {d_a}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    total = d_r * d_a**n
-    check_dim_cap(total, cap)
-
-    base = rho.mat
-    for _ in range(n - 1):
-        base = np.kron(base, sigma.mat)
-    sys_dims = [d_r] + [d_a] * n
-    members = []
-    for x in range(n):
-        order = list(range(n + 1))
-        order[1], order[1 + x] = order[1 + x], order[1]
-        members.append(DensityOperator(permute_systems(base, sys_dims, order)))
+    check_dim_cap(d_r * d_a**n, cap)
+    members = tuple(HermitianOperator(m) for m in _slot_products(rho.mat, sigma.mat, d_r, d_a, n))
     rho_r = partial_trace(rho, [d_r, d_a], [0]).mat
     sigma_ra = DensityOperator(np.kron(rho_r, sigma.mat))
-    return PairwiseFamily(rho, sigma_ra, (d_r, d_a), n, tuple(members))
+    return PairwiseFamily(rho, sigma_ra, (d_r, d_a), n, members)
 
 
 def random_isometry_channel(

@@ -33,7 +33,6 @@ from .protocols import (
     convex_split_check,
     distill_lower_bound,
     eqsr_cost_bound,
-    eqsr_feasibility,
     expurgate_check,
     pbd_simulate,
     tc_upper,
@@ -42,7 +41,6 @@ from .protocols import (
 from .states import (
     apply_kraus,
     classical_channel,
-    channel,
     random_density,
     random_isometry_channel,
     random_probability,
@@ -88,8 +86,8 @@ def _row(suite: str, assertion: str, instance: int, seed: int, lhs: float, rhs: 
     return Row(suite, assertion, instance, seed, float(lhs), float(rhs), float(margin), ok)
 
 
-def derived_seed(suite: str, base_seed: int, instance: int, salt: str = "") -> int:
-    digest = hashlib.sha256(f"{suite}:{base_seed}:{instance}:{salt}".encode()).digest()
+def derived_seed(suite: str, base_seed: int, instance: int) -> int:
+    digest = hashlib.sha256(f"{suite}:{base_seed}:{instance}:".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 

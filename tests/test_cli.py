@@ -233,3 +233,47 @@ def test_json_report_determinism(files, tmp_path):
     assert run(argv + ["--out", str(out1)]) == 0
     assert run(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.fixture
+def nan_state(tmp_path):
+    # json writes the NaN literal, which json.load reads back as float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dims": [2], "re": [[float("nan"), 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    return str(path)
+
+
+def test_divergence_rejects_nan_state(files, nan_state, capsys):
+    code = run(["divergence", "--rho", nan_state, "--sigma", files["u2"], "--kind", "umegaki"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_induced_rejects_nan_sigma(files, nan_state, capsys):
+    argv = ["induced", "--rho", files["rand"], "--sigma", nan_state, "--parent", "renyi", "--alpha", "2", "--eps", "0.3"]
+    assert run(argv) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divergence", "--kind", "renyi", "--alpha", "abc"],
+        ["induced", "--parent", "renyi", "--alpha", "abc", "--eps", "0.3"],
+    ],
+)
+def test_non_numeric_alpha_is_a_validation_error(files, capsys, argv):
+    assert run(argv + ["--rho", files["rand"], "--sigma", files["u2"]]) == 1
+    assert "--alpha must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["inf", "infinity", "Inf"])
+def test_alpha_infinity_spellings(files, capsys, text):
+    argv = ["divergence", "--rho", files["rand"], "--sigma", files["u2"], "--kind", "renyi", "--format", "json"]
+    assert run(argv + ["--alpha", text]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["alpha"] == float("inf")
+    assert run(["divergence", "--rho", files["rand"], "--sigma", files["u2"], "--kind", "max", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["value"] == report["results"]["value"]

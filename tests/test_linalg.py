@@ -232,3 +232,15 @@ def test_hermitian_validation():
         HermitianOperator(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValidationError):
         HermitianOperator(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("cls", [HermitianOperator, PositiveOperator, DensityOperator])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_operators_reject_non_finite_entries(cls, bad):
+    # every comparison with NaN is false, so without a finiteness check a
+    # NaN diagonal passes the Hermiticity, positivity and trace checks
+    mat = np.diag([bad, 0.5]).astype(complex)
+    with pytest.raises(ValidationError, match="non-finite"):
+        cls(mat)
+    with pytest.raises(ValidationError, match="non-finite"):
+        cls(np.array([[0.5, complex(0.0, bad)], [complex(0.0, -bad), 0.5]]))

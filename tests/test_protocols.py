@@ -15,13 +15,16 @@ from qdiv import (
     eqsr_cost_bound,
     eqsr_feasibility,
     expurgate_check,
+    fidelity_and_purified,
     pbd_simulate,
+    permute_systems,
     pgm,
     q_alpha,
     tc_upper,
 )
 from qdiv.linalg import _ptrace
 from qdiv.states import basis_state, channel, classical_channel, random_density
+from qdiv.suites import _correlated_extension
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,35 @@ def test_convex_split_sweep_nonincreasing(seed):
         assert rep.ok
         assert rep.actual_p <= prev + 1e-8
         prev = rep.actual_p
+
+
+def _split_reference(ext, sigma, n):
+    """Purified distance of the convex split, every operator built and validated."""
+    base = ext.mat
+    for _ in range(n - 1):
+        base = np.kron(base, sigma.mat)
+    tau = np.zeros_like(base)
+    for x in range(n):
+        order = list(range(n + 1))
+        order[1], order[1 + x] = order[1 + x], order[1]
+        tau += permute_systems(base, [4] + [2] * n, order)
+    tau /= n
+    product = _ptrace(ext.mat, [4, 2], [0])
+    for _ in range(n):
+        product = np.kron(product, sigma.mat)
+    return fidelity_and_purified(DensityOperator(tau), DensityOperator(product))[1]
+
+
+@pytest.mark.parametrize("source", ["qsr_correlated", "random8"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_convex_split_matches_validated_reference(source, n):
+    if source == "qsr_correlated":
+        ext, sigma = _correlated_extension(1234)
+    else:
+        ext = random_density(8, 8, 77)
+        sigma = DensityOperator(np.diag([0.35, 0.65]).astype(complex))
+    rep = convex_split_check(ext, (4, 2), sigma, n)
+    assert rep.actual_p == _split_reference(ext, sigma, n)
 
 
 def test_convex_split_cap():

@@ -1,21 +1,27 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from qdiv import (
     DensityOperator,
+    HermitianOperator,
+    PositiveOperator,
     ValidationError,
     cq_state,
+    d_alpha,
     load_channel,
     load_state,
     pairwise_tensor_family,
     partial_trace,
+    permute_systems,
     purify,
     random_density,
     save_channel,
     save_state,
 )
-from qdiv.states import basis_state, classical_channel, maximally_mixed, dim_cap
+from qdiv.states import basis_state, classical_channel, maximally_entangled, maximally_mixed, dim_cap
 
 
 def test_random_density_pure_has_unit_purity():
@@ -70,6 +76,12 @@ def test_cq_state_validation():
         cq_state([0.5, 0.5], [basis_state(0, 2)])
 
 
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.inf, 0.5], [0.5, np.nan]])
+def test_cq_state_rejects_non_finite_probs(probs):
+    with pytest.raises(ValidationError, match="non-finite"):
+        cq_state(probs, [basis_state(0, 2), basis_state(1, 2)])
+
+
 def test_purify_pure_state():
     psi, d_ref, d_sys = purify(basis_state(0, 2))
     assert d_ref == 1
@@ -114,6 +126,65 @@ def test_pairwise_family_marginals(n):
     assert fam.verify_marginals() <= 1e-12
     expected = np.kron(rho_r, sigma.mat)
     npt.assert_allclose(fam.marginal(0, n - 1), expected, atol=1e-12)
+
+
+def _permuted_products(rho, sigma, n):
+    """tau_x written out: kron(rho, sigma, ..., sigma) with slots 1 and 1+x swapped."""
+    base = rho
+    for _ in range(n - 1):
+        base = np.kron(base, sigma)
+    out = []
+    for x in range(n):
+        order = list(range(n + 1))
+        order[1], order[1 + x] = order[1 + x], order[1]
+        out.append(permute_systems(base, [2] + [2] * n, order))
+    return out
+
+
+def test_pairwise_family_members_are_exact_products():
+    n = 3
+    rho = random_density(4, 4, 50)
+    sigma = random_density(2, 2, 51)
+    fam = pairwise_tensor_family(rho, (2, 2), sigma, n)
+    for member, expected in zip(fam.members, _permuted_products(rho.mat, sigma.mat, n), strict=True):
+        assert isinstance(member, HermitianOperator)
+        npt.assert_array_equal(member.mat, expected)
+
+
+def test_pairwise_family_skips_full_dimension_eigh(monkeypatch):
+    n, total = 3, 2 * 2**3
+    rho = random_density(4, 4, 52)
+    sigma = random_density(2, 2, 53)
+    dims_seen = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, _real=real, **kwargs):
+            dims_seen.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    fam = pairwise_tensor_family(rho, (2, 2), sigma, n)
+    assert len(fam.members) == n
+    assert total not in dims_seen
+
+
+def test_pairwise_family_rank_deficient_inputs():
+    # basis-state inputs: every member is a rank-1 projector on 16 dimensions
+    fam = pairwise_tensor_family(basis_state(1, 4), (2, 2), basis_state(0, 2), 3)
+    assert fam.verify_marginals() == 0.0
+    # a full-rank sigma, so that D_1/2 between members is finite
+    sigma = DensityOperator(np.diag([0.7, 0.3]).astype(complex))
+    fam = pairwise_tensor_family(maximally_entangled(2), (2, 2), sigma, 3)
+    assert fam.verify_marginals() <= 1e-15
+    m0, m1 = fam.members[0], fam.members[1]
+    assert not isinstance(m0, PositiveOperator)
+    got = d_alpha(m0, m1, 0.5)
+    want = d_alpha(DensityOperator(m0.mat), DensityOperator(m1.mat), 0.5)
+    assert got == want and math.isfinite(got.value)
+    # d_alpha validates the member at its entry: a non-state is refused there
+    with pytest.raises(ValidationError):
+        d_alpha(HermitianOperator(2.0 * m0.mat), m1, 0.5)
 
 
 def test_pairwise_family_cap():
