@@ -4,9 +4,17 @@ Every continuous threshold in the package (the induced-divergence
 threshold, the induced-D_2 channel objective and the information-spectrum
 divergence) is the largest x with f(x) >= 0 for a nonincreasing f, and is
 found by ``bisect_decreasing``: one evaluation at a start point, a walk by
-doubling steps to bracket the sign change, then bisection to an absolute
-width of 1e-11 on the unknown and a residual of at most 1e-10, with a hard
-cap of 200 steps.  No point is evaluated twice.
+doubling steps to bracket the sign change, then a safeguarded
+inverse-quadratic search inside that bracket (Chandrupatla, Adv. Eng.
+Softw. 28, 145, 1997) to an absolute width of 1e-11 on the unknown and a
+residual of at most 1e-10, with a hard cap of 200 steps.  No point is
+evaluated twice.
+
+The function keeps its bisection name because it keeps bisection's
+contract: every step keeps a bracket with f >= 0 at its lower end, the
+result is that certified lower end, and the bracket never lags plain
+bisection of the same bracket by more than two halvings.  Smooth thresholds
+take a few steps instead of about 38.
 
 The Neyman-Pearson multiplier search in ``divergences.d_hypothesis`` is
 separate and shares only the constants.  Its condition is a step function of
@@ -33,40 +41,81 @@ def bisect_decreasing(
     """Largest x with f(x) >= 0 for nonincreasing f, as the pair (x, f(x)).
 
     Evaluates ``f(start)`` once, then walks up (while f >= 0) or down (while
-    f < 0) by steps of 1, 2, 4, ...; ``start`` stays the other end of the
-    bracket.  The upward walk is clamped at ``ceiling`` and gives None if f
+    f < 0) by steps of 1, 2, 4, ...; the bracket is the last two points of
+    the walk.  The upward walk is clamped at ``ceiling`` and gives None if f
     is still >= 0 there; the downward walk raises ``BracketError`` once a
-    point at or below ``floor`` still has f < 0.  Bisection then stops when
-    the bracket is at most ``BISECT_TOL`` wide and the last residual is at
-    most ``RESIDUAL_TOL`` (or after ``BISECT_MAX_ITER`` steps) and returns
-    the certified lower endpoint, where f >= 0.
+    point at or below ``floor`` still has f < 0.
+
+    The bracket is then searched as Chandrupatla does: each new point is
+    the inverse-quadratic interpolant through the last three points when
+    Chandrupatla's test finds it monotone there, and the midpoint otherwise
+    or after two consecutive steps that did not halve the bracket.  The
+    point is then moved toward the midpoint as far as needed to keep the
+    bracket within four times the width plain bisection would have left,
+    so the search never falls more than two halvings behind bisection (the
+    projection of the ITP method, Oliveira & Takahashi, ACM Trans. Math.
+    Softw. 47, 5, 2020).  Each point lies at least ``BISECT_TOL / 2``
+    inside the bracket, so a step next to a converged endpoint closes the
+    bracket from the other side.  The search stops when the bracket is at
+    most ``BISECT_TOL`` wide and the last residual is at most
+    ``RESIDUAL_TOL`` (or after ``BISECT_MAX_ITER`` steps) and returns the
+    certified lower endpoint, where f >= 0.
     """
-    lo = hi = start
-    f_lo = val = f(start)
+    # a: the newest point, b: the other end of the bracket, c: the point
+    # dropped last, beyond a (Chandrupatla's notation).  The walk leaves its
+    # last three points there; after a one-step walk c == a, which gives
+    # xi = phi = 1 and so a midpoint.
+    a = b = c = start
+    fa = fb = fc = f(start)
     step = 1.0
-    while val >= 0.0:
-        if hi >= ceiling:
-            return None
-        hi = min(ceiling, hi + step)
-        step *= 2.0
-        val = f(hi)
-    while f_lo < 0.0:
-        if lo <= floor:
-            raise BracketError(f"no point with f >= 0 above {floor}")
-        lo -= step
-        step *= 2.0
-        f_lo = f(lo)
-    if not lo < hi:  # f(start) is NaN: neither walk moved
+    if fa >= 0.0:
+        while fb >= 0.0:
+            if b >= ceiling:
+                return None
+            c, fc, a, fa = a, fa, b, fb
+            b = min(ceiling, b + step)
+            step *= 2.0
+            fb = f(b)
+    else:
+        while fb < 0.0:
+            if b <= floor:
+                raise BracketError(f"no point with f >= 0 above {floor}")
+            c, fc, a, fa = a, fa, b, fb
+            b -= step
+            step *= 2.0
+            fb = f(b)
+    if a == b:  # f(start) is NaN: neither walk moved
         raise BracketError(f"f is not a number at {start}")
+
+    goal = abs(b - a)  # the width plain bisection would leave
+    missed = 0  # consecutive steps that did not halve the bracket
     for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        left, right = min(a, b), max(a, b)
+        width = right - left
+        goal *= 0.5
+        t = 0.5
+        if missed < 2 and width > BISECT_TOL and fc != fb:
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = fa / (fb - fa) * fc / (fb - fc)
+                t += (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        # new bracket <= width / 2 + |x - mid| <= 4 * goal
+        mid = 0.5 * (left + right)
+        reach = 4.0 * goal - 0.5 * width
+        x = min(max(a + t * (b - a), mid - reach), mid + reach)
+        if width > BISECT_TOL:
+            x = min(max(x, left + 0.5 * BISECT_TOL), right - 0.5 * BISECT_TOL)
+        if not left < x < right:
             break
-        val = f(mid)
-        if val >= 0.0:
-            lo, f_lo = mid, val
+        fx = f(x)
+        if (fx >= 0.0) == (fa >= 0.0):
+            c, fc = a, fa
         else:
-            hi = mid
-        if hi - lo <= BISECT_TOL and abs(val) <= RESIDUAL_TOL:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        new_width = abs(b - a)
+        if new_width <= BISECT_TOL and abs(fx) <= RESIDUAL_TOL:
             break
-    return lo, f_lo
+        missed = 0 if t == 0.5 or new_width <= 0.5 * width else missed + 1
+    return (a, fa) if fa >= 0.0 else (b, fb)

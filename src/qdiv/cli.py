@@ -131,8 +131,13 @@ def _cmd_divergence(args) -> int:
     sigma = load_state(args.sigma).state
     kind = args.kind
     results: dict = {"kind": kind}
-    if kind in ("hypothesis", "ispec") and args.eps is None:
+    reads_eps = kind in ("hypothesis", "ispec")
+    if kind != "renyi" and args.alpha is not None:
+        raise ValidationError(f"--alpha does not apply to --kind {kind}")
+    if reads_eps and args.eps is None:
         raise ValidationError(f"--eps is required for --kind {kind}")
+    if not reads_eps and args.eps is not None:
+        raise ValidationError(f"--eps does not apply to --kind {kind}")
     if kind == "renyi":
         alpha = _alpha(args, "--kind renyi")
         dv = d_alpha(rho, sigma, alpha)
@@ -172,6 +177,8 @@ def _cmd_induced(args) -> int:
     sigma = load_state(args.sigma).state
     if args.parent == "renyi":
         parent = ParentDivergence.renyi(_alpha(args, "--parent renyi"))
+    elif args.alpha is not None:
+        raise ValidationError(f"--alpha does not apply to --parent {args.parent}")
     else:
         parent = _PARENTS[args.parent]()
     res = induced(parent, rho, sigma, args.eps)
@@ -269,6 +276,14 @@ def _cmd_qsr(args) -> int:
     if len(record.dims) != 3:
         raise ValidationError(f"qsr needs a tripartite state file, got dims {list(record.dims)}")
     bound = eqsr_cost_bound(record.state, tuple(record.dims), args.eps, args.delta0, args.delta1)
+    detail = bound.cond_mi.induced_detail
+    if not detail.converged:
+        print(
+            f"warning: the induced I_2 term stopped at {detail.iterations} mirror-descent "
+            f"iterations without converging (residual {detail.gradient_residual:.2g}); "
+            "its value may exceed the minimum, so q_bound may be too small",
+            file=sys.stderr,
+        )
     results = {
         "eps": args.eps,
         "delta0": bound.delta0,

@@ -107,11 +107,14 @@ def _expm_density(l_mat: np.ndarray) -> np.ndarray:
     return (1.0 - _ITERATE_FLOOR) * mat + _ITERATE_FLOOR * np.eye(dim) / dim
 
 
+_DESCENT_TOL = 1e-7  # residual at which minimize_density stops before its cap
+
+
 def minimize_density(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     dim: int,
     max_iter: int = 500,
-    tol: float = 1e-7,
+    tol: float = _DESCENT_TOL,
     sigma0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, float]:
     """Exponentiated-gradient descent over density operators.
@@ -203,10 +206,14 @@ def maximize_simplex(
 
 @dataclass(frozen=True)
 class MutualInfoResult:
+    """``converged`` is False when mirror descent stopped at its iteration
+    cap with ``gradient_residual`` above its tolerance, 1e-7."""
+
     value: float
     optimal_sigma: DensityOperator
     iterations: int
     gradient_residual: float
+    converged: bool
 
 
 def _split_dims(rho: DensityOperator, dims: tuple[int, int]) -> tuple[int, int]:
@@ -230,7 +237,7 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
 
     if a == 1.0:
         value = d_umegaki(r, PositiveOperator(np.kron(rho_a, rho_b))).value
-        return MutualInfoResult(value, DensityOperator(rho_b), 0, 0.0)
+        return MutualInfoResult(value, DensityOperator(rho_b), 0, 0.0, True)
 
     if a == 2.0:
 
@@ -241,7 +248,7 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
             return math.log2(q2), 0.5 * (grad + grad.conj().T)
 
         sigma, value, iters, res = minimize_density(value_grad, db, sigma0=rho_b)
-        return MutualInfoResult(value, DensityOperator(sigma), iters, res)
+        return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
 
     if math.isinf(a):
 
@@ -263,7 +270,7 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
             return math.log2(top), 0.5 * (grad + grad.conj().T)
 
         sigma, value, iters, res = minimize_density(value_grad, db, sigma0=rho_b)
-        return MutualInfoResult(value, DensityOperator(sigma), iters, res)
+        return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
 
     raise ValidationError(f"mutual_info supports alpha in {{1, 2, inf}}, got {a}")
 
@@ -274,6 +281,7 @@ class InducedMutualInfo(NamedTuple):
     result: InducedResult
     iterations: int
     gradient_residual: float
+    converged: bool  # as in MutualInfoResult
 
 
 def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutualInfo:
@@ -303,7 +311,9 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
 
     sigma, _, iters, res_grad = minimize_density(value_grad, da)
     final = induced_renyi(r, PositiveOperator(np.kron(sigma, rho_b)), 2.0, eps)
-    return InducedMutualInfo(final.raw, DensityOperator(sigma), final, iters, res_grad)
+    return InducedMutualInfo(
+        final.raw, DensityOperator(sigma), final, iters, res_grad, res_grad <= _DESCENT_TOL
+    )
 
 
 @dataclass(frozen=True)

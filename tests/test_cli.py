@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdiv import cli
+from qdiv import DensityOperator, cli
 from qdiv.states import basis_state, classical_channel, maximally_mixed, random_density, save_channel, save_state
 
 
@@ -277,3 +277,38 @@ def test_alpha_infinity_spellings(files, capsys, text):
     assert report["results"]["alpha"] == float("inf")
     assert run(["divergence", "--rho", files["rand"], "--sigma", files["u2"], "--kind", "max", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["value"] == report["results"]["value"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divergence", "--kind", "min", "--alpha", "abc", "--eps", "7"],
+        ["divergence", "--kind", "umegaki", "--alpha", "2"],
+        ["divergence", "--kind", "hypothesis", "--eps", "0.1", "--alpha", "2"],
+        ["divergence", "--kind", "renyi", "--alpha", "2", "--eps", "0.1"],
+        ["divergence", "--kind", "max", "--eps", "0.1"],
+        ["induced", "--parent", "min", "--alpha", "2", "--eps", "0.3"],
+        ["induced", "--parent", "umegaki", "--alpha", "1", "--eps", "0.3"],
+    ],
+)
+def test_options_that_do_not_apply_are_rejected(files, capsys, argv):
+    assert run(argv + ["--rho", files["rand"], "--sigma", files["u2"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not apply" in captured.err
+
+
+def test_qsr_warns_when_induced_term_hits_its_cap(files, tmp_path, capsys):
+    argv = ["qsr", "--state", files["tri"], "--eps", "0.5", "--delta0", "0.005", "--delta1", "0.005"]
+    assert run(argv + ["--format", "json"]) == 0
+    captured = capsys.readouterr()
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "stopped at 500 mirror-descent iterations" in warnings[0]
+    assert "warning" not in captured.out
+    # a product state's induced term converges at delta1 = 0.3
+    product = np.kron(np.kron(random_density(2, 2, 5).mat, random_density(2, 2, 7).mat), random_density(2, 2, 8).mat)
+    save_state(DensityOperator(product), tmp_path / "product.json", dims=[2, 2, 2])
+    argv = ["qsr", "--state", str(tmp_path / "product.json"), "--eps", "0.95", "--delta0", "0.001", "--delta1", "0.3"]
+    assert run(argv) == 0
+    assert "warning" not in capsys.readouterr().err

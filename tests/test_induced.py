@@ -178,6 +178,34 @@ def test_induced_evaluates_each_lambda_once():
         assert len(fn.seen) == len(set(fn.seen))
 
 
+def test_induced_takes_few_margin_evaluations(monkeypatch):
+    evaluated = []
+    factory = ParentDivergence.margin_factory
+
+    def counting_factory(self, *args):
+        margin = factory(self, *args)
+
+        def counted(lam):
+            evaluated.append(lam)
+            return margin(lam)
+
+        return counted
+
+    monkeypatch.setattr(ParentDivergence, "margin_factory", counting_factory)
+    parents = [ParentDivergence.renyi(a) for a in (0.5, 1.5, 2.0, 3.0)]
+    parents += [ParentDivergence.umegaki(), ParentDivergence.min_(), ParentDivergence.max_()]
+    solves = 0
+    for dim in (2, 4, 8):
+        for seed in range(3):
+            rho = random_density(dim, dim, 300 + 10 * dim + seed)
+            sigma = random_density(dim, dim if seed else dim // 2, 400 + 10 * dim + seed)
+            for parent in parents:
+                for eps in (0.1, 0.3, 0.5):
+                    # a +inf threshold comes from a closed-form limit, unsolved
+                    solves += induced(parent, rho, sigma, eps).is_finite
+    assert len(evaluated) <= 10 * solves
+
+
 def test_unknown_builtin_kind_is_rejected():
     with pytest.raises(ValidationError):
         ParentDivergence("umegaki-fn")

@@ -12,6 +12,7 @@ from qdiv import (
     cond_mutual_info,
     induced_mutual_info_2,
     mutual_info,
+    partial_trace,
     smoothed_mutual_info_2,
     trace_distance,
 )
@@ -138,6 +139,16 @@ def test_induced_mi_matches_diag_grid():
     oracle = grid_induced_mi_classical(pmf, 2, 2, eps)
     assert out.value <= oracle + 1e-6  # optimizer at least as good as the grid
     assert abs(out.value - oracle) < 1e-3
+
+
+def test_induced_mi_reports_whether_descent_converged():
+    assert induced_mutual_info_2(product_state(5, 6), (2, 2), 0.3).converged
+    # the A:B marginal of a seeded 8x8 state stops at the 500-step cap
+    rho_ab = DensityOperator(partial_trace(random_density(8, 8, 6), [2, 2, 2], [1, 2]).mat)
+    out = induced_mutual_info_2(rho_ab, (2, 2), 0.005)
+    assert out.iterations == 500
+    assert out.gradient_residual > 1e-7
+    assert out.converged is False
 
 
 def test_induced_mi_monotone_in_eps():

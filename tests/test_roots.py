@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qdiv._roots import BISECT_TOL, BracketError, bisect_decreasing
@@ -41,7 +43,16 @@ def test_walks_by_doubling_steps_from_start():
     assert up.points[:4] == [1.0, 2.0, 4.0, 8.0]
     down = linear(-5.5)
     bisect_decreasing(down, 1.0, -200.0, 200.0)
-    assert down.points[:5] == [1.0, 0.0, -2.0, -6.0, -2.5]
+    assert down.points[:4] == [1.0, 0.0, -2.0, -6.0]
+    # the bracket is the last two walk points, not [-6, start]
+    assert -6.0 < down.points[4] < -2.0
+    # a step function is bisected, from the midpoint of that bracket
+    up_step = Recorder(lambda x: 1.0 if x <= 5.5 else -1.0)
+    bisect_decreasing(up_step, 1.0, -200.0, 200.0)
+    assert up_step.points[:5] == [1.0, 2.0, 4.0, 8.0, 6.0]
+    down_step = Recorder(lambda x: 1.0 if x <= -5.5 else -1.0)
+    bisect_decreasing(down_step, 1.0, -200.0, 200.0)
+    assert down_step.points[:5] == [1.0, 0.0, -2.0, -6.0, -4.0]
 
 
 def test_none_when_still_nonnegative_at_ceiling():
@@ -63,3 +74,50 @@ def test_step_function_root():
     x, fx = bisect_decreasing(f, 0.0, -200.0, 200.0)
     assert 2.0 - BISECT_TOL <= x <= 2.0
     assert fx == 1.0
+
+
+def evaluations_after_walk(f):
+    """Evaluations made after the walk's first point with the other sign."""
+    first = f.fn(f.points[0]) >= 0.0
+    k = next(i for i, x in enumerate(f.points) if (f.fn(x) >= 0.0) != first)
+    return len(f.points) - k - 1
+
+
+@pytest.mark.parametrize("root", [3.3, -7.25, 0.1, 41.7, 150.0, -120.0])
+def test_interpolation_budget_once_bracketed(root):
+    # plain bisection took 37-45 evaluations here after the walk
+    f = linear(root)
+    bisect_decreasing(f, 0.0, -200.0, 200.0)
+    assert evaluations_after_walk(f) <= 3
+    g = Recorder(lambda x: math.expm1(root - x))
+    x, _ = bisect_decreasing(g, 0.0, -200.0, 200.0)
+    assert root - BISECT_TOL <= x <= root
+    assert evaluations_after_walk(g) <= 13
+
+
+def signed_sqrt(x):
+    return math.copysign(math.sqrt(abs(x)), x)
+
+
+# (f, evaluations plain bisection of [start, walk end] took), start 0
+STRESS = {
+    "step": (lambda x: 1.0 if x <= 2.0 else -1.0, 56),
+    "cube": (lambda x: (1.7 - x) ** 3, 42),
+    "ninth power": (lambda x: (1.7 - x) ** 9, 42),
+    "signed sqrt": (lambda x: signed_sqrt(1.7 - x), 55),
+    "kink, flat above": (lambda x: (1.7 - x) * (1.0 if x < 1.7 else 1e-6), 42),
+    "kink, flat below": (lambda x: (1.7 - x) * (1e-6 if x < 1.7 else 1.0), 42),
+    "noisy linear": (lambda x: 1.7 - x + (1e-13 if int(x * 1e12) % 2 else -1e-13), 42),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+def test_stress_functions_stay_within_bisection_budget(name):
+    fn, bisection_evals = STRESS[name]
+    f = Recorder(fn)
+    x, fx = bisect_decreasing(f, 0.0, -200.0, 200.0)
+    assert fx >= 0.0
+    hi = min(p for p in f.points if p > x and fn(p) < 0.0)
+    assert hi - x <= BISECT_TOL
+    assert len(f.points) <= bisection_evals + 2
+    assert len(f.points) == len(set(f.points))
