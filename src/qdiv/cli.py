@@ -244,6 +244,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_comm(args) -> int:
+    if args.brute_force and args.m is None:
+        raise ValidationError("--m is required with --brute-force")
+    if not args.brute_force and args.m is not None:
+        raise ValidationError("--m does not apply without --brute-force")
     chan = load_channel(args.channel)
     bound = distill_lower_bound(chan, args.eps, seed=args.seed)
     results = {
@@ -261,8 +265,6 @@ def _cmd_comm(args) -> int:
         f"floor_bits: {_value_str(bound.floor_bits)} (m={bound.floor_m})",
     ]
     if args.brute_force:
-        if args.m is None:
-            raise ValidationError("--m is required with --brute-force")
         tc = brute_force_tc(chan, args.m)
         results["brute_force"] = {"m": args.m, "tc": tc}
         lines.append(f"brute_force_tc(m={args.m}): {_value_str(tc)}")

@@ -19,6 +19,7 @@ from . import _roots
 from .linalg import (
     PositiveOperator,
     ValidationError,
+    _sandwiched_q,
     as_density,
     as_matrix,
     as_positive,
@@ -85,20 +86,6 @@ def _support_leak(rho: PositiveOperator, sigma: PositiveOperator) -> float:
 
 def _is_contained(rho: PositiveOperator, sigma: PositiveOperator) -> bool:
     return _support_leak(rho, sigma) <= 1e-10 * max(1.0, rho.trace)
-
-
-def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
-    """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
-
-    The one evaluator of the sandwiched quantity: K = X^((1-a)/2a) is taken
-    on the support of X for a >= 1, and Q = sum of a-th powers of the
-    eigenvalues of K rho K.
-    """
-    cut = support_cutoff(evals, evals.size)
-    half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), cut)
-    inner = half @ r_mat @ half
-    ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    return float(np.sum(ev**alpha))
 
 
 def _xlogx_sum(evals: np.ndarray) -> float:

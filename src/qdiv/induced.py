@@ -25,7 +25,6 @@ from .divergences import (
     _is_contained,
     _is_orthogonal,
     _log_cross,
-    _sandwiched_q,
     _support_leak,
     _xlogx_sum,
     canon_alpha,
@@ -38,6 +37,7 @@ from .linalg import (
     DensityOperator,
     PositiveOperator,
     ValidationError,
+    _sandwiched_q,
     as_density,
     as_matrix,
     as_positive,

@@ -3,10 +3,11 @@
 I_alpha minimizes the parent divergence over the second marginal; the inner
 problem is convex in the reference state for alpha in {1, 2}, so it is
 solved by matrix exponentiated-gradient (mirror descent) with analytic
-gradients obtained from the divided-difference Frechet derivative of the
-inverse square root.  Channel quantities maximize over input distributions
-with multi-start projected gradient ascent; the reported value is always
-attained by a feasible point, hence a certified lower bound on the supremum.
+gradients obtained from the closed-form (Daleckii-Krein) Frechet derivative
+of the inverse square root.  Channel quantities maximize over input
+distributions with multi-start projected gradient ascent; the reported value
+is always attained by a feasible point, hence a certified lower bound on the
+supremum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _roots
-from .divergences import _log_cross, _sandwiched_q, _xlogx_sum, canon_alpha, d_umegaki
+from .divergences import _log_cross, _xlogx_sum, canon_alpha, d_umegaki
 from .induced import InducedResult, induced_renyi
 from .linalg import (
     DensityOperator,
@@ -26,6 +27,7 @@ from .linalg import (
     ValidationError,
     as_density,
     _ptrace,
+    _sandwiched_q,
     permute_systems,
     spectral_fn,
     support_cutoff,
@@ -42,38 +44,39 @@ _EPS = np.finfo(np.float64).eps
 # ---------------------------------------------------------------------------
 
 
-def _invsqrt_divided_differences(evals: np.ndarray, cut: float) -> np.ndarray:
-    """Loewner matrix of first divided differences of x^(-1/2) on the support."""
-    n = evals.size
-    phi = np.zeros((n, n))
-    f = spectral_fn(evals, None, -0.5, cut)
-    for i in range(n):
-        for j in range(n):
-            if evals[i] <= cut or evals[j] <= cut:
-                continue
-            dx = evals[i] - evals[j]
-            if abs(dx) > 1e-8 * max(evals[i], evals[j]):
-                phi[i, j] = (f[i] - f[j]) / dx
-            else:
-                mid = 0.5 * (evals[i] + evals[j])
-                phi[i, j] = -0.5 * mid**-1.5
-    return phi
+def _invsqrt_adjoint(evals: np.ndarray, vecs: np.ndarray, cut: float, w: np.ndarray) -> np.ndarray:
+    """G with Tr[G dX] = Tr[W dK] for K = X^(-1/2) on the support of X = V diag(evals) V^dag.
+
+    Daleckii-Krein: dK = V (L o V^dag dX V) V^dag, where L is the Loewner
+    matrix of first divided differences of x^(-1/2).  With s = sqrt(x) it is
+    -1/(s_i s_j (s_i + s_j)) in closed form; s = inf on the kernel makes its
+    rows and columns zero.
+    """
+    s = np.sqrt(np.where(evals > cut, evals, np.inf))
+    loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
+    g = vecs @ (loewner * (vecs.conj().T @ w @ vecs)) @ vecs.conj().T
+    return 0.5 * (g + g.conj().T)
 
 
 def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Q_2(rho || X) and G with dQ_2 = Tr[G dX] (gradient in the 2nd slot)."""
     evals, vecs = np.linalg.eigh(x_mat)
-    dim = x_mat.shape[0]
-    cut = support_cutoff(evals, dim)
+    cut = support_cutoff(evals, x_mat.shape[0])
     k = spectral_fn(evals, vecs, -0.5, cut)
-    kr = k @ rho_mat
-    q2 = float(np.trace(kr @ kr).real)
-    w = rho_mat @ k @ rho_mat
-    wt = vecs.conj().T @ w @ vecs
-    phi = _invsqrt_divided_differences(evals, cut)
-    g = 2.0 * (vecs @ (phi * wt) @ vecs.conj().T)
-    g = 0.5 * (g + g.conj().T)
-    return q2, g
+    g = _invsqrt_adjoint(evals, vecs, cut, 2.0 * (rho_mat @ k @ rho_mat))
+    return _sandwiched_q(rho_mat, evals, vecs, 2.0), g
+
+
+def _max_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue m of K rho K (K = X^(-1/2)) and G with dm = Tr[G dX]."""
+    evals, vecs = np.linalg.eigh(x_mat)
+    cut = support_cutoff(evals, x_mat.shape[0])
+    k = spectral_fn(evals, vecs, -0.5, cut)
+    m = k @ rho_mat @ k
+    m_evals, m_vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    v = m_vecs[:, -1:]
+    w = rho_mat @ k @ (v @ v.conj().T)
+    return float(m_evals[-1]), _invsqrt_adjoint(evals, vecs, cut, w + w.conj().T)
 
 
 def _contract_first(g: np.ndarray, rho_a: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -240,39 +243,19 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
         return MutualInfoResult(value, DensityOperator(rho_b), 0, 0.0, True)
 
     if a == 2.0:
+        quantity = q2_and_gradient
+    elif math.isinf(a):
+        quantity = _max_and_gradient
+    else:
+        raise ValidationError(f"mutual_info supports alpha in {{1, 2, inf}}, got {a}")
 
-        def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-            x = np.kron(rho_a, sigma)
-            q2, g = q2_and_gradient(r.mat, x)
-            grad = _contract_first(g, rho_a, da, db) / (q2 * _LN2)
-            return math.log2(q2), 0.5 * (grad + grad.conj().T)
+    def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+        q, g = quantity(r.mat, np.kron(rho_a, sigma))
+        grad = _contract_first(g, rho_a, da, db) / (q * _LN2)
+        return math.log2(q), 0.5 * (grad + grad.conj().T)
 
-        sigma, value, iters, res = minimize_density(value_grad, db, sigma0=rho_b)
-        return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
-
-    if math.isinf(a):
-
-        def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-            x = np.kron(rho_a, sigma)
-            evals, vecs = np.linalg.eigh(x)
-            cut = support_cutoff(evals, x.shape[0])
-            k = spectral_fn(evals, vecs, -0.5, cut)
-            m = k @ r.mat @ k
-            m_evals, m_vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-            top = float(m_evals[-1])
-            v = m_vecs[:, -1:]
-            w_top = r.mat @ k @ (v @ v.conj().T)
-            w_top = w_top + w_top.conj().T
-            wt = vecs.conj().T @ w_top @ vecs
-            phi = _invsqrt_divided_differences(evals, cut)
-            g = vecs @ (phi * wt) @ vecs.conj().T
-            grad = _contract_first(g, rho_a, da, db) / (top * _LN2)
-            return math.log2(top), 0.5 * (grad + grad.conj().T)
-
-        sigma, value, iters, res = minimize_density(value_grad, db, sigma0=rho_b)
-        return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
-
-    raise ValidationError(f"mutual_info supports alpha in {{1, 2, inf}}, got {a}")
+    sigma, value, iters, res = minimize_density(value_grad, db, sigma0=rho_b)
+    return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
 
 
 class InducedMutualInfo(NamedTuple):

@@ -159,6 +159,20 @@ def spectral_fn(evals: np.ndarray, vecs: np.ndarray | None, power: float, cut: f
     return (vecs * vals) @ vecs.conj().T
 
 
+def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
+    """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
+
+    The one evaluator of the sandwiched quantity: K = X^((1-a)/2a) is taken
+    on the support of X for a >= 1, and Q = sum of a-th powers of the
+    eigenvalues of K rho K.
+    """
+    cut = support_cutoff(evals, evals.size)
+    half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), cut)
+    inner = half @ r_mat @ half
+    ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
+    return float(np.sum(ev**alpha))
+
+
 def mat_fn(op, f: Callable[[float], float], support_only: bool = False) -> HermitianOperator:
     """Apply a scalar function to the spectrum of a positive operator.
 
@@ -260,12 +274,11 @@ def fidelity_and_purified(rho, sigma) -> tuple[float, float]:
 
 
 def _fidelity_and_purified(r_mat: np.ndarray, s: PositiveOperator) -> tuple[float, float]:
-    """`fidelity_and_purified` of a positive matrix ``r_mat`` the caller vouches for."""
-    sqrt_s = HermitianOperator(spectral_fn(s.eigenvalues, s.eigenvectors, 0.5, s.cutoff)).mat
-    inner = sqrt_s @ r_mat @ sqrt_s
-    evals = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    fid = float(np.sum(np.sqrt(evals)))
-    fid = min(max(fid, 0.0), 1.0)
+    """`fidelity_and_purified` of a positive matrix ``r_mat`` the caller vouches for.
+
+    The fidelity is the sandwiched quantity Q_1/2(rho || sigma), clamped to [0, 1].
+    """
+    fid = min(max(_sandwiched_q(r_mat, s.eigenvalues, s.eigenvectors, 0.5), 0.0), 1.0)
     return fid, math.sqrt(max(0.0, 1.0 - fid * fid))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import _sandwiched_q, d_hypothesis
+from .divergences import d_hypothesis
 from .induced import InducedResult, induced_renyi
 from .info import CondMutualInfo, channel_mutual_info, cond_mutual_info
 from .linalg import (
@@ -28,6 +28,7 @@ from .linalg import (
     as_matrix,
     _fidelity_and_purified,
     _ptrace,
+    _sandwiched_q,
     spectral_fn,
     support_cutoff,
 )

@@ -188,6 +188,22 @@ def test_comm_noiseless(files, capsys):
     assert "brute_force_tc(m=2): 0.0" in out
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--m", "3"], "does not apply"), (["--brute-force"], "--m is required")],
+)
+def test_comm_m_is_checked_before_the_bound(files, capsys, monkeypatch, extra, message):
+    # --m only sizes the brute-force oracle; both misuses fail before any work
+    def no_bound(*args, **kwargs):
+        raise AssertionError("distill_lower_bound ran before the argument check")
+
+    monkeypatch.setattr(cli, "distill_lower_bound", no_bound)
+    assert run(["comm", "--channel", files["chan"], "--eps", "0.4"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_qsr_feasible_and_infeasible(files, capsys):
     code = run(
         ["qsr", "--state", files["tri"], "--eps", "0.5", "--delta0", "0.005", "--delta1", "0.005"]

@@ -55,6 +55,49 @@ def test_q2_gradient_finite_differences(seed):
     assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
 
 
+def _hermitian(mat):
+    return 0.5 * (mat + mat.conj().T)  # exactly Hermitian in floating point
+
+
+def _near_degenerate_x(gap, seed):
+    """4x4 X = U diag(0.2, 0.5, 0.5 (1 + gap), 1.3) U^dag with a seeded unitary U."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return _hermitian((u * np.array([0.2, 0.5, 0.5 * (1.0 + gap), 1.3])) @ u.conj().T)
+
+
+def _rank_deficient_x(seed):
+    """X = A (+) 0 with a full-rank 3x3 A: the kernel is exactly e_4."""
+    x = np.zeros((4, 4), dtype=np.complex128)
+    x[:3, :3] = 1.7 * random_density(3, 3, seed + 60).mat
+    return x
+
+
+@pytest.mark.parametrize(
+    "gap, seed",
+    [pytest.param(gap, seed, id=f"gap={gap:g},seed={seed}") for gap in (1e-4, 1e-6, 3e-8) for seed in range(6)]
+    + [pytest.param(None, seed, id=f"rank3,seed={seed}") for seed in (0, 1)],
+)
+def test_q2_gradient_matches_mpmath_oracle(gap, seed):
+    # gap None: X = A (+) 0 of rank 3, with the direction kept on its support
+    pytest.importorskip("mpmath")
+    from oracles import mp_q2, mp_q2_directional_derivative
+
+    rho = random_density(4, 4, seed).mat
+    direction = random_density(4, 4, seed + 80).mat - np.eye(4) / 4
+    if gap is None:
+        x = _rank_deficient_x(seed)
+        direction[3, :] = direction[:, 3] = 0.0  # stay on the support of X
+    else:
+        x = _near_degenerate_x(gap, seed)
+    q2, grad = q2_and_gradient(rho, x)
+    exact = mp_q2(rho, x)
+    assert abs(q2 - exact) <= 1e-13 * exact
+    oracle = mp_q2_directional_derivative(rho, x, direction)
+    analytic = float(np.trace(grad @ direction).real)
+    assert abs(analytic - oracle) <= 1e-12 * abs(oracle)
+
+
 def test_minimize_density_quadratic():
     # minimize Tr[sigma^2] over density operators: optimum is maximally mixed
     def vg(sigma):

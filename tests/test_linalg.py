@@ -15,6 +15,7 @@ from qdiv import (
     partial_trace,
     permute_systems,
     positive_part_trace,
+    q_alpha,
     spectral_fn,
     support_projector,
     tensor,
@@ -180,6 +181,16 @@ def test_fuchs_van_de_graaf(seed):
     b = random_density(4, 4, seed + 50)
     _, p = fidelity_and_purified(a, b)
     assert p <= math.sqrt(2.0 * trace_distance(a, b)) + 1e-10
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fidelity_is_sandwiched_q_one_half(seed):
+    # one evaluator: F = Q_1/2(rho || sigma) clamped to [0, 1], bit for bit;
+    # every other seed draws sigma of rank 2 in dimension 4
+    rho = random_density(4, 4, seed)
+    sigma = random_density(4, 4 if seed % 2 else 2, seed + 300)
+    fid, _ = fidelity_and_purified(rho, sigma)
+    assert fid == min(max(q_alpha(rho, sigma, 0.5), 0.0), 1.0)
 
 
 def test_positive_part_trace():
