@@ -36,7 +36,6 @@ from .linalg import (
 from .states import Channel, rng_from_seed, random_probability
 
 _LN2 = math.log(2.0)
-_EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .linalg import (
     RECON_TOL,
     ValidationError,
     as_density,
-    as_matrix,
+    as_positive,
     _fidelity_and_purified,
     _ptrace,
     _sandwiched_q,
@@ -55,7 +55,7 @@ def pgm(states: Sequence) -> Povm:
     on the support of eta; the identity deficit on the kernel of eta is
     assigned to effect 0.
     """
-    mats = [as_matrix(s) for s in states]
+    mats = [as_positive(s).mat for s in states]
     if not mats:
         raise ValidationError("pgm needs at least one state")
     dim = mats[0].shape[0]
@@ -106,10 +106,11 @@ def pbd_simulate(
 ) -> DecodingReport:
     """Position-based decoding at n = ceil(2^induced-D2) with the PGM.
 
-    Builds the pairwise index-symmetric family, verifies its marginals,
-    measures with the PGM, and reports per-index success probabilities plus
-    the comparison against the hypothesis-testing bound ceil(eps 2^DH).
-    If the family dimension exceeds the cap, construction is aborted but the
+    Builds the pairwise index-symmetric family against rho_R (x) Tr_R sigma_RA
+    (for n >= 2, sigma_ra must equal it), verifies its marginals, and reports
+    each index's PGM success Q_2(tau_x || eta), eta the family sum, plus the
+    comparison against the hypothesis-testing bound ceil(eps 2^DH).  If the
+    family dimension exceeds the cap, construction is aborted but the
     divergence values are still returned.
     """
     rho = as_density(rho_ra)
@@ -121,6 +122,10 @@ def pbd_simulate(
     if not res.is_finite:
         raise ValidationError("induced divergence is infinite; no finite family size")
     n = _ceil_guarded(res.t_star)
+    sigma_a = _ptrace(sigma.mat, [d_r, d_a], [1])
+    dev = float(np.max(np.abs(np.kron(_ptrace(rho.mat, [d_r, d_a], [0]), sigma_a) - sigma.mat)))
+    if n >= 2 and dev > RECON_TOL:
+        raise ValidationError(f"sigma_RA deviates from rho_R (x) sigma_A by {dev:.3e}")
     dh, _ = d_hypothesis(rho, sigma, eps)
     n_old = math.ceil(eps * 2.0**dh.value) if dh.is_finite else math.inf
 
@@ -130,18 +135,15 @@ def pbd_simulate(
     except ValidationError:
         return DecodingReport(n, (), math.nan, math.nan, res, n_old, dh.value, aborted=True)
 
-    sigma_a = _ptrace(sigma.mat, [d_r, d_a], [1])
     family = pairwise_tensor_family(rho, (d_r, d_a), DensityOperator(sigma_a), n, cap=cap)
     family.verify_marginals()
 
-    povm = pgm([m.mat for m in family.members])
-    succ = tuple(
-        float(np.trace(povm.effects[x].mat @ family.members[x].mat).real)
-        for x in range(n)
-    )
-    return DecodingReport(
-        n, succ, min(succ), sum(succ) / n, res, n_old, dh.value, aborted=False
-    )
+    # Tr[E_x tau_x] with E_x = eta^(-1/2) tau_x eta^(-1/2) is Q_2(tau_x || eta) on
+    # eta's support (the cutoff pgm uses); pgm's completion lies in ker eta,
+    # which is orthogonal to every tau_x, so it moves no success probability
+    evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
+    succ = tuple(_sandwiched_q(m.mat, evals, vecs, 2.0) for m in family.members)
+    return DecodingReport(n, succ, min(succ), sum(succ) / n, res, n_old, dh.value)
 
 
 def tc_upper(chan: Channel, m: int, probs) -> float:

@@ -23,8 +23,14 @@ from qdiv import (
     tc_upper,
 )
 from qdiv.linalg import _ptrace
-from qdiv.states import basis_state, channel, classical_channel, random_density
-from qdiv.suites import _correlated_extension
+from qdiv.states import (
+    basis_state,
+    channel,
+    classical_channel,
+    pairwise_tensor_family,
+    random_density,
+)
+from qdiv.suites import _correlated_extension, conditioned_density
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +67,18 @@ def test_pgm_valid_povm(seed):
     for e in povm.effects:
         evals = np.linalg.eigvalsh(e.mat)
         assert evals.min() >= -1e-9 and evals.max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        [[0.5, 0.4], [0.0, 0.5]],  # not Hermitian
+        np.diag([1.0, -0.5]),  # not positive semidefinite
+    ],
+)
+def test_pgm_rejects_invalid_states(state):
+    with pytest.raises(ValidationError):
+        pgm([state])
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +135,63 @@ def test_pbd_cap_abort_keeps_divergences():
     assert rep.aborted
     assert rep.n >= 1 and rep.divergence_used.is_finite
     assert rep.success_probs == ()
+
+
+def _pbd_draw(kind, seed):
+    """(rho_RA, sigma_A, sigma_RA = rho_R (x) sigma_A) from a plain or conditioned draw."""
+    if kind == "plain":
+        rho, sigma_a = random_density(4, 4, seed), random_density(2, 2, seed + 1)
+    else:
+        rho, sigma_a = conditioned_density(4, seed), conditioned_density(2, seed + 1)
+    sigma_ra = DensityOperator(np.kron(_ptrace(rho.mat, [2, 2], [0]), sigma_a.mat))
+    return rho, sigma_a, sigma_ra
+
+
+# (draw, seed, eps, family size); plain seed 0 at n = 6 is the ill-conditioned
+# family of test_pgm_ill_conditioned_family_decodes
+PBD_DRAWS = [
+    ("plain", 0, 0.414234375, 6),
+    ("plain", 0, 0.43, 7),
+    ("plain", 3, 0.531, 6),
+    ("plain", 3, 0.555, 7),
+    ("conditioned", 10, 0.703, 6),
+    ("conditioned", 11, 0.796, 7),
+]
+
+
+@pytest.mark.parametrize("kind,seed,eps,n", PBD_DRAWS)
+def test_pbd_success_is_pgm_success(kind, seed, eps, n):
+    rho, sigma_a, sigma_ra = _pbd_draw(kind, seed)
+    rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
+    assert rep.n == n and len(rep.success_probs) == n
+    family = pairwise_tensor_family(rho, (2, 2), sigma_a, n)
+    povm = pgm([m.mat for m in family.members])
+    for x in range(n):
+        direct = np.trace(povm.effects[x].mat @ family.members[x].mat).real
+        assert abs(rep.success_probs[x] - direct) <= 1e-11
+
+
+def test_pbd_makes_one_eigh_at_family_dimension(monkeypatch):
+    kind, seed, eps, n = PBD_DRAWS[0]
+    rho, _, sigma_ra = _pbd_draw(kind, seed)
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
+    assert rep.n == n
+    assert dims.count(2 * 2**n) == 1
+
+
+def test_pbd_rejects_sigma_that_is_not_rho_r_tensor_sigma_a():
+    # the family is built against rho_R (x) Tr_R sigma_RA, so a sigma_RA of
+    # another form would set n from a divergence the family does not realise
+    with pytest.raises(ValidationError, match="rho_R"):
+        pbd_simulate(random_density(4, 4, 0), random_density(4, 4, 1), (2, 2), 0.5)
 
 
 # ---------------------------------------------------------------------------
