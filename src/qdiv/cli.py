@@ -283,7 +283,7 @@ def _cmd_qsr(args) -> int:
         print(
             f"warning: the induced I_2 term stopped at {detail.iterations} mirror-descent "
             f"iterations without converging (residual {detail.gradient_residual:.2g}); "
-            "its value may exceed the minimum, so q_bound may be too small",
+            "q_bound subtracts its certified lower bound, which may be loose",
             file=sys.stderr,
         )
     results = {

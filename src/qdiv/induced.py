@@ -263,8 +263,19 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
 
     dm = d_min(r, s).value
     guess = dm + math.log2(eps / (1.0 - eps)) if math.isfinite(dm) else 0.0
-    guess = min(max(guess, LAMBDA_FLOOR + 1.0), LAMBDA_CEILING - 1.0)
-    found = _roots.bisect_decreasing(margin, guess, LAMBDA_FLOOR, LAMBDA_CEILING)
+    return _threshold(margin, guess, eps, tag)
+
+
+def _threshold(margin: Callable[[float], float], start: float, eps: float, tag: str) -> InducedResult:
+    """The threshold of a nonincreasing margin, searched from ``start``.
+
+    The start is clamped inside the search range; a margin still >= 0 at
+    the ceiling gives +inf.  Callers have already ruled out the closed-form
+    +inf cases.  ``induced`` starts from a D_min guess, mirror descent from
+    the previous iterate's lambda*.
+    """
+    start = min(max(start, LAMBDA_FLOOR + 1.0), LAMBDA_CEILING - 1.0)
+    found = _roots.bisect_decreasing(margin, start, LAMBDA_FLOOR, LAMBDA_CEILING)
     if found is None:
         return _infinite_result(eps, tag)
     lam, value = found

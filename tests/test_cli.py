@@ -1,9 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from qdiv import DensityOperator, cli
+from qdiv import DensityOperator, cli, info
 from qdiv.states import basis_state, classical_channel, maximally_mixed, random_density, save_channel, save_state
 
 
@@ -314,13 +315,15 @@ def test_options_that_do_not_apply_are_rejected(files, capsys, argv):
     assert "does not apply" in captured.err
 
 
-def test_qsr_warns_when_induced_term_hits_its_cap(files, tmp_path, capsys):
+def test_qsr_warns_when_induced_term_hits_its_cap(files, tmp_path, capsys, monkeypatch):
     argv = ["qsr", "--state", files["tri"], "--eps", "0.5", "--delta0", "0.005", "--delta1", "0.005"]
-    assert run(argv + ["--format", "json"]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(info, "minimize_density", functools.partial(info.minimize_density, max_iter=3))
+        assert run(argv + ["--format", "json"]) == 0
     captured = capsys.readouterr()
     warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1
-    assert "stopped at 500 mirror-descent iterations" in warnings[0]
+    assert "stopped at 3 mirror-descent iterations" in warnings[0]
     assert "warning" not in captured.out
     # a product state's induced term converges at delta1 = 0.3
     product = np.kron(np.kron(random_density(2, 2, 5).mat, random_density(2, 2, 7).mat), random_density(2, 2, 8).mat)

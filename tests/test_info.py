@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from qdiv import (
     smoothed_mutual_info_2,
     trace_distance,
 )
+from qdiv import _roots, info
+from qdiv.induced import induced_renyi
 from qdiv.info import q2_and_gradient, minimize_density
 from qdiv.states import (
     apply_kraus,
@@ -108,6 +111,34 @@ def test_minimize_density_quadratic():
     assert np.max(np.abs(sigma - np.eye(3) / 3)) < 1e-6
 
 
+def test_minimize_density_reports_a_stalled_line_search():
+    # a value that is pure noise: once the current value is a low draw, 40
+    # halvings in a row all rise, and the stall must not read as converged
+    rng = np.random.default_rng(0)
+
+    def vg(sigma):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        return float(rng.random()), g + g.conj().T
+
+    _, _, iters, res = minimize_density(vg, 3)
+    assert iters < 500
+    assert res > 1e-7
+
+
+def test_minimize_density_grows_its_step_on_a_linear_objective():
+    # Tr[G sigma] falls at every step along -G; with step 0.5 at every
+    # iteration the descent took 35 steps to reach the residual tolerance
+    g = np.diag([0.0, 1.0, 2.0]).astype(complex)
+
+    def vg(sigma):
+        return float(np.trace(g @ sigma).real), g
+
+    _, value, iters, res = minimize_density(vg, 3)
+    assert res <= 1e-7
+    assert iters <= 15
+    assert value < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # mutual information
 # ---------------------------------------------------------------------------
@@ -184,14 +215,57 @@ def test_induced_mi_matches_diag_grid():
     assert abs(out.value - oracle) < 1e-3
 
 
-def test_induced_mi_reports_whether_descent_converged():
+def _seeded_marginal():
+    return DensityOperator(partial_trace(random_density(8, 8, 6), [2, 2, 2], [1, 2]).mat)
+
+
+def test_induced_mi_reports_whether_descent_converged(monkeypatch):
     assert induced_mutual_info_2(product_state(5, 6), (2, 2), 0.3).converged
-    # the A:B marginal of a seeded 8x8 state stops at the 500-step cap
-    rho_ab = DensityOperator(partial_trace(random_density(8, 8, 6), [2, 2, 2], [1, 2]).mat)
-    out = induced_mutual_info_2(rho_ab, (2, 2), 0.005)
-    assert out.iterations == 500
+    # a descent cut at a 3-step cap reports it
+    monkeypatch.setattr(info, "minimize_density", functools.partial(minimize_density, max_iter=3))
+    out = induced_mutual_info_2(_seeded_marginal(), (2, 2), 0.005)
+    assert out.iterations == 3
     assert out.gradient_residual > 1e-7
     assert out.converged is False
+
+
+def test_induced_mi_converges_well_before_its_cap():
+    # with step 0.5 at every iteration this input stopped at the 500-step
+    # cap, at value -7.635639951541963 and residual 7.3e-5
+    out = induced_mutual_info_2(_seeded_marginal(), (2, 2), 0.005)
+    assert out.converged
+    assert out.iterations <= 200
+    assert out.value <= -7.635639951541963
+
+
+def test_induced_mi_warm_starts_each_threshold_solve(monkeypatch):
+    starts, found = [], []
+    solve = _roots.bisect_decreasing
+
+    def recording(f, start, floor, ceiling):
+        starts.append(start)
+        found.append(solve(f, start, floor, ceiling))
+        return found[-1]
+
+    monkeypatch.setattr(_roots, "bisect_decreasing", recording)
+    induced_mutual_info_2(_seeded_marginal(), (2, 2), 0.005)
+    assert starts[0] == math.log2(0.005 / 0.995)
+    assert starts[1:] == [lam for lam, _ in found[:-1]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_induced_mi_certified_lower_bounds_every_reference_state(seed):
+    rho = random_density(4, 4, seed)
+    eps = 0.1
+    out = induced_mutual_info_2(rho, (2, 2), eps)
+    assert out.certified_lower <= out.value
+    assert out.value - out.certified_lower < 1e-4
+    rho_b = partial_trace(rho, [2, 2], [1]).mat
+    for s in range(20):
+        sigma = random_density(2, 1 + s % 2, 100 * seed + s).mat
+        sigma = 0.999 * sigma + 0.0005 * np.eye(2)
+        lam = induced_renyi(rho, np.kron(sigma, rho_b), 2.0, eps).raw
+        assert lam >= out.certified_lower - 1e-10
 
 
 def test_induced_mi_monotone_in_eps():
@@ -313,6 +387,7 @@ def test_cond_mutual_info_product():
     assert abs(out.smoothed_term.value) < 1e-6
     assert abs(out.induced_term - math.log2(0.01 / 0.99)) < 1e-6
     assert abs(out.value - (out.smoothed_term.value - out.induced_term)) < 1e-15
+    assert out.induced_term == out.induced_detail.certified_lower
 
 
 def test_cond_mutual_info_delta0_monotone():
