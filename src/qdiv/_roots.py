@@ -1,7 +1,8 @@
 """The one root-finder contract for continuous thresholds.
 
 Every continuous threshold in the package (the induced-divergence
-threshold, the induced-D_2 channel objective and the information-spectrum
+threshold, the induced-D_2 channel objective, the information-spectrum
+divergence and the Neyman-Pearson multiplier of the hypothesis-testing
 divergence) is the largest x with f(x) >= 0 for a nonincreasing f, and is
 found by ``bisect_decreasing``: one evaluation at a start point, a walk by
 doubling steps to bracket the sign change, then a safeguarded
@@ -14,12 +15,9 @@ The function keeps its bisection name because it keeps bisection's
 contract: every step keeps a bracket with f >= 0 at its lower end, the
 result is that certified lower end, and the bracket never lags plain
 bisection of the same bracket by more than two halvings.  Smooth thresholds
-take a few steps instead of about 38.
-
-The Neyman-Pearson multiplier search in ``divergences.d_hypothesis`` is
-separate and shares only the constants.  Its condition is a step function of
-the multiplier: it looks for the jump, stops on bracket width alone and
-returns the upper endpoint, so folding it in would need a mode flag.
+take a few steps instead of about 38.  A margin that jumps across zero at
+its threshold never meets the residual test, so its search runs on to float
+resolution (about 55 steps from a unit bracket) or the step cap.
 """
 
 from __future__ import annotations

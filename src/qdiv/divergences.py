@@ -220,10 +220,12 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     """Hypothesis-testing divergence, exact via quantum Neyman-Pearson.
 
     The optimal effect is the projector onto the positive part of
-    mu*rho - sigma plus a fractional weight on its kernel eigenspace; mu is
-    found by bisection on the nondecreasing map mu -> Tr[rho P_+(mu)], and
-    the kernel weight is chosen so Tr[rho Lambda] = 1 - eps exactly.  If rho
-    puts weight 1 - eps or more on the kernel of sigma, the value is +inf and
+    mu*rho - sigma plus a fractional weight on its kernel eigenspace.  mu is
+    the smallest multiplier whose pass probability Tr[rho P_+(mu)] reaches
+    1 - eps, the certified end of one ``bisect_decreasing`` search over
+    x = -log2 mu; that probability jumps wherever an eigenvalue crosses zero.
+    The kernel weight makes Tr[rho Lambda] = 1 - eps exactly.  If rho puts
+    weight 1 - eps or more on the kernel of sigma, the value is +inf and
     the effect is a multiple of that kernel's projector.
     """
     if not 0.0 <= eps < 1.0:
@@ -251,37 +253,26 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
         alpha_pass = float(np.trace(r.mat @ effect.mat).real)
         beta = float(np.trace(s.mat @ effect.mat).real)
         return DivergenceValue(INF, "not_contained"), NeymanPearsonTest(INF, effect, alpha_pass, beta)
-    scale = max(1.0, float(s.eigenvalues[-1]))
 
-    def cond(mu: float) -> float:
-        mat = mu * r.mat - s.mat
+    def margin(x: float) -> float:  # pass probability at mu = 2^-x, minus 1 - eps
+        mat = 2.0**-x * r.mat - s.mat
         band = 64.0 * _EPS * max(1.0, float(np.max(np.abs(mat))))
         evals, vecs = np.linalg.eigh(mat)
         sel = vecs[:, evals > band]
-        return float(np.einsum("ij,jk,ki->", sel.conj().T, r.mat, sel).real)
+        return float(np.einsum("ij,jk,ki->", sel.conj().T, r.mat, sel).real) - target
 
-    lo, hi = 0.0, max(1.0, scale)
-    for _ in range(_roots.BISECT_MAX_ITER):
-        if cond(hi) >= target:
-            break
-        hi *= 2.0
-        if hi > 2.0**120:
-            raise ValidationError("Neyman-Pearson multiplier bracketing failed")
-    for _ in range(_roots.BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if cond(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _roots.BISECT_TOL:
-            break
-
-    mu = hi
+    # Every eigenvalue of 2^-120 rho - sigma lies below the band, so the
+    # margin is -(1 - eps) at the ceiling and the upward walk always stops.
+    start = -math.log2(max(1.0, float(s.eigenvalues[-1])))
+    try:
+        x, _ = _roots.bisect_decreasing(margin, start, -120.0, 120.0)
+    except _roots.BracketError:
+        raise ValidationError("Neyman-Pearson multiplier bracketing failed") from None
+    mu = 2.0**-x
     mat = mu * r.mat - s.mat
     norm = max(1.0, float(np.max(np.abs(mat))))
-    band = max(4.0 * (hi - lo) * float(r.eigenvalues[-1]), 64.0 * _EPS * norm)
+    # the margin's own band, plus the bracket's width in mu times lambda_max(rho)
+    band = 128.0 * _EPS * norm + 4.0 * _roots.BISECT_TOL * mu * float(r.eigenvalues[-1])
     p_pos, p_ker = _np_split(mat, band)
     a_pos = float(np.trace(r.mat @ p_pos).real)
     a_ker = float(np.trace(r.mat @ p_ker).real)

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _roots
 from .divergences import _log_cross, _xlogx_sum, canon_alpha, d_umegaki
 from .induced import InducedResult, ParentDivergence, _infinite_result, _parent_tag, _threshold
 from .linalg import (
@@ -304,6 +303,8 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     G the gradient at the returned sigma, is a lower bound on the minimum
     (``certified_lower``; Jaggi 2013).
     """
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps must be in (0, 1), got {eps}")
     r = as_density(rho)
     da, db = _split_dims(r, dims)
     rho_b = _ptrace(r.mat, [da, db], [1])
@@ -483,10 +484,10 @@ def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
                     total += p[x] * q2(outs[x], outs[x] + t * sbar)
             return total - target
 
-        # g falls to -(1 - eps) as t grows (each live sigma_x lies in the
-        # support of sbar), so the ceiling always brackets the root.
-        lam, _ = _roots.bisect_decreasing(margin, math.log2(eps / (1.0 - eps)), -200.0, 200.0)
-        t = 2.0**lam
+        # sigma_x + t sbar >= (1 + t p_x) sigma_x, so g < k / t - (1 - eps) < 0
+        # at the ceiling t = 2^60 (k <= 8, 1 - eps >= 2^-53): lambda* is finite.
+        res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, "renyi(2)")
+        lam, t = res.lambda_star, res.t_star
 
         grads = [q2_grad(outs[x], outs[x] + t * sbar) for x in range(k)]
         live = [y for y in range(k) if p[y] > 0.0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -175,7 +175,6 @@ class CommBound:
     floor_bits: float  # exact line: log2(1 + floor(2^induced_value))
     floor_m: int
     tc_upper_curve: tuple[tuple[int, float], ...]
-    induced_detail: InducedResult = field(repr=False, default=None)
 
     def assembly_gap(self) -> float:
         """Deviation of bound_bits from its defining arithmetic."""
@@ -188,27 +187,22 @@ class CommBound:
 def distill_lower_bound(chan: Channel, eps: float, seed: int = 0) -> CommBound:
     """Lower bound on one-shot distillable communication.
 
-    Maximizes the raw induced collision divergence over input distributions,
-    then records both the exact floor form log(1 + floor(2^raw)), whose m is
-    the largest family size the decoding guarantee covers, and the relaxed
-    additive line raw + log(eps/(1-eps)).
+    Maximizes the raw induced collision divergence over input distributions
+    (by the direct-sum identity, the objective is the threshold of the cq
+    state itself), then records both the exact floor form log(1 + floor(2^raw)),
+    whose m is the largest family size the decoding guarantee covers, and the
+    relaxed additive line raw + log(eps/(1-eps)).
     """
     cm = channel_mutual_info(chan, eps=eps, seed=seed)
     best_p = cm.best_p
-    cq = chan.cq_state(best_p)
-    full = cq.density()
-    product = PositiveOperator(np.kron(cq.marginal_x(), cq.marginal_b()))
-    res = induced_renyi(full, product, 2.0, eps)
-    t_raw = res.t_star
+    t_raw = 2.0**cm.value
     floor_m = 1 + int(math.floor(t_raw + 1e-9 * (1.0 + abs(t_raw))))
     floor_bits = math.log2(floor_m)
-    bound_bits = res.raw + math.log2(eps / (1.0 - eps))
+    bound_bits = cm.value + math.log2(eps / (1.0 - eps))
     curve = tuple(
         (m, tc_upper(chan, m, best_p)) for m in range(1, min(floor_m + 2, 64) + 1)
     )
-    return CommBound(
-        eps, best_p, res.raw, bound_bits, floor_bits, floor_m, curve, res
-    )
+    return CommBound(eps, best_p, cm.value, bound_bits, floor_bits, floor_m, curve)
 
 
 def _stochastic_matrix(chan_or_matrix) -> np.ndarray:

@@ -260,6 +260,54 @@ def test_hypothesis_eps_validation():
         d_hypothesis(rho, rho, -0.1)
 
 
+def _hypothesis_pairs():
+    for seed in range(13):
+        for dim in range(2, 6):
+            sigma = random_density(dim, dim if seed % 2 else dim // 2, seed + 500)
+            yield random_density(dim, dim, seed), sigma
+
+
+HYPOTHESIS_EPS = (0.05, 0.1, 0.3, 0.5, 0.8)
+
+
+def test_hypothesis_optimality_certificate_on_noncommuting_pairs():
+    # the dual point Y = (mu rho - sigma)_+ bounds beta from below; an
+    # absolute 1e-11 bracket on mu left gaps up to 2.1e-8 where mu < 2e-3
+    # (random_density(3, 3, 5) against random_density(3, 3, 505), eps 0.8)
+    checked = 0
+    for rho, sigma in _hypothesis_pairs():
+        for eps in HYPOTHESIS_EPS:
+            _, test = d_hypothesis(rho, sigma, eps)
+            if not math.isfinite(test.mu):  # the kernel of sigma passes rho
+                continue
+            checked += 1
+            assert abs(test.alpha_err - (1.0 - eps)) <= 1e-10
+            evals = np.linalg.eigvalsh(test.effect.mat)
+            assert evals[0] >= -1e-12 and evals[-1] <= 1.0 + 1e-12
+            positive = np.linalg.eigvalsh(test.mu * rho.mat - sigma.mat)
+            dual = test.mu * (1.0 - eps) - float(np.sum(positive[positive > 0.0]))
+            assert (test.beta - dual) / test.beta <= 1e-9
+    assert checked >= 200
+
+
+def test_hypothesis_takes_few_eigendecompositions(monkeypatch):
+    pairs = list(_hypothesis_pairs())
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    solves = 0
+    for rho, sigma in pairs:
+        for eps in HYPOTHESIS_EPS:
+            solves += math.isfinite(d_hypothesis(rho, sigma, eps)[1].mu)
+    # a smooth crossing takes about 12, a jump runs to float resolution (about 58)
+    assert len(calls) <= 36 * solves
+
+
 # ---------------------------------------------------------------------------
 # Information-spectrum divergence
 # ---------------------------------------------------------------------------

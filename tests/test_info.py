@@ -397,6 +397,16 @@ def test_cond_mutual_info_delta0_monotone():
     assert b.smoothed_term.value <= a.smoothed_term.value + 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.2, math.nan])
+@pytest.mark.parametrize("solve", ["induced_mutual_info_2", "cond_mutual_info"])
+def test_induced_mi_eps_is_validated(solve, eps):
+    with pytest.raises(ValidationError, match=r"eps must be in \(0, 1\)"):
+        if solve == "induced_mutual_info_2":
+            induced_mutual_info_2(random_density(4, 4, 121), (2, 2), eps)
+        else:
+            cond_mutual_info(random_density(8, 8, 121), (2, 2, 2), 0.05, eps)
+
+
 def test_cond_mutual_info_validates_dims():
     rho = random_density(8, 8, 122)
     with pytest.raises(ValidationError):

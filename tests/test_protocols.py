@@ -22,6 +22,7 @@ from qdiv import (
     q_alpha,
     tc_upper,
 )
+from qdiv.induced import induced_renyi
 from qdiv.linalg import _ptrace
 from qdiv.states import (
     basis_state,
@@ -30,7 +31,7 @@ from qdiv.states import (
     pairwise_tensor_family,
     random_density,
 )
-from qdiv.suites import _correlated_extension, conditioned_density
+from qdiv.suites import _comm_channel, _correlated_extension, conditioned_density
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,27 @@ def test_distill_noiseless_bit():
     assert abs(bound.floor_bits - math.log2(3)) < 1e-12
     for m, val in bound.tc_upper_curve:
         assert val <= 0.5 + 1e-9 or m > bound.floor_m
+
+
+def _distill_channels():
+    for instance in range(5):  # noiseless2, bsc0.1, constant2, random2x2, random3x3
+        yield _comm_channel(instance, 1000 + instance)[0]
+    yield channel([random_density(2, 2, 31), random_density(2, 2, 32)])
+    yield channel([basis_state(0, 2), random_density(2, 1, 33)])
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_distill_value_is_the_full_cq_threshold(index):
+    # the channel objective's own threshold at best_p against a direct
+    # solve on the k * d_B cq state (the direct-sum identity)
+    chan = list(_distill_channels())[index]
+    eps = 0.2 + 0.1 * index
+    bound = distill_lower_bound(chan, eps, seed=index)
+    cq = chan.cq_state(bound.best_p)
+    product = PositiveOperator(np.kron(cq.marginal_x(), cq.marginal_b()))
+    full = induced_renyi(cq.density(), product, 2.0, eps)
+    assert abs(bound.induced_value - full.raw) <= 1e-9
+    assert bound.floor_m == 1 + math.floor(full.t_star + 1e-9 * (1.0 + full.t_star))
 
 
 # ---------------------------------------------------------------------------
