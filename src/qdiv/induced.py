@@ -299,9 +299,13 @@ class BlockReport:
 
 
 def induced_block_property(
-    rho, sigma, omega, t: float, eps: float, parent: ParentDivergence
+    rho, sigma, omega, t: float, eps: float, parent: ParentDivergence, base: InducedResult | None = None
 ) -> BlockReport:
-    """Check D_ind(rho (+) 0 || t sigma (+) (1-t) omega) = D_ind(rho||sigma) - log t."""
+    """Check D_ind(rho (+) 0 || t sigma (+) (1-t) omega) = D_ind(rho||sigma) - log t.
+
+    ``base`` is ``induced(parent, rho, sigma, eps)`` when the caller already
+    holds it; otherwise it is solved here.
+    """
     if not 0.0 < t <= 1.0:
         raise ValidationError(f"t must be in (0, 1], got {t}")
     r = as_matrix(rho)
@@ -314,7 +318,9 @@ def induced_block_property(
     big_sigma[:da, :da] = t * s
     big_sigma[da:, da:] = (1.0 - t) * w
     lhs = induced(parent, DensityOperator(big_rho), PositiveOperator(big_sigma), eps).raw
-    rhs = induced(parent, rho, sigma, eps).raw - math.log2(t)
+    if base is None:
+        base = induced(parent, rho, sigma, eps)
+    rhs = base.raw - math.log2(t)
     if math.isinf(lhs) and math.isinf(rhs):
         return BlockReport(lhs, rhs, 0.0, True)
     gap = abs(lhs - rhs)

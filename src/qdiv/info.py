@@ -26,6 +26,7 @@ from .linalg import (
     ValidationError,
     as_density,
     _ptrace,
+    _q2_eigenbasis,
     _sandwiched_q,
     permute_systems,
     spectral_fn,
@@ -42,31 +43,35 @@ _LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _invsqrt_adjoint(evals: np.ndarray, vecs: np.ndarray, cut: float, w: np.ndarray) -> np.ndarray:
-    """G with Tr[G dX] = Tr[W dK] for K = X^(-1/2) on the support of X = V diag(evals) V^dag.
+def _invsqrt_adjoint(evals: np.ndarray, vecs: np.ndarray, cut: float, m: np.ndarray) -> np.ndarray:
+    """G with Tr[G dX] = Tr[M dK] for K = X^(-1/2) on the support of X = V diag(evals) V^dag.
 
-    Daleckii-Krein: dK = V (L o V^dag dX V) V^dag, where L is the Loewner
-    matrix of first divided differences of x^(-1/2).  With s = sqrt(x) it is
-    -1/(s_i s_j (s_i + s_j)) in closed form; s = inf on the kernel makes its
-    rows and columns zero.
+    ``m`` is M in the eigenbasis, V^dag M V.  Daleckii-Krein: dK = V (L o
+    V^dag dX V) V^dag, where L is the Loewner matrix of first divided
+    differences of x^(-1/2).  With s = sqrt(x) it is -1/(s_i s_j (s_i + s_j))
+    in closed form; s = inf on the kernel makes its rows and columns zero.
     """
     s = np.sqrt(np.where(evals > cut, evals, np.inf))
     loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
-    g = vecs @ (loewner * (vecs.conj().T @ w @ vecs)) @ vecs.conj().T
+    g = vecs @ (loewner * m) @ vecs.conj().T
     return 0.5 * (g + g.conj().T)
 
 
-def _q2_gradient(rho_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """G with dQ_2(rho || X) = Tr[G dX], from the eigendecomposition of X."""
+def _q2_gradient(evals: np.ndarray, vecs: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
+    """G with dQ_2(rho || X) = Tr[G dX], from X's eigendecomposition and `_q2_eigenbasis`.
+
+    dQ_2 = Tr[2 rho K rho dK] with K = X^(-1/2), and 2 rho K rho is
+    2 r_eig diag(k_vals) r_eig in the eigenbasis of X.
+    """
     cut = support_cutoff(evals, evals.size)
-    k = spectral_fn(evals, vecs, -0.5, cut)
-    return _invsqrt_adjoint(evals, vecs, cut, 2.0 * (rho_mat @ k @ rho_mat))
+    return _invsqrt_adjoint(evals, vecs, cut, 2.0 * ((r_eig * k_vals) @ r_eig))
 
 
 def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Q_2(rho || X) and G with dQ_2 = Tr[G dX] (gradient in the 2nd slot)."""
     evals, vecs = np.linalg.eigh(x_mat)
-    return _sandwiched_q(rho_mat, evals, vecs, 2.0), _q2_gradient(rho_mat, evals, vecs)
+    q, r_eig, k_vals = _q2_eigenbasis(rho_mat, evals, vecs)
+    return q, _q2_gradient(evals, vecs, r_eig, k_vals)
 
 
 def _max_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -78,7 +83,7 @@ def _max_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np
     m_evals, m_vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     v = m_vecs[:, -1:]
     w = rho_mat @ k @ (v @ v.conj().T)
-    return float(m_evals[-1]), _invsqrt_adjoint(evals, vecs, cut, w + w.conj().T)
+    return float(m_evals[-1]), _invsqrt_adjoint(evals, vecs, cut, vecs.conj().T @ (w + w.conj().T) @ vecs)
 
 
 def _contract_first(g: np.ndarray, rho_a: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -322,18 +327,20 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
         if infinite:
             return _infinite_result(eps, tag), zero
         tau = np.kron(sigma, rho_b)
-        eighs = {}
+        evaluated = {}
 
         def margin(lam: float) -> float:
-            eighs[lam] = np.linalg.eigh(r.mat + (2.0**lam) * tau)
-            return _sandwiched_q(r.mat, *eighs[lam], 2.0) - target
+            evals, vecs = np.linalg.eigh(r.mat + (2.0**lam) * tau)
+            q, r_eig, k_vals = _q2_eigenbasis(r.mat, evals, vecs)
+            evaluated[lam] = evals, vecs, r_eig, k_vals
+            return q - target
 
         res = _threshold(margin, start, eps, tag)
         if not res.is_finite:
             return res, zero
         start = res.lambda_star
         t = res.t_star
-        g = _q2_gradient(r.mat, *eighs[start])  # lambda* is a point the margin was evaluated at
+        g = _q2_gradient(*evaluated[start])  # lambda* is a point the margin was evaluated at
         df_dlam = _LN2 * t * float(np.trace(g @ tau).real)
         if abs(df_dlam) < 1e-300:
             return res, zero

@@ -159,13 +159,33 @@ def spectral_fn(evals: np.ndarray, vecs: np.ndarray | None, power: float, cut: f
     return (vecs * vals) @ vecs.conj().T
 
 
+def _q2_eigenbasis(
+    r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(Q_2(rho || X), r_eig, k_vals) from the eigendecomposition X = V diag(evals) V^dag.
+
+    r_eig = V^dag rho V is rho in the eigenbasis of X, and k_vals are the
+    eigenvalues of K = X^(-1/2) on the support of X.  Q_2 = Tr[(rho K)^2] =
+    sum_ij k_i k_j |r_eig_ij|^2: a sum of nonnegative terms, with no
+    eigendecomposition beyond X's.
+    """
+    k_vals = spectral_fn(evals, None, -0.5, support_cutoff(evals, evals.size))
+    r_eig = vecs.conj().T @ r_mat @ vecs
+    return float(k_vals @ (r_eig.real**2 + r_eig.imag**2) @ k_vals), r_eig, k_vals
+
+
 def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
     """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
 
-    The one evaluator of the sandwiched quantity: K = X^((1-a)/2a) is taken
-    on the support of X for a >= 1, and Q = sum of a-th powers of the
-    eigenvalues of K rho K.
+    The one evaluator of the sandwiched quantity.  alpha = 2 is read in the
+    eigenbasis of X (`_q2_eigenbasis`): two matrix products and a sum of
+    nonnegative terms, so it needs no second eigendecomposition.  Other
+    orders take K = X^((1-a)/2a) on the support of X for a >= 1, and
+    Q = sum of a-th powers of the eigenvalues of K rho K; that route keeps
+    the fidelity (a = 1/2) at exactly 1 on equal states.
     """
+    if alpha == 2.0:
+        return _q2_eigenbasis(r_mat, evals, vecs)[0]
     cut = support_cutoff(evals, evals.size)
     half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), cut)
     inner = half @ r_mat @ half

@@ -1,6 +1,6 @@
 """Decoding protocols and one-shot coding bounds.
 
-Covers the pretty good measurement, position-based decoding over pairwise
+Covers position-based decoding with the pretty good measurement over pairwise
 index-symmetric families, the Choi-distance upper bound and distillation
 lower bound for cq channels (with an exact brute-force oracle for classical
 channels), the equality-based convex-split check, and the assembled quantum
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,58 +20,18 @@ from .induced import InducedResult, induced_renyi
 from .info import CondMutualInfo, channel_mutual_info, cond_mutual_info
 from .linalg import (
     DensityOperator,
-    PositiveOperator,
     RECON_TOL,
     ValidationError,
     as_density,
-    as_positive,
     _fidelity_and_purified,
     _ptrace,
     _sandwiched_q,
-    spectral_fn,
-    support_cutoff,
 )
 from .states import Channel, _slot_products, check_dim_cap, pairwise_tensor_family, purify
 
 
 class InfeasibleError(ValueError):
     """Protocol parameters violate a feasibility condition."""
-
-
-@dataclass(frozen=True)
-class Povm:
-    effects: tuple[PositiveOperator, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].dim
-
-
-def pgm(states: Sequence) -> Povm:
-    """Pretty good measurement of a state family, completed to a POVM.
-
-    Effects are eta^(-1/2) tau_x eta^(-1/2) with eta the family sum, taken
-    on the support of eta; the identity deficit on the kernel of eta is
-    assigned to effect 0.
-    """
-    mats = [as_positive(s).mat for s in states]
-    if not mats:
-        raise ValidationError("pgm needs at least one state")
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise ValidationError("pgm states must share one dimension")
-    eta = sum(mats)
-    evals, vecs = np.linalg.eigh(eta)
-    half = spectral_fn(evals, vecs, -0.5, support_cutoff(evals, dim))
-    effects = [half @ m @ half for m in mats]
-    deficit = np.eye(dim, dtype=np.complex128) - sum(effects)
-    effects[0] = effects[0] + 0.5 * (deficit + deficit.conj().T)
-    # an ill-conditioned eta leaves half @ m @ half visibly non-Hermitian
-    povm = Povm(tuple(PositiveOperator(0.5 * (e + e.conj().T)) for e in effects))
-    total = sum(e.mat for e in povm.effects)
-    if float(np.max(np.abs(total - np.eye(dim)))) > RECON_TOL:
-        raise ValidationError("pgm completion does not sum to the identity")
-    return povm
 
 
 @dataclass(frozen=True)
@@ -104,11 +63,12 @@ def pbd_simulate(
     eps: float,
     cap: int | None = None,
 ) -> DecodingReport:
-    """Position-based decoding at n = ceil(2^induced-D2) with the PGM.
+    """Position-based decoding at n = ceil(2^induced-D2) with the pretty good measurement.
 
     Builds the pairwise index-symmetric family against rho_R (x) Tr_R sigma_RA
     (for n >= 2, sigma_ra must equal it), verifies its marginals, and reports
-    each index's PGM success Q_2(tau_x || eta), eta the family sum, plus the
+    each index's success Q_2(tau_x || eta), eta the family sum, read from one
+    eigendecomposition of eta without building any effect, plus the
     comparison against the hypothesis-testing bound ceil(eps 2^DH).  If the
     family dimension exceeds the cap, construction is aborted but the
     divergence values are still returned.
@@ -139,8 +99,8 @@ def pbd_simulate(
     family.verify_marginals()
 
     # Tr[E_x tau_x] with E_x = eta^(-1/2) tau_x eta^(-1/2) is Q_2(tau_x || eta) on
-    # eta's support (the cutoff pgm uses); pgm's completion lies in ker eta,
-    # which is orthogonal to every tau_x, so it moves no success probability
+    # eta's support; completing the effects to a POVM adds only operators on
+    # ker eta, which is orthogonal to every tau_x, so it moves no success probability
     evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
     succ = tuple(_sandwiched_q(m.mat, evals, vecs, 2.0) for m in family.members)
     return DecodingReport(n, succ, min(succ), sum(succ) / n, res, n_old, dh.value)

@@ -309,7 +309,7 @@ def _suite_induced_web(instance: int, base_seed: int) -> list[Row]:
     omega = random_density(2, 2, seed + 3)
     t = 0.1 + 0.85 * rng.random()
     for name, parent in (("renyi2", ParentDivergence.renyi(2.0)), ("min", ParentDivergence.min_())):
-        rep = induced_block_property(rho, sigma, omega, t, eps, parent)
+        rep = induced_block_property(rho, sigma, omega, t, eps, parent, solve(parent))
         rows.append(_row("induced-web", f"block_identity[{name}]", instance, s, rep.gap, 1e-8))
 
     # induced Umegaki >= pinched Renyi bound + offset

@@ -3,14 +3,28 @@
 Everything here recomputes expected values through a route that shares no
 code with the package internals: greedy classical Neyman-Pearson, dense grid
 searches over effects and reference states, scalar bisections on classical
-formulas, and Blahut-Arimoto for channel capacity.
+formulas, and Blahut-Arimoto for channel capacity.  The one exception is
+`pgm`, the pretty good measurement built effect by effect: it takes the
+package's validated operators and support cutoff, so that its effects live
+on the same support of eta as `pbd_simulate`'s success probabilities.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+from qdiv.linalg import (
+    RECON_TOL,
+    PositiveOperator,
+    ValidationError,
+    as_positive,
+    spectral_fn,
+    support_cutoff,
+)
 
 
 def classical_np_beta(p, q, eps: float) -> float:
@@ -243,3 +257,39 @@ def grid_induced_mi_classical(joint, da: int, db: int, eps: float, step: float =
         t = classical_induced_collision_t(flat, tau, eps)
         best = min(best, math.log2(t))
     return best
+
+
+@dataclass(frozen=True)
+class Povm:
+    effects: tuple[PositiveOperator, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.effects[0].dim
+
+
+def pgm(states: Sequence) -> Povm:
+    """Pretty good measurement of a state family, completed to a POVM.
+
+    Effects are eta^(-1/2) tau_x eta^(-1/2) with eta the family sum, taken
+    on the support of eta; the identity deficit on the kernel of eta is
+    assigned to effect 0.
+    """
+    mats = [as_positive(s).mat for s in states]
+    if not mats:
+        raise ValidationError("pgm needs at least one state")
+    dim = mats[0].shape[0]
+    if any(m.shape[0] != dim for m in mats):
+        raise ValidationError("pgm states must share one dimension")
+    eta = sum(mats)
+    evals, vecs = np.linalg.eigh(eta)
+    half = spectral_fn(evals, vecs, -0.5, support_cutoff(evals, dim))
+    effects = [half @ m @ half for m in mats]
+    deficit = np.eye(dim, dtype=np.complex128) - sum(effects)
+    effects[0] = effects[0] + 0.5 * (deficit + deficit.conj().T)
+    # an ill-conditioned eta leaves half @ m @ half visibly non-Hermitian
+    povm = Povm(tuple(PositiveOperator(0.5 * (e + e.conj().T)) for e in effects))
+    total = sum(e.mat for e in povm.effects)
+    if float(np.max(np.abs(total - np.eye(dim)))) > RECON_TOL:
+        raise ValidationError("pgm completion does not sum to the identity")
+    return povm

@@ -258,6 +258,9 @@ def test_block_property_random(parent_name):
     omega = random_density(3, 3, 63)
     rep = induced_block_property(rho, sigma, omega, 1.0 / 3.0, 0.4, parent)
     assert rep.ok, rep
+    # a caller that already holds D_ind(rho || sigma) gets the same report
+    base = induced(parent, rho, sigma, 0.4)
+    assert induced_block_property(rho, sigma, omega, 1.0 / 3.0, 0.4, parent, base) == rep
 
 
 def test_block_property_validates_t():

@@ -21,8 +21,14 @@ from qdiv import (
     tensor,
     trace_distance,
 )
-from qdiv.linalg import RECON_TOL
-from qdiv.states import basis_state, maximally_entangled, maximally_mixed, random_density
+from qdiv.linalg import RECON_TOL, _sandwiched_q, support_cutoff
+from qdiv.states import (
+    basis_state,
+    maximally_entangled,
+    maximally_mixed,
+    pairwise_tensor_family,
+    random_density,
+)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -191,6 +197,91 @@ def test_fidelity_is_sandwiched_q_one_half(seed):
     sigma = random_density(4, 4 if seed % 2 else 2, seed + 300)
     fid, _ = fidelity_and_purified(rho, sigma)
     assert fid == min(max(q_alpha(rho, sigma, 0.5), 0.0), 1.0)
+
+
+def _eigvalsh_q2(r_mat, evals, vecs):
+    """Q_2(rho || X) as the sum of squared eigenvalues of K rho K, K = X^(-1/4) on the support."""
+    k = spectral_fn(evals, vecs, -0.25, support_cutoff(evals, evals.size))
+    inner = k @ r_mat @ k
+    return float(np.sum(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None) ** 2))
+
+
+def _unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u
+
+
+def _spectral(u, evals):
+    mat = (u * np.asarray(evals, dtype=float)) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _conditioned_pair(cond, seed):
+    return random_density(6, 6, seed + 10).mat, _spectral(_unitary(6, seed), np.geomspace(1.0, 1.0 / cond, 6))
+
+
+def _rank_deficient_pair(seed):
+    x = _spectral(_unitary(6, seed), [1.0, 0.5, 0.1, 1e-3, 0.0, 0.0])
+    return random_density(6, 6, seed + 10).mat, x
+
+
+def _near_orthogonal_pair(delta, t, seed):
+    # rho lies within delta of the kernel of sigma; X = rho + t sigma, the
+    # argument of every Renyi-2 threshold margin
+    u = _unitary(4, seed)
+    v = u[:, 2] + delta * u[:, 0]
+    v = v / np.linalg.norm(v)
+    rho = 0.7 * np.outer(v, v.conj()) + 0.3 * np.outer(u[:, 3], u[:, 3].conj())
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho, rho + t * _spectral(u, [0.8, 0.2, 0.0, 0.0])
+
+
+def _weak_overlap_pair(delta, seed):
+    # the same rho against a full-rank sigma with eigenvalues 1e-9 on rho's (near) support
+    rho, _ = _near_orthogonal_pair(delta, 0.0, seed)
+    return rho, _spectral(_unitary(4, seed), [1.0, 0.6, 1e-9, 1e-9])
+
+
+Q2_FORM_CASES = (
+    [
+        pytest.param(_conditioned_pair, (c, s), id=f"cond={c:g},seed={s}")
+        for c in (1e3, 1e5, 1e7, 1e9, 1e11)
+        for s in range(3)
+    ]
+    + [pytest.param(_rank_deficient_pair, (s,), id=f"rank4of6,seed={s}") for s in range(3)]
+    + [
+        pytest.param(_near_orthogonal_pair, (d, t, s), id=f"orth={d:g},t={t:g},seed={s}")
+        for d in (1e-3, 1e-6, 1e-9)
+        for t in (1e-6, 1.0, 1e6)
+        for s in range(2)
+    ]
+    + [
+        pytest.param(_weak_overlap_pair, (d, s), id=f"overlap={d:g},seed={s}")
+        for d in (1e-3, 1e-6, 1e-9)
+        for s in range(2)
+    ]
+)
+
+
+@pytest.mark.parametrize("make, args", Q2_FORM_CASES)
+def test_q2_eigenbasis_form_matches_eigvalsh_form(make, args):
+    # both forms read the same (evals, vecs), so the float eigh of X, which
+    # dominates the error against an exact oracle at high condition, cancels
+    rho, x = make(*args)
+    evals, vecs = np.linalg.eigh(x)
+    expected = _eigvalsh_q2(rho, evals, vecs)
+    assert abs(_sandwiched_q(rho, evals, vecs, 2.0) - expected) <= 1e-12 * expected
+
+
+def test_q2_eigenbasis_form_on_ill_conditioned_pbd_family():
+    # the plain seed-0 family at n = 6: its sum eta has condition number 1.9e11
+    family = pairwise_tensor_family(random_density(4, 4, 0), (2, 2), random_density(2, 2, 1), 6)
+    evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
+    assert evals[-1] / evals[0] > 1e11
+    for m in family.members:
+        expected = _eigvalsh_q2(m.mat, evals, vecs)
+        assert abs(_sandwiched_q(m.mat, evals, vecs, 2.0) - expected) <= 1e-12 * expected
 
 
 def test_positive_part_trace():

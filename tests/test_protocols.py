@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import pgm
 
 from qdiv import (
     DensityOperator,
@@ -18,7 +19,6 @@ from qdiv import (
     fidelity_and_purified,
     pbd_simulate,
     permute_systems,
-    pgm,
     q_alpha,
     tc_upper,
 )
@@ -173,19 +173,27 @@ def test_pbd_success_is_pgm_success(kind, seed, eps, n):
 
 
 def test_pbd_makes_one_eigh_at_family_dimension(monkeypatch):
+    # one eigh of the family sum eta, and no eigvalsh: every Q_2(tau_x || eta)
+    # is read in eta's eigenbasis
     kind, seed, eps, n = PBD_DRAWS[0]
     rho, _, sigma_ra = _pbd_draw(kind, seed)
-    dims = []
-    eigh = np.linalg.eigh
+    dims = {"eigh": [], "eigvalsh": []}
 
-    def counting(a, *args, **kwargs):
-        dims.append(np.shape(a)[-1])
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        fn = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def counted(a, *args, **kwargs):
+            dims[name].append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    for name in dims:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
     assert rep.n == n
-    assert dims.count(2 * 2**n) == 1
+    assert dims["eigh"].count(2 * 2**n) == 1
+    assert dims["eigvalsh"].count(2 * 2**n) == 0
 
 
 def test_pbd_rejects_sigma_that_is_not_rho_r_tensor_sigma_a():
