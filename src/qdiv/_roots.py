@@ -16,8 +16,9 @@ contract: every step keeps a bracket with f >= 0 at its lower end, the
 result is that certified lower end, and the bracket never lags plain
 bisection of the same bracket by more than two halvings.  Smooth thresholds
 take a few steps instead of about 38.  A margin that jumps across zero at
-its threshold never meets the residual test, so its search runs on to float
-resolution (about 55 steps from a unit bracket) or the step cap.
+its threshold never meets the residual test, so its search runs on to the
+float resolution of 1 or of the bracket's ends, whichever is coarser (about
+55 steps from a unit bracket), or to the step cap.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def bisect_decreasing(
     inside the bracket, so a step next to a converged endpoint closes the
     bracket from the other side.  The search stops when the bracket is at
     most ``BISECT_TOL`` wide and the last residual is at most
-    ``RESIDUAL_TOL`` (or after ``BISECT_MAX_ITER`` steps) and returns the
-    certified lower endpoint, where f >= 0.
+    ``RESIDUAL_TOL``, once the bracket is no wider than 2^-52 times
+    max(1, |left|, |right|), or after ``BISECT_MAX_ITER`` steps, and returns
+    the certified lower endpoint, where f >= 0.
     """
     # a: the newest point, b: the other end of the bracket, c: the point
     # dropped last, beyond a (Chandrupatla's notation).  The walk leaves its
@@ -104,7 +106,7 @@ def bisect_decreasing(
         x = min(max(a + t * (b - a), mid - reach), mid + reach)
         if width > BISECT_TOL:
             x = min(max(x, left + 0.5 * BISECT_TOL), right - 0.5 * BISECT_TOL)
-        if not left < x < right:
+        if not left < x < right or width <= 2.0**-52 * max(1.0, abs(left), abs(right)):
             break
         fx = f(x)
         if (fx >= 0.0) == (fa >= 0.0):

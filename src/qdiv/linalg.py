@@ -136,6 +136,14 @@ def as_density(op) -> DensityOperator:
     return op if isinstance(op, DensityOperator) else DensityOperator(op)
 
 
+def _exact_herm(mat: np.ndarray) -> HermitianOperator:
+    """Wrap ``mat``, which the caller vouches is exactly Hermitian, with no check or copy."""
+    op = object.__new__(HermitianOperator)
+    mat.setflags(write=False)
+    op.mat, op.dim = mat, mat.shape[0]
+    return op
+
+
 @dataclass(frozen=True)
 class SupportProjector:
     projector: PositiveOperator
@@ -186,9 +194,12 @@ def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha:
     """
     if alpha == 2.0:
         return _q2_eigenbasis(r_mat, evals, vecs)[0]
-    cut = support_cutoff(evals, evals.size)
-    half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), cut)
-    inner = half @ r_mat @ half
+    half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), support_cutoff(evals, evals.size))
+    return _q_of_sandwich(half @ r_mat @ half, alpha)
+
+
+def _q_of_sandwich(inner: np.ndarray, alpha: float) -> float:
+    """Sum of alpha-th powers of the eigenvalues of the sandwich K rho K, clipped at zero."""
     ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     return float(np.sum(ev**alpha))
 
@@ -239,15 +250,9 @@ def _ptrace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.nda
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValidationError(f"keep indices {keep} out of range for {n} systems")
-    t = mat.reshape(dims + dims)
-    traced = 0
-    for idx in range(n):
-        if idx in keep:
-            continue
-        axis = idx - traced
-        ndim_half = t.ndim // 2
-        t = np.trace(t, axis1=axis, axis2=axis + ndim_half)
-        traced += 1
+    # a traced system carries the same label on both sides, so einsum sums a diagonal view
+    cols = [n + i if i in keep else i for i in range(n)]
+    t = np.einsum(mat.reshape(dims + dims), list(range(n)) + cols, keep + [n + k for k in keep])
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(d_keep, d_keep)
 
@@ -290,15 +295,12 @@ def fidelity_and_purified(rho, sigma) -> tuple[float, float]:
     s = as_positive(sigma)
     if r.dim != s.dim:
         raise ValidationError("fidelity needs equal dimensions")
-    return _fidelity_and_purified(r.mat, s)
+    return _fidelity_and_purified(_sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, 0.5))
 
 
-def _fidelity_and_purified(r_mat: np.ndarray, s: PositiveOperator) -> tuple[float, float]:
-    """`fidelity_and_purified` of a positive matrix ``r_mat`` the caller vouches for.
-
-    The fidelity is the sandwiched quantity Q_1/2(rho || sigma), clamped to [0, 1].
-    """
-    fid = min(max(_sandwiched_q(r_mat, s.eigenvalues, s.eigenvectors, 0.5), 0.0), 1.0)
+def _fidelity_and_purified(q_half: float) -> tuple[float, float]:
+    """(F, sqrt(1 - F^2)) from the sandwiched Q_1/2(rho || sigma), F clamped to [0, 1]."""
+    fid = min(max(q_half, 0.0), 1.0)
     return fid, math.sqrt(max(0.0, 1.0 - fid * fid))
 
 

@@ -23,8 +23,10 @@ from .linalg import (
     RECON_TOL,
     ValidationError,
     as_density,
+    support_cutoff,
     _fidelity_and_purified,
     _ptrace,
+    _q_of_sandwich,
     _sandwiched_q,
 )
 from .states import Channel, _slot_products, check_dim_cap, pairwise_tensor_family, purify
@@ -264,10 +266,12 @@ def convex_split_check(
 ) -> ConvexSplitReport:
     """Equality-based convex-split inequality on an explicit construction.
 
-    rho_ext is any extension on RB (x) B'; the uniform position mixture of
+    rho_ext is any extension on RB (x) B'; the uniform position mixture tau of
     rho_ext against sigma on the remaining n-1 slots is compared with the
-    product rho^RB (x) sigma^(x n): purified distance <= sqrt(mu/(mu+n))
-    with mu = Q_2(rho_ext || rho^RB (x) sigma) - 1.
+    product X = rho^RB (x) sigma^(x n): purified distance <= sqrt(mu/(mu+n))
+    with mu = Q_2(rho_ext || rho^RB (x) sigma) - 1.  The fidelity is read on
+    the support of X from its factors' eigendecompositions: of X's dimension
+    only the sandwich of tau is built, for its one eigvalsh.
     """
     rho = as_density(rho_ext)
     sigma = as_density(sigma_bp)
@@ -280,16 +284,16 @@ def convex_split_check(
         raise ValidationError("n must be >= 1")
     check_dim_cap(d_rb * d_bp**n, cap)
 
-    rho_rb = _ptrace(rho.mat, [d_rb, d_bp], [0])
-    mu = _sandwiched_q(rho.mat, *np.linalg.eigh(np.kron(rho_rb, sigma.mat)), 2.0) - 1.0
-    mu = max(mu, 0.0)
+    a, u = np.linalg.eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
+    b, w = sigma.eigenvalues, sigma.eigenvectors
+    mu = max(_sandwiched_q(rho.mat, np.kron(a, b), np.kron(u, w), 2.0) - 1.0, 0.0)
 
-    # a mixture of slot-permuted products of validated states: no re-validation
-    tau = sum(_slot_products(rho.mat, sigma.mat, d_rb, d_bp, n)) / n
-    product = rho_rb
-    for _ in range(n):
-        product = np.kron(product, sigma.mat)
-    _, pd = _fidelity_and_purified(tau, DensityOperator(product))
+    # X = M M^dag, M = r (x) s^(x n) with r = u a^(1/2), s = w b^(1/2) on the supports; M
+    # commutes with slot swaps, so M^dag tau M mixes (r (x) s)^dag rho_ext (r (x) s) with b^2
+    on_a, on_b = a > support_cutoff(a, d_rb), b > sigma.cutoff
+    h = np.kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
+    mix = _slot_products(h.conj().T @ rho.mat @ h, np.diag(b[on_b] ** 2), on_a.sum(), on_b.sum(), n)
+    _, pd = _fidelity_and_purified(_q_of_sandwich(sum(mix) / n, 0.5))
     eps_n = math.sqrt(mu / (mu + n))
     return ConvexSplitReport(n, mu, eps_n, pd)
 

@@ -27,6 +27,7 @@ from .linalg import (
     as_matrix,
     partial_trace,
     permute_systems,
+    _exact_herm,
 )
 
 
@@ -245,8 +246,9 @@ class PairwiseFamily:
     """States tau_x on R A^n whose RA_y marginals are rho (y=x) or sigma.
 
     Members are `HermitianOperator`s: slot permutations of products of
-    validated states are states, so no eigendecomposition re-checks them;
-    a function that needs a state validates a member at its own entry.
+    validated states are states, and exactly Hermitian, so they skip the
+    check and the symmetrizing copy; a function that needs a state
+    validates a member at its own entry.
     """
 
     rho: DensityOperator  # on R (x) A
@@ -291,7 +293,7 @@ def pairwise_tensor_family(
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_dim_cap(d_r * d_a**n, cap)
-    members = tuple(HermitianOperator(m) for m in _slot_products(rho.mat, sigma.mat, d_r, d_a, n))
+    members = tuple(_exact_herm(m) for m in _slot_products(rho.mat, sigma.mat, d_r, d_a, n))
     rho_r = partial_trace(rho, [d_r, d_a], [0]).mat
     sigma_ra = DensityOperator(np.kron(rho_r, sigma.mat))
     return PairwiseFamily(rho, sigma_ra, (d_r, d_a), n, members)

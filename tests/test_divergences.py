@@ -29,6 +29,7 @@ from qdiv.states import (
     random_isometry_channel,
     rng_from_seed,
 )
+from qdiv import _roots
 from qdiv.divergences import _sandwiched_q
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
@@ -197,6 +198,27 @@ def test_hypothesis_equal_states():
         dv, test = d_hypothesis(rho, rho, eps)
         assert abs(dv.value + math.log2(1.0 - eps)) < 1e-9
         assert test.alpha_err >= 1.0 - eps - 1e-9
+
+
+def test_hypothesis_equal_states_stops_at_float_resolution(monkeypatch):
+    # the pass probability of equal states jumps at x = -log2 mu = 0 (here
+    # about -2.8e-14), where floats are far finer than the bracket needs;
+    # the search stops at the resolution of 1 instead of halving toward 0
+    calls = []
+    search = _roots.bisect_decreasing
+
+    def counted(f, *args):
+        def recorded(x):
+            calls.append(x)
+            return f(x)
+
+        return search(recorded, *args)
+
+    monkeypatch.setattr(_roots, "bisect_decreasing", counted)
+    rho = random_density(3, 3, 1)
+    dv, _ = d_hypothesis(rho, rho, 0.3)
+    assert abs(dv.value + math.log2(0.7)) < 1e-9
+    assert len(calls) <= 60
 
 
 def test_hypothesis_classical_example():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from oracles import pgm
+from oracles import _mp_hermitian, pgm
 
 from qdiv import (
     DensityOperator,
+    HermitianOperator,
     InfeasibleError,
     PositiveOperator,
     ValidationError,
@@ -16,7 +17,6 @@ from qdiv import (
     eqsr_cost_bound,
     eqsr_feasibility,
     expurgate_check,
-    fidelity_and_purified,
     pbd_simulate,
     permute_systems,
     q_alpha,
@@ -359,7 +359,13 @@ def test_convex_split_sweep_nonincreasing(seed):
 
 
 def _split_reference(ext, sigma, n):
-    """Purified distance of the convex split, every operator built and validated."""
+    """Purified distance of the convex split, every operator built and validated.
+
+    The fidelity is read on the support of X from X's own full eigendecomposition:
+    on a rank-deficient X, eigvalsh of the full sandwich returns kernel eigenvalues
+    of about +-1e-17, and `fidelity_and_purified` sums their square roots, which
+    put it up to 1.1e-8 off the mpmath value on the sources below.
+    """
     base = ext.mat
     for _ in range(n - 1):
         base = np.kron(base, sigma.mat)
@@ -372,19 +378,106 @@ def _split_reference(ext, sigma, n):
     product = _ptrace(ext.mat, [4, 2], [0])
     for _ in range(n):
         product = np.kron(product, sigma.mat)
-    return fidelity_and_purified(DensityOperator(tau), DensityOperator(product))[1]
+    tau, x = DensityOperator(tau), DensityOperator(product)
+    on = x.eigenvalues > x.cutoff
+    root = x.eigenvectors[:, on] * np.sqrt(x.eigenvalues[on])
+    inner = root.conj().T @ tau.mat @ root
+    fid = float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None))))
+    return math.sqrt(max(0.0, 1.0 - min(fid, 1.0) ** 2))
 
 
-@pytest.mark.parametrize("source", ["qsr_correlated", "random8"])
+def _split_reference_mp(ext, sigma, n):
+    """The purified distance of `_split_reference` at 40 digits, from the same stored matrices."""
+    from mpmath import mp
+
+    with mp.workdps(40):
+        e = np.array(_mp_hermitian(ext.mat).tolist(), dtype=object)
+        s = np.array(_mp_hermitian(sigma.mat).tolist(), dtype=object)
+        base, product = e, np.array(
+            [[e[2 * i, 2 * j] + e[2 * i + 1, 2 * j + 1] for j in range(4)] for i in range(4)]
+        )
+        for _ in range(n - 1):
+            base = np.kron(base, s)
+        dims, d = [4] + [2] * n, 4 * 2**n
+        tau = 0
+        for x in range(n):
+            order = list(range(n + 1))
+            order[1], order[1 + x] = order[1 + x], order[1]
+            perm = order + [n + 1 + k for k in order]
+            tau = tau + base.reshape(dims + dims).transpose(perm).reshape(d, d)
+        for _ in range(n):
+            product = np.kron(product, s)
+        evals, vecs = mp.eighe(mp.matrix(product.tolist()))
+        root = vecs * mp.diag([mp.sqrt(max(v, 0)) for v in evals]) * vecs.H
+        inner = root * mp.matrix((tau / n).tolist()) * root
+        fid = sum(mp.sqrt(max(v, 0)) for v in mp.eighe((inner + inner.H) / 2, eigvals_only=True))
+        return float(mp.sqrt(max(1 - fid**2, 0)))
+
+
+def _split_inputs(source):
+    if source == "qsr_correlated":
+        return _correlated_extension(1234)
+    if source == "random8":
+        return random_density(8, 8, 77), DensityOperator(np.diag([0.35, 0.65]).astype(complex))
+    if source == "rank1_sigma":
+        return random_density(8, 8, 78), DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+    # an extension supported on two of the four RB dimensions: rho^RB has rank 2.
+    # sigma's eigenvalues are 0.27 and 0.73: with a smaller one the sandwich at
+    # n = 3 has eigenvalues near 1e-11, whose square roots magnify eigvalsh's
+    # 1e-17 absolute error past 1e-13 on any float path
+    cut = np.kron(np.diag([1.0, 0.0, 1.0, 0.0]), np.eye(2))
+    ext = cut @ random_density(8, 8, 79).mat @ cut
+    sigma = DensityOperator(np.array([[0.45, 0.2 - 0.1j], [0.2 + 0.1j, 0.55]]))
+    return DensityOperator(ext / np.trace(ext).real), sigma
+
+
+SPLIT_SOURCES = ["qsr_correlated", "random8", "rank1_sigma", "rank2_rb"]
+
+
+@pytest.mark.parametrize("source", SPLIT_SOURCES)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_convex_split_matches_validated_reference(source, n):
-    if source == "qsr_correlated":
-        ext, sigma = _correlated_extension(1234)
-    else:
-        ext = random_density(8, 8, 77)
-        sigma = DensityOperator(np.diag([0.35, 0.65]).astype(complex))
+    # the fidelity is read from the factors' eigendecompositions; the
+    # reference builds tau and X at full dimension and validates both
+    ext, sigma = _split_inputs(source)
     rep = convex_split_check(ext, (4, 2), sigma, n)
-    assert rep.actual_p == _split_reference(ext, sigma, n)
+    assert abs(rep.actual_p - _split_reference(ext, sigma, n)) <= 1e-13
+
+
+@pytest.mark.parametrize("source", SPLIT_SOURCES)
+@pytest.mark.parametrize("n", range(1, 4))
+def test_convex_split_matches_mpmath_reference(source, n):
+    pytest.importorskip("mpmath")
+    ext, sigma = _split_inputs(source)
+    rep = convex_split_check(ext, (4, 2), sigma, n)
+    assert abs(rep.actual_p - _split_reference_mp(ext, sigma, n)) <= 1e-13
+
+
+def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch):
+    n, total = 5, 4 * 2**5
+    ext, sigma = _split_inputs("random8")
+    dims = {"eigh": [], "eigvalsh": [], "validated": []}
+
+    def counting(name, fn):
+        def counted(a, *args, **kwargs):
+            dims[name].append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    init = HermitianOperator.__init__
+
+    def validating(self, mat):
+        dims["validated"].append(np.shape(mat)[-1])
+        init(self, mat)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", validating)
+    convex_split_check(ext, (4, 2), sigma, n)
+    assert dims["eigh"].count(total) == 0
+    assert dims["eigvalsh"].count(total) == 1
+    assert dims["validated"].count(total) == 0
 
 
 def test_convex_split_cap():

@@ -151,6 +151,44 @@ def test_pairwise_family_members_are_exact_products():
         npt.assert_array_equal(member.mat, expected)
 
 
+def _clamped_density(dim, seed):
+    """A rank-deficient state pushed 1e-12 below zero on its kernel, so validation clamps it."""
+    base = random_density(dim, dim - 1, seed)
+    kernel = base.eigenvectors[:, :1]
+    rho = DensityOperator(base.mat - 1e-12 * (kernel @ kernel.conj().T))
+    assert rho.eigenvalues[0] == 0.0
+    return rho
+
+
+FAMILY_INPUTS = {
+    "complex": lambda: (random_density(4, 4, 60), random_density(2, 2, 61)),
+    "rank_deficient": lambda: (random_density(4, 2, 62), random_density(2, 1, 63)),
+    "psd_clamped": lambda: (_clamped_density(4, 64), _clamped_density(2, 65)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_INPUTS))
+def test_pairwise_family_members_are_bitwise_hermitian(kind, monkeypatch):
+    # products of exactly Hermitian factors are exactly Hermitian, so the
+    # members skip the constructor's check and symmetrizing copy
+    n = 4
+    rho, sigma = FAMILY_INPUTS[kind]()
+    checked = []
+    init = HermitianOperator.__init__
+
+    def recording(self, mat):
+        checked.append(np.shape(mat)[-1])
+        init(self, mat)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", recording)
+    fam = pairwise_tensor_family(rho, (2, 2), sigma, n)
+    assert 2 * 2**n not in checked
+    for member in fam.members:
+        assert isinstance(member, HermitianOperator) and member.dim == 2 * 2**n
+        assert np.array_equal(member.mat, member.mat.conj().T)
+        assert not member.mat.flags.writeable
+
+
 def test_pairwise_family_skips_full_dimension_eigh(monkeypatch):
     n, total = 3, 2 * 2**3
     rho = random_density(4, 4, 52)
