@@ -1,13 +1,13 @@
 """Mutual-information layer built on the divergences.
 
-I_alpha minimizes the parent divergence over the second marginal; the inner
-problem is convex in the reference state for alpha in {1, 2}, so it is
-solved by matrix exponentiated-gradient (mirror descent) with analytic
-gradients obtained from the closed-form (Daleckii-Krein) Frechet derivative
-of the inverse square root.  Channel quantities maximize over input
-distributions with multi-start projected gradient ascent; the reported value
-is always attained by a feasible point, hence a certified lower bound on the
-supremum.
+I_1 has a closed-form minimizer.  I_2 and the induced I_2 minimize over a
+reference state; both problems are convex in that state, so they are solved
+by matrix exponentiated-gradient (mirror descent) with analytic gradients
+obtained from the closed-form (Daleckii-Krein) Frechet derivative of the
+inverse square root.  The channel quantity, the raw induced D_2 of the cq
+state, is maximized over input distributions with multi-start projected
+gradient ascent; the reported value is attained by a feasible point, hence a
+certified lower bound on the supremum.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .divergences import _log_cross, _xlogx_sum, canon_alpha, d_umegaki
+from .divergences import canon_alpha, d_umegaki
 from .induced import InducedResult, ParentDivergence, _infinite_result, _parent_tag, _threshold
 from .linalg import (
     DensityOperator,
@@ -29,7 +29,6 @@ from .linalg import (
     _q2_eigenbasis,
     _sandwiched_q,
     permute_systems,
-    spectral_fn,
     support_cutoff,
     trace_distance,
 )
@@ -43,28 +42,20 @@ _LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _invsqrt_adjoint(evals: np.ndarray, vecs: np.ndarray, cut: float, m: np.ndarray) -> np.ndarray:
-    """G with Tr[G dX] = Tr[M dK] for K = X^(-1/2) on the support of X = V diag(evals) V^dag.
-
-    ``m`` is M in the eigenbasis, V^dag M V.  Daleckii-Krein: dK = V (L o
-    V^dag dX V) V^dag, where L is the Loewner matrix of first divided
-    differences of x^(-1/2).  With s = sqrt(x) it is -1/(s_i s_j (s_i + s_j))
-    in closed form; s = inf on the kernel makes its rows and columns zero.
-    """
-    s = np.sqrt(np.where(evals > cut, evals, np.inf))
-    loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
-    g = vecs @ (loewner * m) @ vecs.conj().T
-    return 0.5 * (g + g.conj().T)
-
-
 def _q2_gradient(evals: np.ndarray, vecs: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
     """G with dQ_2(rho || X) = Tr[G dX], from X's eigendecomposition and `_q2_eigenbasis`.
 
-    dQ_2 = Tr[2 rho K rho dK] with K = X^(-1/2), and 2 rho K rho is
-    2 r_eig diag(k_vals) r_eig in the eigenbasis of X.
+    dQ_2 = Tr[M dK] with K = X^(-1/2) on the support of X = V diag(evals) V^dag
+    and M = 2 rho K rho, which is 2 r_eig diag(k_vals) r_eig in the eigenbasis.
+    Daleckii-Krein: dK = V (L o V^dag dX V) V^dag, where L is the Loewner
+    matrix of first divided differences of x^(-1/2).  With s = sqrt(x) it is
+    -1/(s_i s_j (s_i + s_j)) in closed form; s = inf on the kernel makes its
+    rows and columns zero.
     """
-    cut = support_cutoff(evals, evals.size)
-    return _invsqrt_adjoint(evals, vecs, cut, 2.0 * ((r_eig * k_vals) @ r_eig))
+    s = np.sqrt(np.where(evals > support_cutoff(evals, evals.size), evals, np.inf))
+    loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
+    g = vecs @ (loewner * (2.0 * ((r_eig * k_vals) @ r_eig))) @ vecs.conj().T
+    return 0.5 * (g + g.conj().T)
 
 
 def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -72,18 +63,6 @@ def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.n
     evals, vecs = np.linalg.eigh(x_mat)
     q, r_eig, k_vals = _q2_eigenbasis(rho_mat, evals, vecs)
     return q, _q2_gradient(evals, vecs, r_eig, k_vals)
-
-
-def _max_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue m of K rho K (K = X^(-1/2)) and G with dm = Tr[G dX]."""
-    evals, vecs = np.linalg.eigh(x_mat)
-    cut = support_cutoff(evals, x_mat.shape[0])
-    k = spectral_fn(evals, vecs, -0.5, cut)
-    m = k @ rho_mat @ k
-    m_evals, m_vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    v = m_vecs[:, -1:]
-    w = rho_mat @ k @ (v @ v.conj().T)
-    return float(m_evals[-1]), _invsqrt_adjoint(evals, vecs, cut, vecs.conj().T @ (w + w.conj().T) @ vecs)
 
 
 def _contract_first(g: np.ndarray, rho_a: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -237,8 +216,8 @@ def maximize_simplex(
 
 @dataclass(frozen=True)
 class MutualInfoResult:
-    """``converged`` is False when mirror descent stopped at its iteration
-    cap with ``gradient_residual`` above its tolerance, 1e-7."""
+    """``converged`` is False when ``gradient_residual`` is above 1e-7:
+    mirror descent stopped at its iteration cap or on a stalled line search."""
 
     value: float
     optimal_sigma: DensityOperator
@@ -257,8 +236,8 @@ def _split_dims(rho: DensityOperator, dims: tuple[int, int]) -> tuple[int, int]:
 def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
     """I_alpha(A:B) = min over sigma on B of D_alpha(rho || rho_A (x) sigma).
 
-    alpha = 1 has the closed-form minimizer sigma = rho_B; alpha = 2 and
-    alpha = inf run mirror descent over the reference state.
+    alpha = 1 has the closed-form minimizer sigma = rho_B; alpha = 2 runs
+    mirror descent over the reference state, started at rho_B.
     """
     a = canon_alpha(alpha)
     r = as_density(rho)
@@ -270,15 +249,11 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
         value = d_umegaki(r, PositiveOperator(np.kron(rho_a, rho_b))).value
         return MutualInfoResult(value, DensityOperator(rho_b), 0, 0.0, True)
 
-    if a == 2.0:
-        quantity = q2_and_gradient
-    elif math.isinf(a):
-        quantity = _max_and_gradient
-    else:
-        raise ValidationError(f"mutual_info supports alpha in {{1, 2, inf}}, got {a}")
+    if a != 2.0:
+        raise ValidationError(f"mutual_info supports alpha in {{1, 2}}, got {a}")
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        q, g = quantity(r.mat, np.kron(rho_a, sigma))
+        q, g = q2_and_gradient(r.mat, np.kron(rho_a, sigma))
         grad = _contract_first(g, rho_a, da, db) / (q * _LN2)
         return math.log2(q), 0.5 * (grad + grad.conj().T)
 
@@ -436,8 +411,7 @@ MAX_CHANNEL_INPUTS = 8
 class ChannelMutualInfo(NamedTuple):
     value: float
     best_p: np.ndarray
-    alpha: float | None
-    epsilon: float | None
+    epsilon: float
 
 
 def _diagonal_q2(a: np.ndarray, x: np.ndarray) -> float:
@@ -511,91 +485,24 @@ def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
     return value_grad
 
 
-def _holevo_value_grad(chan: Channel) -> Callable:
-    mats = [o.mat for o in chan.outputs]
-    k = chan.input_size
-    entropies = [-_xlogx_sum(np.linalg.eigvalsh(m)) for m in mats]
+def channel_mutual_info(chan: Channel, eps: float, seed: int = 0) -> ChannelMutualInfo:
+    """Maximize the raw induced D_2 of the cq state over input distributions.
 
-    def value_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
-        sbar = sum(p[x] * mats[x] for x in range(k))
-        eig = np.linalg.eigh(sbar)
-        value = 0.0
-        grad = np.zeros(k)
-        for x in range(k):
-            grad[x] = -_log_cross(mats[x], *eig) - entropies[x]
-            if p[x] > 0.0:
-                value += p[x] * grad[x]
-        return value, grad
-
-    return value_grad
-
-
-def _collision_channel_value_grad(chan: Channel) -> Callable:
-    mats = [o.mat for o in chan.outputs]
-    k = chan.input_size
-    db = chan.output_dim
-
-    def value_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
-        sbar = sum(p[x] * mats[x] for x in range(k))
-
-        def inner(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-            total = 0.0
-            grad = np.zeros((db, db), dtype=np.complex128)
-            for x in range(k):
-                q2x, gx = q2_and_gradient(mats[x], sigma)
-                if p[x] > 0.0:
-                    total += p[x] * q2x
-                    grad = grad + p[x] * gx
-            return math.log2(total), grad / (total * _LN2)
-
-        sigma, value, _, _ = minimize_density(inner, db, sigma0=sbar)
-        eig = np.linalg.eigh(sigma)
-        total = 0.0
-        qs = np.zeros(k)
-        for x in range(k):
-            qs[x] = _sandwiched_q(mats[x], *eig, 2.0)
-            if p[x] > 0.0:
-                total += p[x] * qs[x]
-        return value, qs / (total * _LN2)
-
-    return value_grad
-
-
-def channel_mutual_info(
-    chan: Channel,
-    alpha=1.0,
-    eps: float | None = None,
-    seed: int = 0,
-) -> ChannelMutualInfo:
-    """Maximize the (induced) mutual information over input distributions.
-
-    With ``eps`` given, the objective is the raw induced collision divergence
-    of the cq state against the product of its marginals; otherwise it is
-    I_alpha for alpha in {1, 2}.  Multi-start projected gradient ascent with
-    20 seeded random starts plus the uniform start.
+    The induced collision divergence is taken against the product of the cq
+    state's marginals.  Multi-start projected gradient ascent with 20 seeded
+    random starts plus the uniform start.
     """
     k = chan.input_size
     if k > MAX_CHANNEL_INPUTS:
         raise ValidationError(f"channel input size {k} exceeds {MAX_CHANNEL_INPUTS}")
-    if eps is not None:
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"eps must be in (0, 1), got {eps}")
-        vg = _induced_channel_value_grad(chan, eps)
-        a = None
-    else:
-        a = canon_alpha(alpha)
-        if a == 1.0:
-            vg = _holevo_value_grad(chan)
-        elif a == 2.0:
-            vg = _collision_channel_value_grad(chan)
-        else:
-            raise ValidationError("channel_mutual_info supports alpha in {1, 2}")
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps must be in (0, 1), got {eps}")
     rng = rng_from_seed(seed)
     starts = [np.full(k, 1.0 / k)]
     for _ in range(20):
         starts.append(random_probability(k, rng))
-    value, best_p = maximize_simplex(vg, starts)
-    return ChannelMutualInfo(value, best_p, a, eps)
+    value, best_p = maximize_simplex(_induced_channel_value_grad(chan, eps), starts)
+    return ChannelMutualInfo(value, best_p, eps)
 
 
 # ---------------------------------------------------------------------------

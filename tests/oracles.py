@@ -2,11 +2,11 @@
 
 Everything here recomputes expected values through a route that shares no
 code with the package internals: greedy classical Neyman-Pearson, dense grid
-searches over effects and reference states, scalar bisections on classical
-formulas, and Blahut-Arimoto for channel capacity.  The one exception is
-`pgm`, the pretty good measurement built effect by effect: it takes the
-package's validated operators and support cutoff, so that its effects live
-on the same support of eta as `pbd_simulate`'s success probabilities.
+searches over effects and reference states, and scalar bisections on
+classical formulas.  The one exception is `pgm`, the pretty good measurement
+built effect by effect: it takes the package's validated operators and
+support cutoff, so that its effects live on the same support of eta as
+`pbd_simulate`'s success probabilities.
 """
 
 from __future__ import annotations
@@ -200,29 +200,6 @@ def mp_q2_directional_derivative(rho_mat, x_mat, h_mat, dps: int = 60, step: str
         r, x, h = (_mp_hermitian(a) for a in (rho_mat, x_mat, h_mat))
         t = mp.mpf(step)
         return float((_mp_q2(r, x + t * h) - _mp_q2(r, x - t * h)) / (2 * t))
-
-
-def relative_entropy_bits(a, b) -> float:
-    """Umegaki relative entropy in bits, computed spectrally (oracle copy)."""
-    ea, _ = np.linalg.eigh(a)
-    eb, vb = np.linalg.eigh(b)
-    ent = sum(float(x) * math.log2(x) for x in ea if x > 1e-14)
-    w = np.einsum("ji,jk,ki->i", vb.conj(), a, vb).real
-    cross = sum(float(wi) * math.log2(float(xb)) for wi, xb in zip(w, eb) if xb > 1e-14)
-    return ent - cross
-
-
-def blahut_arimoto_capacity(mats, iters: int = 800) -> float:
-    """cq channel capacity (alpha = 1) by Blahut-Arimoto iteration."""
-    k = len(mats)
-    p = np.full(k, 1.0 / k)
-    for _ in range(iters):
-        sbar = sum(pi * m for pi, m in zip(p, mats))
-        d = np.array([relative_entropy_bits(m, sbar) for m in mats])
-        p = p * np.exp2(d)
-        p /= p.sum()
-    sbar = sum(pi * m for pi, m in zip(p, mats))
-    return float(sum(pi * relative_entropy_bits(m, sbar) for pi, m in zip(p, mats)))
 
 
 def grid_i2_classical(joint, da: int, db: int, step: float = 1e-3) -> float:

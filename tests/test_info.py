@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import blahut_arimoto_capacity, grid_i2_classical, grid_induced_mi_classical
+from oracles import grid_i2_classical, grid_induced_mi_classical
 
 from qdiv import (
     DensityOperator,
@@ -22,7 +22,6 @@ from qdiv.induced import induced_renyi
 from qdiv.info import q2_and_gradient, minimize_density
 from qdiv.states import (
     apply_kraus,
-    basis_state,
     channel,
     classical_channel,
     maximally_entangled,
@@ -146,7 +145,7 @@ def test_minimize_density_grows_its_step_on_a_linear_objective():
 
 def test_mutual_info_product_zero():
     rho = product_state(1, 2)
-    for alpha in (1.0, 2.0, math.inf):
+    for alpha in (1.0, 2.0):
         mi = mutual_info(rho, (2, 2), alpha)
         assert abs(mi.value) < 1e-6
 
@@ -187,8 +186,9 @@ def test_mutual_info_matches_diag_grid():
 
 
 def test_mutual_info_rejects_bad_alpha():
-    with pytest.raises(ValidationError):
-        mutual_info(product_state(3, 4), (2, 2), 1.7)
+    for alpha in (1.7, math.inf):
+        with pytest.raises(ValidationError, match=r"supports alpha in \{1, 2\}"):
+            mutual_info(product_state(3, 4), (2, 2), alpha)
     with pytest.raises(ValidationError):
         mutual_info(product_state(3, 4), (3, 2), 2.0)
 
@@ -322,53 +322,40 @@ def test_smoothed_monotone_in_eps():
 def test_channel_replacement():
     omega = random_density(2, 2, 81)
     chan = channel([omega, omega])
-    assert abs(channel_mutual_info(chan, 1.0).value) < 1e-9
     cm = channel_mutual_info(chan, eps=0.3)
     assert abs(cm.value - math.log2(0.3 / 0.7)) < 1e-8
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_channel_classical_identity(k):
+    # k orthogonal outputs: the uniform input gives t* = k eps / (1 - eps)
+    eps = 0.3
     chan = classical_channel(np.eye(k))
-    assert abs(channel_mutual_info(chan, 1.0).value - math.log2(k)) < 1e-7
-
-
-def test_channel_orthogonal_binary():
-    chan = channel([basis_state(0, 2), basis_state(1, 2)])
-    assert abs(channel_mutual_info(chan, 1.0).value - 1.0) < 1e-8
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_channel_matches_blahut_arimoto(seed):
-    outs = [random_density(2, 2, seed * 10 + j) for j in range(3)]
-    chan = channel(outs)
-    mine = channel_mutual_info(chan, 1.0).value
-    oracle = blahut_arimoto_capacity([o.mat for o in outs])
-    assert abs(mine - oracle) < 1e-6
+    assert abs(channel_mutual_info(chan, eps=eps).value - math.log2(k * eps / (1.0 - eps))) < 1e-9
 
 
 def test_channel_permutation_invariance():
     outs = [random_density(2, 2, 90 + j) for j in range(3)]
-    v1 = channel_mutual_info(channel(outs), 1.0).value
-    v2 = channel_mutual_info(channel(outs[::-1]), 1.0).value
+    v1 = channel_mutual_info(channel(outs), eps=0.3).value
+    v2 = channel_mutual_info(channel(outs[::-1]), eps=0.3).value
     assert abs(v1 - v2) < 1e-6
 
 
-@pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_channel_dpi_post_processing(alpha):
+@pytest.mark.parametrize("eps", [0.3])
+def test_channel_dpi_post_processing(eps):
     outs = [random_density(2, 2, 100 + j) for j in range(2)]
     chan = channel(outs)
     kraus = random_isometry_channel(2, 2, 2, 7)
     degraded = channel([DensityOperator(apply_kraus(o, kraus)) for o in outs])
-    before = channel_mutual_info(chan, alpha).value
-    after = channel_mutual_info(degraded, alpha).value
+    before = channel_mutual_info(chan, eps=eps).value
+    after = channel_mutual_info(degraded, eps=eps).value
     assert after <= before + 1e-6
 
 
 def test_channel_input_size_cap():
     outs = [random_density(2, 2, s) for s in range(9)]
     with pytest.raises(ValidationError):
-        channel_mutual_info(channel(outs), 1.0)
+        channel_mutual_info(channel(outs), eps=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +385,15 @@ def test_cond_mutual_info_delta0_monotone():
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.2, math.nan])
-@pytest.mark.parametrize("solve", ["induced_mutual_info_2", "cond_mutual_info"])
+@pytest.mark.parametrize("solve", ["induced_mutual_info_2", "cond_mutual_info", "channel_mutual_info"])
 def test_induced_mi_eps_is_validated(solve, eps):
     with pytest.raises(ValidationError, match=r"eps must be in \(0, 1\)"):
         if solve == "induced_mutual_info_2":
             induced_mutual_info_2(random_density(4, 4, 121), (2, 2), eps)
-        else:
+        elif solve == "cond_mutual_info":
             cond_mutual_info(random_density(8, 8, 121), (2, 2, 2), 0.05, eps)
+        else:
+            channel_mutual_info(classical_channel(np.eye(2)), eps=eps)
 
 
 def test_cond_mutual_info_validates_dims():
