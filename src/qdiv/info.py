@@ -4,7 +4,10 @@ I_1 has a closed-form minimizer.  I_2 and the induced I_2 minimize over a
 reference state; both problems are convex in that state, so they are solved
 by matrix exponentiated-gradient (mirror descent) with analytic gradients
 obtained from the closed-form (Daleckii-Krein) Frechet derivative of the
-inverse square root.  The channel quantity, the raw induced D_2 of the cq
+inverse square root.  I_2 reads X = rho_A (x) sigma in the eigenbasis of
+its factors (`_product_q2`), so each objective call decomposes only sigma;
+the smoothed I_2 runs one such descent per candidate state, and every
+candidate after rho starts at rho's optimum.  The channel quantity, the raw induced D_2 of the cq
 state, is maximized over input distributions with multi-start projected
 gradient ascent; the reported value is attained by a feasible point, hence a
 certified lower bound on the supremum.
@@ -27,6 +30,7 @@ from .linalg import (
     as_density,
     _ptrace,
     _q2_eigenbasis,
+    _q2_rotated,
     _sandwiched_q,
     permute_systems,
     support_cutoff,
@@ -43,7 +47,13 @@ _LN2 = math.log(2.0)
 
 
 def _q2_gradient(evals: np.ndarray, vecs: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
-    """G with dQ_2(rho || X) = Tr[G dX], from X's eigendecomposition and `_q2_eigenbasis`.
+    """G with dQ_2(rho || X) = Tr[G dX], from X's eigendecomposition and `_q2_eigenbasis`."""
+    g = vecs @ _q2_gradient_eigenbasis(evals, r_eig, k_vals) @ vecs.conj().T
+    return 0.5 * (g + g.conj().T)
+
+
+def _q2_gradient_eigenbasis(evals: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
+    """V^dag G V: the gradient of Q_2(rho || X) in X's eigenbasis.
 
     dQ_2 = Tr[M dK] with K = X^(-1/2) on the support of X = V diag(evals) V^dag
     and M = 2 rho K rho, which is 2 r_eig diag(k_vals) r_eig in the eigenbasis.
@@ -54,8 +64,7 @@ def _q2_gradient(evals: np.ndarray, vecs: np.ndarray, r_eig: np.ndarray, k_vals:
     """
     s = np.sqrt(np.where(evals > support_cutoff(evals, evals.size), evals, np.inf))
     loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
-    g = vecs @ (loewner * (2.0 * ((r_eig * k_vals) @ r_eig))) @ vecs.conj().T
-    return 0.5 * (g + g.conj().T)
+    return loewner * (2.0 * ((r_eig * k_vals) @ r_eig))
 
 
 def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -65,10 +74,35 @@ def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.n
     return q, _q2_gradient(evals, vecs, r_eig, k_vals)
 
 
-def _contract_first(g: np.ndarray, rho_a: np.ndarray, da: int, db: int) -> np.ndarray:
-    """M with Tr[G (rho_A (x) H)] = Tr[M H] for every H on the second factor."""
-    g4 = g.reshape(da, db, da, db)
-    return np.einsum("abcd,ca->bd", g4, rho_a)
+def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """sigma -> (Q_2(rho || rho_A (x) sigma), Tr_A[(rho_A (x) I) G]), G the gradient in X.
+
+    X = rho_A (x) sigma has the eigenbasis U (x) W and the eigenvalues a_i b_j
+    of its factors.  rho_A = U diag(a) U^dag is decomposed and rho rotated
+    into U (x) I once; each call decomposes only sigma = W diag(b) W^dag and
+    conjugates with I (x) W.  In that basis (rho_A (x) I) G is
+    (U (x) W)(diag(a) (x) I) G' (U (x) W)^dag with G' = `_q2_gradient_eigenbasis`,
+    so its partial trace over A is W (sum_i a_i G'_ii) W^dag, G'_ii the
+    d_B x d_B diagonal blocks: nothing of dimension d_A d_B is decomposed,
+    built by np.kron or rotated back.
+    """
+    dim = da * db
+    a, u = np.linalg.eigh(_ptrace(rho_mat, [da, db], [0]))
+
+    def rotate_rows(m: np.ndarray) -> np.ndarray:  # (U (x) I)^dag m
+        return (u.conj().T @ m.reshape(da, -1)).reshape(dim, dim)
+
+    rho_u = rotate_rows(rotate_rows(rho_mat).conj().T).conj().T.reshape(da, db, dim)
+
+    def q2_and_contracted_gradient(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+        b, w = np.linalg.eigh(sigma)
+        evals = np.outer(a, b).ravel()
+        r_eig = (np.matmul(w.conj().T, rho_u).reshape(-1, db) @ w).reshape(dim, dim)
+        q, k_vals = _q2_rotated(r_eig, evals)
+        g = _q2_gradient_eigenbasis(evals, r_eig, k_vals).reshape(da, db, da, db)
+        return q, w @ np.einsum("i,ijik->jk", a, g) @ w.conj().T
+
+    return q2_and_contracted_gradient
 
 
 def _contract_second(g: np.ndarray, rho_b: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -242,22 +276,28 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
     a = canon_alpha(alpha)
     r = as_density(rho)
     da, db = _split_dims(r, dims)
-    rho_a = _ptrace(r.mat, [da, db], [0])
     rho_b = _ptrace(r.mat, [da, db], [1])
 
     if a == 1.0:
+        rho_a = _ptrace(r.mat, [da, db], [0])
         value = d_umegaki(r, PositiveOperator(np.kron(rho_a, rho_b))).value
         return MutualInfoResult(value, DensityOperator(rho_b), 0, 0.0, True)
 
     if a != 2.0:
         raise ValidationError(f"mutual_info supports alpha in {{1, 2}}, got {a}")
+    return _mutual_info_2(r, da, db, rho_b)
+
+
+def _mutual_info_2(r: DensityOperator, da: int, db: int, sigma0: np.ndarray) -> MutualInfoResult:
+    """I_2(A:B) of ``r`` by mirror descent from ``sigma0``, read in the product eigenbasis (`_product_q2`)."""
+    q2_and_contracted_gradient = _product_q2(r.mat, da, db)
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        q, g = q2_and_gradient(r.mat, np.kron(rho_a, sigma))
-        grad = _contract_first(g, rho_a, da, db) / (q * _LN2)
+        q, m = q2_and_contracted_gradient(sigma)
+        grad = m / (q * _LN2)
         return math.log2(q), 0.5 * (grad + grad.conj().T)
 
-    sigma, value, iters, res = minimize_density(value_grad, db, sigma0=rho_b)
+    sigma, value, iters, res = minimize_density(value_grad, db, sigma0=sigma0)
     return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
 
 
@@ -370,11 +410,17 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     both taken at a fixed dyadic ladder of trace distances (so a larger ball
     can only lower the bound).  The true minimum over the ball can be lower;
     the flag records that this is an upper bound.
+
+    Each candidate's I_2 is a mirror descent in the product eigenbasis of
+    rho_A (x) sigma (`_product_q2`).  The rho candidate starts at rho_B and
+    every other candidate at rho's optimum sigma*: each objective is convex
+    in sigma (Frank & Lieb 2013), so the start changes the length of a
+    descent, not the minimum it certifies.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     r = as_density(rho)
-    _split_dims(r, dims)
+    da, db = _split_dims(r, dims)
     uniform = np.eye(r.dim, dtype=np.complex128) / r.dim
     td_uniform = trace_distance(r.mat, uniform)
 
@@ -389,12 +435,16 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
         if trunc is not None:
             candidates.append((f"truncated@{d:g}", trunc))
 
+    warm = None  # the rho candidate's optimum, where every other candidate starts
     best: tuple[str, np.ndarray, float, MutualInfoResult] | None = None
     for name, mat in candidates:
         dist = trace_distance(mat, r.mat)
         if dist > eps + 1e-10:
             continue
-        mi = mutual_info(mat, dims, 2.0)
+        cand = as_density(mat)
+        mi = _mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
+        if warm is None:
+            warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
             best = (name, mat, dist, mi)
     name, mat, dist, mi = best

@@ -177,9 +177,15 @@ def _q2_eigenbasis(
     sum_ij k_i k_j |r_eig_ij|^2: a sum of nonnegative terms, with no
     eigendecomposition beyond X's.
     """
-    k_vals = spectral_fn(evals, None, -0.5, support_cutoff(evals, evals.size))
     r_eig = vecs.conj().T @ r_mat @ vecs
-    return float(k_vals @ (r_eig.real**2 + r_eig.imag**2) @ k_vals), r_eig, k_vals
+    q, k_vals = _q2_rotated(r_eig, evals)
+    return q, r_eig, k_vals
+
+
+def _q2_rotated(r_eig: np.ndarray, evals: np.ndarray) -> tuple[float, np.ndarray]:
+    """(Q_2, k_vals) from rho already rotated into the eigenbasis of X, whose eigenvalues are ``evals``."""
+    k_vals = spectral_fn(evals, None, -0.5, support_cutoff(evals, evals.size))
+    return float(k_vals @ (r_eig.real**2 + r_eig.imag**2) @ k_vals), k_vals
 
 
 def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
@@ -188,18 +194,21 @@ def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha:
     The one evaluator of the sandwiched quantity.  alpha = 2 is read in the
     eigenbasis of X (`_q2_eigenbasis`): two matrix products and a sum of
     nonnegative terms, so it needs no second eigendecomposition.  Other
-    orders take K = X^((1-a)/2a) on the support of X for a >= 1, and
-    Q = sum of a-th powers of the eigenvalues of K rho K; that route keeps
-    the fidelity (a = 1/2) at exactly 1 on equal states.
+    orders take h = V_on diag(lambda_on^((1-a)/2a)) on the support of X and
+    Q = sum of a-th powers of the eigenvalues of h^dag rho h (rank x rank):
+    the kernel of X never enters, so no round-off eigenvalue of it is raised
+    to a power below 1.  That route keeps the fidelity (a = 1/2) at exactly 1
+    on equal states.
     """
     if alpha == 2.0:
         return _q2_eigenbasis(r_mat, evals, vecs)[0]
-    half = spectral_fn(evals, vecs, (1.0 - alpha) / (2.0 * alpha), support_cutoff(evals, evals.size))
-    return _q_of_sandwich(half @ r_mat @ half, alpha)
+    on = evals > support_cutoff(evals, evals.size)
+    h = vecs[:, on] * evals[on] ** ((1.0 - alpha) / (2.0 * alpha))
+    return _q_of_sandwich(h.conj().T @ r_mat @ h, alpha)
 
 
 def _q_of_sandwich(inner: np.ndarray, alpha: float) -> float:
-    """Sum of alpha-th powers of the eigenvalues of the sandwich K rho K, clipped at zero."""
+    """Sum of alpha-th powers of the eigenvalues of a sandwich h^dag rho h, clipped at zero."""
     ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     return float(np.sum(ev**alpha))
 

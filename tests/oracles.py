@@ -188,6 +188,25 @@ def mp_q2(rho_mat, x_mat, dps: int = 60) -> float:
         return float(_mp_q2(_mp_hermitian(rho_mat), _mp_hermitian(x_mat)))
 
 
+def mp_fidelity(rho_mat, sigma_mat, dps: int = 40, cut: float = 1e-12) -> float:
+    """||sqrt(rho) sqrt(sigma)||_1 = Tr sqrt(sqrt(sigma) rho sqrt(sigma)) at ``dps`` digits.
+
+    sigma is read as the rounding of a state whose kernel is exact: its
+    eigenvalues at most ``cut`` times the largest are dropped.  The kernel of
+    the sandwich then sits at the working precision, so the square roots of
+    its eigenvalues are far below double precision.
+    """
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        r, s = _mp_hermitian(rho_mat), _mp_hermitian(sigma_mat)
+        evals, vecs = mp.eighe(s)
+        floor = cut * max(evals)
+        root = vecs * mp.diag([mp.sqrt(v) if v > floor else 0 for v in evals]) * vecs.H
+        inner = root * r * root
+        return float(sum(mp.sqrt(max(v, 0)) for v in mp.eighe((inner + inner.H) / 2, eigvals_only=True)))
+
+
 def mp_q2_directional_derivative(rho_mat, x_mat, h_mat, dps: int = 60, step: str = "1e-20") -> float:
     """d/dt Q_2(rho || X + tH) at t = 0 by an mpmath central difference.
 
@@ -220,20 +239,39 @@ def grid_i2_classical(joint, da: int, db: int, step: float = 1e-3) -> float:
     return best
 
 
-def grid_induced_mi_classical(joint, da: int, db: int, eps: float, step: float = 1e-4) -> float:
-    """Raw induced collision MI for a classical pmf by grid over diagonal sigma^A."""
+def grid_induced_mi_classical(joint, da: int, db: int, eps: float, tol: float = 1e-9) -> float:
+    """Raw induced collision MI for a classical pmf, minimized over diagonal sigma^A.
+
+    sigma^A = diag(s, 1 - s); log2 t*(s) is convex in s (lambda* is convex in
+    sigma), so a golden-section search over s in (0, 1) finds its minimum.
+    The search stops once the bracket is narrower than ``tol``: that is
+    tighter in s than a grid of step 1e-4, and it never evaluates an
+    endpoint, where sigma^A is singular.
+    """
     joint = np.asarray(joint, dtype=float).reshape(da, db)
     pb = joint.sum(axis=0)
     if da != 2:
-        raise ValueError("grid oracle written for |A| = 2")
-    best = math.inf
+        raise ValueError("oracle written for |A| = 2")
     flat = joint.ravel()
-    for s in np.arange(step, 1.0, step):
-        sig = np.array([s, 1.0 - s])
-        tau = np.outer(sig, pb).ravel()
-        t = classical_induced_collision_t(flat, tau, eps)
-        best = min(best, math.log2(t))
-    return best
+
+    def value(s: float) -> float:
+        tau = np.outer([s, 1.0 - s], pb).ravel()
+        return math.log2(classical_induced_collision_t(flat, tau, eps))
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f_left, f_right = value(left), value(right)
+    while hi - lo > tol:
+        if f_left <= f_right:
+            hi, right, f_right = right, left, f_left
+            left = hi - shrink * (hi - lo)
+            f_left = value(left)
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + shrink * (hi - lo)
+            f_right = value(right)
+    return min(f_left, f_right)
 
 
 @dataclass(frozen=True)

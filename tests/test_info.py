@@ -20,11 +20,13 @@ from qdiv import (
 from qdiv import _roots, info
 from qdiv.induced import induced_renyi
 from qdiv.info import q2_and_gradient, minimize_density
+from qdiv.linalg import _ptrace, permute_systems
 from qdiv.states import (
     apply_kraus,
     channel,
     classical_channel,
     maximally_entangled,
+    purify,
     random_density,
     random_isometry_channel,
 )
@@ -193,6 +195,73 @@ def test_mutual_info_rejects_bad_alpha():
         mutual_info(product_state(3, 4), (3, 2), 2.0)
 
 
+def _eqsr_smoothing_input(seed):
+    """The (RB, A') state whose I_2 `eqsr_cost_bound` smooths, for random_density(8, 8, seed).
+
+    The global state on R A A' B is pure, so rho_RB has rank at most 4 of 16.
+    """
+    psi, d_r, _ = purify(random_density(8, 8, seed))
+    marginal = _ptrace(psi.mat, [d_r, 2, 2, 2], [0, 2, 3])
+    return DensityOperator(permute_systems(marginal, [d_r, 2, 2], [0, 2, 1])), (2 * d_r, 2)
+
+
+def _product_basis_cases():
+    for seed in range(3):
+        yield pytest.param(random_density(4, 4, seed), (2, 2), id=f"4x4,seed={seed}")
+        yield pytest.param(random_density(8, 8, seed), (4, 2), id=f"8x8,(4,2),seed={seed}")
+        yield pytest.param(random_density(8, 8, seed), (2, 4), id=f"8x8,(2,4),seed={seed}")
+        yield pytest.param(*_eqsr_smoothing_input(seed), id=f"eqsr_marginal,seed={seed}")
+
+
+@pytest.mark.parametrize("rho, dims", _product_basis_cases())
+def test_product_basis_q2_matches_the_kronecker_form(rho, dims):
+    da, db = dims
+    rho_a = _ptrace(rho.mat, [da, db], [0])
+    q2_and_contracted_gradient = info._product_q2(rho.mat, da, db)
+    rho_b = _ptrace(rho.mat, [da, db], [1])
+    for sigma in (rho_b, random_density(db, db, 5).mat, random_density(db, db, 6).mat):
+        q, m = q2_and_contracted_gradient(sigma)
+        q_ref, g = q2_and_gradient(rho.mat, np.kron(rho_a, sigma))
+        m_ref = np.einsum("abcd,ca->bd", g.reshape(da, db, da, db), rho_a)  # Tr_A[(rho_A (x) I) G]
+        assert abs(q - q_ref) <= 1e-12 * q_ref
+        assert np.max(np.abs(m - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
+
+
+def test_mutual_info_objective_decomposes_only_sigma(monkeypatch):
+    rho, dims = _eqsr_smoothing_input(0)
+    assert dims == (16, 2)
+    inside, eigh_dims, kron_calls = [False], [], []
+    eigh, kron, md = np.linalg.eigh, np.kron, info.minimize_density
+
+    def recording_eigh(a, *args, **kwargs):
+        if inside[0]:
+            eigh_dims.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    def recording_kron(*args, **kwargs):
+        if inside[0]:
+            kron_calls.append(1)
+        return kron(*args, **kwargs)
+
+    def flagging_md(value_and_grad, *args, **kwargs):
+        def flagged(sigma):
+            inside[0] = True
+            try:
+                return value_and_grad(sigma)
+            finally:
+                inside[0] = False
+
+        return md(flagged, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np, "kron", recording_kron)
+    monkeypatch.setattr(info, "minimize_density", flagging_md)
+    out = mutual_info(rho, dims, 2.0)
+    assert out.converged
+    assert eigh_dims and max(eigh_dims) == 2  # one eigh of sigma per call, none of dimension 32
+    assert not kron_calls
+
+
 # ---------------------------------------------------------------------------
 # induced mutual information
 # ---------------------------------------------------------------------------
@@ -312,6 +381,38 @@ def test_smoothed_monotone_in_eps():
     v1 = smoothed_mutual_info_2(rho, (2, 2), 0.1).value
     v2 = smoothed_mutual_info_2(rho, (2, 2), 0.2).value
     assert v2 <= v1 + 1e-12  # nested dyadic candidate ladder
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("eps", [0.005, 0.05])
+def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps):
+    # every candidate but rho starts at rho's optimum; each objective is convex
+    # in sigma, so the start changes the length of a descent, not its minimum
+    rho, dims = _eqsr_smoothing_input(seed)
+    helper = info._mutual_info_2
+    runs = {"warm": [], "cold": []}
+
+    def recording(kind, from_rho_b):
+        def run(r, da, db, sigma0):
+            if from_rho_b:
+                sigma0 = _ptrace(r.mat, [da, db], [1])
+            out = helper(r, da, db, sigma0)
+            runs[kind].append(out)
+            return out
+
+        return run
+
+    monkeypatch.setattr(info, "_mutual_info_2", recording("warm", False))
+    warm = smoothed_mutual_info_2(rho, dims, eps)
+    monkeypatch.setattr(info, "_mutual_info_2", recording("cold", True))
+    cold = smoothed_mutual_info_2(rho, dims, eps)
+    assert len(runs["warm"]) == len(runs["cold"]) > 1
+    assert all(mi.converged for mi in runs["warm"] + runs["cold"])
+    assert abs(warm.value - cold.value) <= 1e-12
+    assert warm.candidate == cold.candidate
+    for w, c in zip(runs["warm"], runs["cold"]):
+        assert abs(w.value - c.value) <= 1e-12
+    assert sum(mi.iterations for mi in runs["warm"]) < sum(mi.iterations for mi in runs["cold"])
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,26 @@ def test_fidelity_is_sandwiched_q_one_half(seed):
     assert fid == min(max(q_alpha(rho, sigma, 0.5), 0.0), 1.0)
 
 
+@pytest.mark.parametrize(
+    "dim, ranks, seeds",
+    [(4, (1, 2), range(6)), (8, (2, 3, 4), range(6)), (16, (4, 8), range(2))],
+    ids=["d4", "d8", "d16"],
+)
+def test_fidelity_of_a_rank_deficient_sigma_matches_mpmath(dim, ranks, seeds):
+    # sigma of rank dim/4..dim/2: the kernel eigenvalues of about +-1e-17 that
+    # eigh returns for sigma must not enter the sandwich; summing their square
+    # roots puts F up to 1.1e-8 off the 40-digit value on these inputs
+    pytest.importorskip("mpmath")
+    from oracles import mp_fidelity
+
+    for rank in ranks:
+        for seed in seeds:
+            rho = random_density(dim, dim, seed)
+            sigma = random_density(dim, rank, seed + 100)
+            fid, _ = fidelity_and_purified(rho, sigma)
+            assert abs(fid - mp_fidelity(rho.mat, sigma.mat)) <= 1e-13
+
+
 def _eigvalsh_q2(r_mat, evals, vecs):
     """Q_2(rho || X) as the sum of squared eigenvalues of K rho K, K = X^(-1/4) on the support."""
     k = spectral_fn(evals, vecs, -0.25, support_cutoff(evals, evals.size))

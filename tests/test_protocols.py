@@ -363,8 +363,8 @@ def _split_reference(ext, sigma, n):
 
     The fidelity is read on the support of X from X's own full eigendecomposition:
     on a rank-deficient X, eigvalsh of the full sandwich returns kernel eigenvalues
-    of about +-1e-17, and `fidelity_and_purified` sums their square roots, which
-    put it up to 1.1e-8 off the mpmath value on the sources below.
+    of about +-1e-17, and summing their square roots would put the fidelity up
+    to 1.1e-8 off the mpmath value on the sources below.
     """
     base = ext.mat
     for _ in range(n - 1):
