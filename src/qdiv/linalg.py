@@ -182,9 +182,17 @@ def _q2_eigenbasis(
     return q, r_eig, k_vals
 
 
-def _q2_rotated(r_eig: np.ndarray, evals: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Q_2, k_vals) from rho already rotated into the eigenbasis of X, whose eigenvalues are ``evals``."""
-    k_vals = spectral_fn(evals, None, -0.5, support_cutoff(evals, evals.size))
+def _q2_rotated(
+    r_eig: np.ndarray, evals: np.ndarray, cut: float | None = None
+) -> tuple[float, np.ndarray]:
+    """(Q_2, k_vals) from rho already rotated into the eigenbasis of X, whose eigenvalues are ``evals``.
+
+    The support cut defaults to `support_cutoff` of ``evals``; a block of a
+    block-diagonal X passes the cut of the whole spectrum.
+    """
+    if cut is None:
+        cut = support_cutoff(evals, evals.size)
+    k_vals = spectral_fn(evals, None, -0.5, cut)
     return float(k_vals @ (r_eig.real**2 + r_eig.imag**2) @ k_vals), k_vals
 
 

@@ -4,7 +4,9 @@ Covers position-based decoding with the pretty good measurement over pairwise
 index-symmetric families, the Choi-distance upper bound and distillation
 lower bound for cq channels (with an exact brute-force oracle for classical
 channels), the equality-based convex-split check, and the assembled quantum
-state redistribution cost bound.
+state redistribution cost bound.  When the slots are qubits, the decoder and
+the convex split read their spectra from the spin-j blocks of Schur-Weyl
+duality (`_spin_blocks`) instead of at the family dimension.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .linalg import (
     support_cutoff,
     _fidelity_and_purified,
     _ptrace,
+    _q2_rotated,
     _q_of_sandwich,
     _sandwiched_q,
+    spectral_fn,
 )
 from .states import Channel, _slot_products, check_dim_cap, pairwise_tensor_family, purify
 
@@ -58,6 +62,60 @@ def _ceil_guarded(x: float) -> int:
     return max(1, int(math.ceil(x - 1e-9 * (1.0 + abs(x)))))
 
 
+def _spin_blocks(b: np.ndarray, slots: int):
+    """Spin-j blocks of diag(b)^(x N) and T_ac = sum_x |a><c|_x (x) diag(b)^(x rest), N = slots.
+
+    Both commute with permutations of the slots, so by Schur-Weyl duality
+    (Bacon, Chuang & Harrow, PRL 97, 170502, 2006) each acts as A_j (x) I on
+    the spin-j irreps, which occur m_j = C(N, N/2-j) - C(N, N/2-j-1) times.
+    In the basis |j,m> with k = N/2 + m slots in state 0:
+    D_j = diag(b0^k b1^(N-k)), T_00 = diag(k b0^(k-1) b1^(N-k)),
+    T_11 = diag((N-k) b0^k b1^(N-k-1)), T_01 |j,m> = sqrt((j-m)(j+m+1))
+    b0^k b1^(N-k-1) |j,m+1> (the raising operator times the weight of the
+    other N-1 slots) and T_10 = T_01^T.  Yields (m_j, D_j, T) with
+    T[a, c] = T_ac^j, for j = N/2, N/2 - 1, ..., down to 0 or 1/2.
+    """
+    b0, b1 = b
+    for k_min in range(slots // 2 + 1):
+        k = np.arange(k_min, slots - k_min + 1)
+        mult = math.comb(slots, k_min) - (math.comb(slots, k_min - 1) if k_min else 0)
+        t = np.zeros((2, 2, k.size, k.size))
+        # a coefficient k or N - k of 0 multiplies the power that would be negative
+        t[0, 0] = np.diag(k * b0 ** np.maximum(k - 1, 0) * b1 ** (slots - k))
+        t[1, 1] = np.diag((slots - k) * b0**k * b1 ** np.maximum(slots - k - 1, 0))
+        up = k[:-1]  # T_01 raises k to k + 1
+        raise_coef = np.sqrt((k[-1] - up) * (up - k_min + 1))
+        t[0, 1] = np.diag(raise_coef * b0**up * b1 ** (slots - up - 1), -1)
+        t[1, 0] = t[0, 1].T
+        yield mult, b0**k * b1 ** (slots - k), t
+
+
+def _pbd_block_success(rho: DensityOperator, sigma_a: DensityOperator, d_r: int, n: int) -> float:
+    """Q_2(tau_0 || eta) of the family of size n on R (x) (C^2)^(x n), from spin-j blocks.
+
+    In sigma_A's eigenbasis, sigma_A = diag(b) and rho' = (I (x) w^dag) rho (I (x) w)
+    = sum_ac C_ac (x) |a><c|.  Splitting off slot 0, tau_0 = rho' (x) diag(b)^(x N)
+    and sum_(x>0) tau_x = sum_ac C_ac (x) diag(b) (x) T_ac with N = n - 1 (see
+    `_spin_blocks`), so on each spin j, tau_0^j = rho' (x) D_j and
+    eta^j = tau_0^j + sum_ac C_ac (x) diag(b) (x) T_ac^j, of dimension
+    2 d_r (2j + 1), and Q_2(tau_0 || eta) = sum_j m_j Q_2(tau_0^j || eta^j).
+    The support cut is taken on the whole spectrum at dimension d_r 2^n, as
+    one eigendecomposition of eta would take it.
+    """
+    b, w = sigma_a.eigenvalues, sigma_a.eigenvectors
+    v = np.kron(np.eye(d_r), w)
+    rho_w = v.conj().T @ rho.mat @ v
+    blocks = []
+    for mult, dj, t in _spin_blocks(b, n - 1):
+        size = 2 * d_r * dj.size
+        tau0 = np.kron(rho_w, np.diag(dj))
+        cross = np.einsum("paqc,ef,acil->peiqfl", rho_w.reshape(d_r, 2, d_r, 2), np.diag(b), t)
+        evals, vecs = np.linalg.eigh(tau0 + cross.reshape(size, size))
+        blocks.append((mult, evals, vecs.conj().T @ tau0 @ vecs))
+    cut = support_cutoff(np.concatenate([evals for _, evals, _ in blocks]), d_r * 2**n)
+    return sum(mult * _q2_rotated(r_eig, evals, cut)[0] for mult, evals, r_eig in blocks)
+
+
 def pbd_simulate(
     rho_ra,
     sigma_ra,
@@ -69,11 +127,12 @@ def pbd_simulate(
 
     Builds the pairwise index-symmetric family against rho_R (x) Tr_R sigma_RA
     (for n >= 2, sigma_ra must equal it), verifies its marginals, and reports
-    each index's success Q_2(tau_x || eta), eta the family sum, read from one
-    eigendecomposition of eta without building any effect, plus the
-    comparison against the hypothesis-testing bound ceil(eps 2^DH).  If the
-    family dimension exceeds the cap, construction is aborted but the
-    divergence values are still returned.
+    each index's success Q_2(tau_x || eta), eta the family sum, without
+    building any effect, plus the comparison against the hypothesis-testing
+    bound ceil(eps 2^DH).  With d_A = 2 the success is read from the spin-j
+    blocks of eta (`_pbd_block_success`); otherwise from one eigendecomposition
+    of eta.  If the family dimension exceeds the cap, construction is aborted
+    but the divergence values are still returned.
     """
     rho = as_density(rho_ra)
     sigma = as_density(sigma_ra)
@@ -97,14 +156,21 @@ def pbd_simulate(
     except ValidationError:
         return DecodingReport(n, (), math.nan, math.nan, res, n_old, dh.value, aborted=True)
 
-    family = pairwise_tensor_family(rho, (d_r, d_a), DensityOperator(sigma_a), n, cap=cap)
+    sigma_a = DensityOperator(sigma_a)
+    family = pairwise_tensor_family(rho, (d_r, d_a), sigma_a, n, cap=cap)
     family.verify_marginals()
 
     # Tr[E_x tau_x] with E_x = eta^(-1/2) tau_x eta^(-1/2) is Q_2(tau_x || eta) on
     # eta's support; completing the effects to a POVM adds only operators on
     # ker eta, which is orthogonal to every tau_x, so it moves no success probability
-    evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
-    succ = tuple(_sandwiched_q(m.mat, evals, vecs, 2.0) for m in family.members)
+    if d_a == 2:
+        # every index succeeds with Q_2(tau_0 || eta): the swap P_x of A-slots 0 and x
+        # maps tau_0 to tau_x, fixes every other tau_y (sigma sits in both slots), so
+        # fixes eta, and Q_2 is unitarily invariant
+        succ = (_pbd_block_success(rho, sigma_a, d_r, n),) * n
+    else:
+        evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
+        succ = tuple(_sandwiched_q(m.mat, evals, vecs, 2.0) for m in family.members)
     return DecodingReport(n, succ, min(succ), sum(succ) / n, res, n_old, dh.value)
 
 
@@ -249,6 +315,25 @@ def expurgate_check(chan_or_matrix, m: int) -> ExpurgationReport:
     return ExpurgationReport(m, m_half, tc, lhs, tuple(cb), kept, lhs <= rhs + 1e-12)
 
 
+def _trace_sqrt(mat: np.ndarray) -> float:
+    """Tr sqrt(mat) of a positive semidefinite mat, read on its diagonal equilibration.
+
+    With d = sqrt(diag mat) and K = d^-1 mat d^-1 (unit diagonal), mat =
+    (K^(1/2) D)^dag (K^(1/2) D) for D = diag(d), so Tr sqrt(mat) is the sum of
+    the singular values of K^(1/2) D.  A graded mat (the spin blocks carry
+    weights b0^k b1^(N-k)) keeps its small eigenvalues this way, where a plain
+    eigvalsh loses them to an absolute error of order eps ||mat||.  A zero
+    diagonal entry of a positive semidefinite matrix heads a zero row and
+    column, which adds nothing, so it is dropped.
+    """
+    diag = mat.diagonal().real
+    on = diag > 0.0
+    d = np.sqrt(diag[on])
+    k = mat[np.ix_(on, on)] / np.outer(d, d)
+    root = spectral_fn(*np.linalg.eigh(0.5 * (k + k.conj().T)), 0.5, 0.0)
+    return float(np.sum(np.linalg.svd(root * d, compute_uv=False)))
+
+
 @dataclass(frozen=True)
 class ConvexSplitReport:
     n: int
@@ -270,8 +355,11 @@ def convex_split_check(
     rho_ext against sigma on the remaining n-1 slots is compared with the
     product X = rho^RB (x) sigma^(x n): purified distance <= sqrt(mu/(mu+n))
     with mu = Q_2(rho_ext || rho^RB (x) sigma) - 1.  The fidelity is read on
-    the support of X from its factors' eigendecompositions: of X's dimension
-    only the sandwich of tau is built, for its one eigvalsh.
+    the support of X from its factors' eigendecompositions.  When sigma has
+    rank 1 or 2, it is the sum over the spin-j blocks of the slot mixture
+    (`_spin_blocks`), each read by `_trace_sqrt`, and nothing of X's dimension
+    is built; at higher rank the mixture is built at that dimension for one
+    eigvalsh.
     """
     rho = as_density(rho_ext)
     sigma = as_density(sigma_bp)
@@ -289,11 +377,24 @@ def convex_split_check(
     mu = max(_sandwiched_q(rho.mat, np.kron(a, b), np.kron(u, w), 2.0) - 1.0, 0.0)
 
     # X = M M^dag, M = r (x) s^(x n) with r = u a^(1/2), s = w b^(1/2) on the supports; M
-    # commutes with slot swaps, so M^dag tau M mixes (r (x) s)^dag rho_ext (r (x) s) with b^2
+    # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) with
+    # beta = b^2 on the n slots, and F = Tr sqrt of that mixture
     on_a, on_b = a > support_cutoff(a, d_rb), b > sigma.cutoff
     h = np.kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
-    mix = _slot_products(h.conj().T @ rho.mat @ h, np.diag(b[on_b] ** 2), on_a.sum(), on_b.sum(), n)
-    _, pd = _fidelity_and_purified(_q_of_sandwich(sum(mix) / n, 0.5))
+    g = h.conj().T @ rho.mat @ h
+    r_a, r_b, beta = int(on_a.sum()), int(on_b.sum()), b[on_b] ** 2
+    if r_b == 1:
+        fid = _trace_sqrt(beta[0] ** (n - 1) * g)
+    elif r_b == 2:
+        # the mixture is (1/n) sum_ac G_ac (x) T_ac with T_ac of `_spin_blocks` at weights beta
+        g4 = g.reshape(r_a, 2, r_a, 2)
+        fid = 0.0
+        for mult, dj, t in _spin_blocks(beta, n):
+            size = r_a * dj.size
+            fid += mult * _trace_sqrt(np.einsum("paqc,acil->piql", g4, t).reshape(size, size) / n)
+    else:
+        fid = _q_of_sandwich(sum(_slot_products(g, np.diag(beta), r_a, r_b, n)) / n, 0.5)
+    _, pd = _fidelity_and_purified(fid)
     eps_n = math.sqrt(mu / (mu + n))
     return ConvexSplitReport(n, mu, eps_n, pd)
 

@@ -23,7 +23,8 @@ from qdiv import (
     tc_upper,
 )
 from qdiv.induced import induced_renyi
-from qdiv.linalg import _ptrace
+from qdiv.linalg import _ptrace, _sandwiched_q
+from qdiv.protocols import _pbd_block_success
 from qdiv.states import (
     basis_state,
     channel,
@@ -139,17 +140,22 @@ def test_pbd_cap_abort_keeps_divergences():
 
 
 def _pbd_draw(kind, seed):
-    """(rho_RA, sigma_A, sigma_RA = rho_R (x) sigma_A) from a plain or conditioned draw."""
+    """(rho_RA, sigma_A, sigma_RA = rho_R (x) sigma_A) with d_R = 2; d_A = 3 for "qutrit", else 2."""
     if kind == "plain":
         rho, sigma_a = random_density(4, 4, seed), random_density(2, 2, seed + 1)
+    elif kind == "rank1":
+        rho, sigma_a = random_density(4, 4, seed), random_density(2, 1, seed + 1)
+    elif kind == "qutrit":
+        rho, sigma_a = random_density(6, 6, seed), random_density(3, 3, seed + 1)
     else:
         rho, sigma_a = conditioned_density(4, seed), conditioned_density(2, seed + 1)
-    sigma_ra = DensityOperator(np.kron(_ptrace(rho.mat, [2, 2], [0]), sigma_a.mat))
+    sigma_ra = DensityOperator(np.kron(_ptrace(rho.mat, [2, sigma_a.dim], [0]), sigma_a.mat))
     return rho, sigma_a, sigma_ra
 
 
 # (draw, seed, eps, family size); plain seed 0 at n = 6 is the ill-conditioned
-# family of test_pgm_ill_conditioned_family_decodes
+# family of test_pgm_ill_conditioned_family_decodes; qutrit slots keep the
+# full-dimension path
 PBD_DRAWS = [
     ("plain", 0, 0.414234375, 6),
     ("plain", 0, 0.43, 7),
@@ -157,24 +163,29 @@ PBD_DRAWS = [
     ("plain", 3, 0.555, 7),
     ("conditioned", 10, 0.703, 6),
     ("conditioned", 11, 0.796, 7),
+    ("qutrit", 0, 0.35, 2),
+    ("qutrit", 0, 0.43, 3),
+    ("qutrit", 5, 0.33, 2),
+    ("qutrit", 5, 0.38, 3),
 ]
 
 
 @pytest.mark.parametrize("kind,seed,eps,n", PBD_DRAWS)
 def test_pbd_success_is_pgm_success(kind, seed, eps, n):
     rho, sigma_a, sigma_ra = _pbd_draw(kind, seed)
-    rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
+    dims = (2, sigma_a.dim)
+    rep = pbd_simulate(rho, sigma_ra, dims, eps)
     assert rep.n == n and len(rep.success_probs) == n
-    family = pairwise_tensor_family(rho, (2, 2), sigma_a, n)
+    family = pairwise_tensor_family(rho, dims, sigma_a, n)
     povm = pgm([m.mat for m in family.members])
     for x in range(n):
         direct = np.trace(povm.effects[x].mat @ family.members[x].mat).real
         assert abs(rep.success_probs[x] - direct) <= 1e-11
 
 
-def test_pbd_makes_one_eigh_at_family_dimension(monkeypatch):
-    # one eigh of the family sum eta, and no eigvalsh: every Q_2(tau_x || eta)
-    # is read in eta's eigenbasis
+def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch):
+    # with d_A = 2, Q_2(tau_x || eta) is read from eta's spin-j blocks: no eigh
+    # or eigvalsh runs at the family dimension
     kind, seed, eps, n = PBD_DRAWS[0]
     rho, _, sigma_ra = _pbd_draw(kind, seed)
     dims = {"eigh": [], "eigvalsh": []}
@@ -192,8 +203,22 @@ def test_pbd_makes_one_eigh_at_family_dimension(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name))
     rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
     assert rep.n == n
-    assert dims["eigh"].count(2 * 2**n) == 1
+    assert dims["eigh"].count(2 * 2**n) == 0
     assert dims["eigvalsh"].count(2 * 2**n) == 0
+
+
+@pytest.mark.parametrize("kind", ["plain", "conditioned", "rank1"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pbd_blocks_match_full_dimension(kind, n):
+    # every index's Q_2(tau_x || eta), read from one eigh of eta at the family
+    # dimension, equals the one value of the spin-j blocks
+    for seed in (0, 3):
+        rho, sigma_a, _ = _pbd_draw(kind, seed)
+        block = _pbd_block_success(rho, sigma_a, 2, n)
+        family = pairwise_tensor_family(rho, (2, 2), sigma_a, n)
+        evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
+        for m in family.members:
+            assert abs(block - _sandwiched_q(m.mat, evals, vecs, 2.0)) <= 1e-13
 
 
 def test_pbd_rejects_sigma_that_is_not_rho_r_tensor_sigma_a():
@@ -358,14 +383,15 @@ def test_convex_split_sweep_nonincreasing(seed):
         prev = rep.actual_p
 
 
-def _split_reference(ext, sigma, n):
-    """Purified distance of the convex split, every operator built and validated.
+def _split_reference(ext, sigma, n, dims=(4, 2)):
+    """Purified distance of the convex split on RB (x) B' of ``dims``, every operator built and validated.
 
     The fidelity is read on the support of X from X's own full eigendecomposition:
     on a rank-deficient X, eigvalsh of the full sandwich returns kernel eigenvalues
     of about +-1e-17, and summing their square roots would put the fidelity up
     to 1.1e-8 off the mpmath value on the sources below.
     """
+    d_rb, d_bp = dims
     base = ext.mat
     for _ in range(n - 1):
         base = np.kron(base, sigma.mat)
@@ -373,9 +399,9 @@ def _split_reference(ext, sigma, n):
     for x in range(n):
         order = list(range(n + 1))
         order[1], order[1 + x] = order[1 + x], order[1]
-        tau += permute_systems(base, [4] + [2] * n, order)
+        tau += permute_systems(base, [d_rb] + [d_bp] * n, order)
     tau /= n
-    product = _ptrace(ext.mat, [4, 2], [0])
+    product = _ptrace(ext.mat, [d_rb, d_bp], [0])
     for _ in range(n):
         product = np.kron(product, sigma.mat)
     tau, x = DensityOperator(tau), DensityOperator(product)
@@ -435,7 +461,7 @@ SPLIT_SOURCES = ["qsr_correlated", "random8", "rank1_sigma", "rank2_rb"]
 
 
 @pytest.mark.parametrize("source", SPLIT_SOURCES)
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_convex_split_matches_validated_reference(source, n):
     # the fidelity is read from the factors' eigendecompositions; the
     # reference builds tau and X at full dimension and validates both
@@ -476,8 +502,27 @@ def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch)
     monkeypatch.setattr(HermitianOperator, "__init__", validating)
     convex_split_check(ext, (4, 2), sigma, n)
     assert dims["eigh"].count(total) == 0
-    assert dims["eigvalsh"].count(total) == 1
+    assert dims["eigvalsh"].count(total) == 0
     assert dims["validated"].count(total) == 0
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_convex_split_qutrit_slot_matches_validated_reference(rank, n):
+    # d_B' = 3: sigma of rank 3 keeps the full-dimension mixture, rank 2 takes the spin blocks
+    ext, sigma = random_density(6, 6, 80), random_density(3, rank, 81)
+    rep = convex_split_check(ext, (2, 3), sigma, n)
+    assert abs(rep.actual_p - _split_reference(ext, sigma, n, (2, 3))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_convex_split_product_extension_reads_fidelity_one(n):
+    # tau = X on rho_ext = rho_RB (x) sigma, so F = 1; actual_p = sqrt(1 - F^2) <= 1.5e-7
+    # means |1 - F| <= 1.1e-14 (a plain eigvalsh of the graded mixture put actual_p at 5.5e-5)
+    for seed in range(50):
+        rb, sigma = random_density(4, 4, seed), random_density(2, 2, seed + 1000)
+        ext = DensityOperator(np.kron(rb.mat, sigma.mat))
+        assert convex_split_check(ext, (4, 2), sigma, n).actual_p <= 1.5e-7
 
 
 def test_convex_split_cap():
