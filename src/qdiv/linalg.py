@@ -212,11 +212,7 @@ def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha:
         return _q2_eigenbasis(r_mat, evals, vecs)[0]
     on = evals > support_cutoff(evals, evals.size)
     h = vecs[:, on] * evals[on] ** ((1.0 - alpha) / (2.0 * alpha))
-    return _q_of_sandwich(h.conj().T @ r_mat @ h, alpha)
-
-
-def _q_of_sandwich(inner: np.ndarray, alpha: float) -> float:
-    """Sum of alpha-th powers of the eigenvalues of a sandwich h^dag rho h, clipped at zero."""
+    inner = h.conj().T @ r_mat @ h
     ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     return float(np.sum(ev**alpha))
 

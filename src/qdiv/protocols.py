@@ -1,11 +1,12 @@
 """Decoding protocols and one-shot coding bounds.
 
-Covers position-based decoding with the pretty good measurement over pairwise
-index-symmetric families, the Choi-distance upper bound and distillation
-lower bound for cq channels (with an exact brute-force oracle for classical
-channels), the equality-based convex-split check, and the assembled quantum
-state redistribution cost bound.  When the slots are qubits, the decoder and
-the convex split read their spectra from the spin-j blocks of Schur-Weyl
+Covers position-based decoding with the pretty good measurement, read as
+the one success Q_2(tau_0 || eta) of a pairwise index-symmetric family that
+is never built, the Choi-distance upper bound and distillation lower bound
+for cq channels (with an exact brute-force oracle for classical channels),
+the equality-based convex-split check, and the assembled quantum state
+redistribution cost bound.  When the slots are qubits, the decoder and the
+convex split read their spectra from the spin-j blocks of Schur-Weyl
 duality (`_spin_blocks`) instead of at the family dimension.
 """
 
@@ -29,11 +30,10 @@ from .linalg import (
     _fidelity_and_purified,
     _ptrace,
     _q2_rotated,
-    _q_of_sandwich,
     _sandwiched_q,
     spectral_fn,
 )
-from .states import Channel, _slot_products, check_dim_cap, pairwise_tensor_family, purify
+from .states import Channel, _slot_products, check_dim_cap, purify
 
 
 class InfeasibleError(ValueError):
@@ -50,10 +50,6 @@ class DecodingReport:
     n_old_bound: float
     hypothesis_value: float
     aborted: bool = False
-
-    @property
-    def improved(self) -> bool:
-        return self.n <= self.n_old_bound
 
 
 def _ceil_guarded(x: float) -> int:
@@ -116,23 +112,18 @@ def _pbd_block_success(rho: DensityOperator, sigma_a: DensityOperator, d_r: int,
     return sum(mult * _q2_rotated(r_eig, evals, cut)[0] for mult, evals, r_eig in blocks)
 
 
-def pbd_simulate(
-    rho_ra,
-    sigma_ra,
-    dims: tuple[int, int],
-    eps: float,
-    cap: int | None = None,
-) -> DecodingReport:
+def pbd_simulate(rho_ra, sigma_ra, dims: tuple[int, int], eps: float) -> DecodingReport:
     """Position-based decoding at n = ceil(2^induced-D2) with the pretty good measurement.
 
-    Builds the pairwise index-symmetric family against rho_R (x) Tr_R sigma_RA
-    (for n >= 2, sigma_ra must equal it), verifies its marginals, and reports
-    each index's success Q_2(tau_x || eta), eta the family sum, without
-    building any effect, plus the comparison against the hypothesis-testing
-    bound ceil(eps 2^DH).  With d_A = 2 the success is read from the spin-j
-    blocks of eta (`_pbd_block_success`); otherwise from one eigendecomposition
-    of eta.  If the family dimension exceeds the cap, construction is aborted
-    but the divergence values are still returned.
+    The pairwise index-symmetric family tau_x of rho_RA against rho_R (x)
+    Tr_R sigma_RA (for n >= 2, sigma_ra must equal it) is never built: every
+    index succeeds with Q_2(tau_0 || eta), eta the family sum, which is read
+    without building any effect, and is reported next to the comparison
+    against the hypothesis-testing bound ceil(eps 2^DH).  With d_A = 2 it
+    comes from the spin-j blocks of eta (`_pbd_block_success`); otherwise
+    from one eigendecomposition of eta at the family dimension.  If that
+    dimension exceeds the cap, the decoder is not run but the divergence
+    values are still returned.
     """
     rho = as_density(rho_ra)
     sigma = as_density(sigma_ra)
@@ -150,28 +141,27 @@ def pbd_simulate(
     dh, _ = d_hypothesis(rho, sigma, eps)
     n_old = math.ceil(eps * 2.0**dh.value) if dh.is_finite else math.inf
 
-    total_dim = d_r * d_a**n
     try:
-        check_dim_cap(total_dim, cap)
+        check_dim_cap(d_r * d_a**n)
     except ValidationError:
         return DecodingReport(n, (), math.nan, math.nan, res, n_old, dh.value, aborted=True)
 
-    sigma_a = DensityOperator(sigma_a)
-    family = pairwise_tensor_family(rho, (d_r, d_a), sigma_a, n, cap=cap)
-    family.verify_marginals()
-
+    # tau_x is a slot permutation of rho (x) sigma_A^(x (n-1)), so its marginals hold by
+    # construction; `dev` above checked the one condition that depends on the input.
     # Tr[E_x tau_x] with E_x = eta^(-1/2) tau_x eta^(-1/2) is Q_2(tau_x || eta) on
     # eta's support; completing the effects to a POVM adds only operators on
-    # ker eta, which is orthogonal to every tau_x, so it moves no success probability
+    # ker eta, which is orthogonal to every tau_x, so it moves no success probability.
+    # Every index succeeds with Q_2(tau_0 || eta): the swap P_x of A-slots 0 and x maps
+    # tau_0 to tau_x, fixes every other tau_y (sigma_A sits in both slots), so fixes
+    # eta, and Q_2 is unitarily invariant
+    sigma_a = DensityOperator(sigma_a)
     if d_a == 2:
-        # every index succeeds with Q_2(tau_0 || eta): the swap P_x of A-slots 0 and x
-        # maps tau_0 to tau_x, fixes every other tau_y (sigma sits in both slots), so
-        # fixes eta, and Q_2 is unitarily invariant
-        succ = (_pbd_block_success(rho, sigma_a, d_r, n),) * n
+        q = _pbd_block_success(rho, sigma_a, d_r, n)
     else:
-        evals, vecs = np.linalg.eigh(sum(m.mat for m in family.members))
-        succ = tuple(_sandwiched_q(m.mat, evals, vecs, 2.0) for m in family.members)
-    return DecodingReport(n, succ, min(succ), sum(succ) / n, res, n_old, dh.value)
+        products = _slot_products(rho.mat, sigma_a.mat, d_r, d_a, n)
+        tau0 = next(products)
+        q = _sandwiched_q(tau0, *np.linalg.eigh(sum(products, tau0)), 2.0)
+    return DecodingReport(n, (q,) * n, q, q, res, n_old, dh.value)
 
 
 def tc_upper(chan: Channel, m: int, probs) -> float:
@@ -237,6 +227,8 @@ def _stochastic_matrix(chan_or_matrix) -> np.ndarray:
     if isinstance(chan_or_matrix, Channel):
         return chan_or_matrix.stochastic_matrix()
     mat = np.asarray(chan_or_matrix, dtype=np.float64)
+    if mat.ndim == 2 and not np.all(np.isfinite(mat)):
+        raise ValidationError("classical channel has non-finite entries")
     if mat.ndim != 2 or np.any(mat < -1e-12):
         raise ValidationError("classical channel must be a nonnegative matrix")
     if np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-9:
@@ -346,20 +338,18 @@ class ConvexSplitReport:
         return self.actual_p <= self.epsilon_n + 1e-8
 
 
-def convex_split_check(
-    rho_ext, dims: tuple[int, int], sigma_bp, n: int, cap: int | None = None
-) -> ConvexSplitReport:
+def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> ConvexSplitReport:
     """Equality-based convex-split inequality on an explicit construction.
 
     rho_ext is any extension on RB (x) B'; the uniform position mixture tau of
     rho_ext against sigma on the remaining n-1 slots is compared with the
     product X = rho^RB (x) sigma^(x n): purified distance <= sqrt(mu/(mu+n))
     with mu = Q_2(rho_ext || rho^RB (x) sigma) - 1.  The fidelity is read on
-    the support of X from its factors' eigendecompositions.  When sigma has
-    rank 1 or 2, it is the sum over the spin-j blocks of the slot mixture
-    (`_spin_blocks`), each read by `_trace_sqrt`, and nothing of X's dimension
-    is built; at higher rank the mixture is built at that dimension for one
-    eigvalsh.
+    the support of X from its factors' eigendecompositions, as Tr sqrt of the
+    slot mixture (`_trace_sqrt`).  When sigma has rank 2, that is a sum over
+    the mixture's spin-j blocks (`_spin_blocks`) and nothing of X's dimension
+    is built; at rank 1 the mixture has the dimension of rho^RB's support, and
+    at rank 3 or more it is built at X's.
     """
     rho = as_density(rho_ext)
     sigma = as_density(sigma_bp)
@@ -370,7 +360,7 @@ def convex_split_check(
         raise ValidationError(f"sigma dimension {sigma.dim} != {d_bp}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    check_dim_cap(d_rb * d_bp**n, cap)
+    check_dim_cap(d_rb * d_bp**n)
 
     a, u = np.linalg.eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
     b, w = sigma.eigenvalues, sigma.eigenvectors
@@ -383,9 +373,7 @@ def convex_split_check(
     h = np.kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
     g = h.conj().T @ rho.mat @ h
     r_a, r_b, beta = int(on_a.sum()), int(on_b.sum()), b[on_b] ** 2
-    if r_b == 1:
-        fid = _trace_sqrt(beta[0] ** (n - 1) * g)
-    elif r_b == 2:
+    if r_b == 2:
         # the mixture is (1/n) sum_ac G_ac (x) T_ac with T_ac of `_spin_blocks` at weights beta
         g4 = g.reshape(r_a, 2, r_a, 2)
         fid = 0.0
@@ -393,7 +381,7 @@ def convex_split_check(
             size = r_a * dj.size
             fid += mult * _trace_sqrt(np.einsum("paqc,acil->piql", g4, t).reshape(size, size) / n)
     else:
-        fid = _q_of_sandwich(sum(_slot_products(g, np.diag(beta), r_a, r_b, n)) / n, 0.5)
+        fid = _trace_sqrt(sum(_slot_products(g, np.diag(beta), r_a, r_b, n)) / n)
     _, pd = _fidelity_and_purified(fid)
     eps_n = math.sqrt(mu / (mu + n))
     return ConvexSplitReport(n, mu, eps_n, pd)
@@ -425,7 +413,6 @@ def eqsr_cost_bound(
     eps: float,
     delta0: float,
     delta1: float,
-    cap: int | None = None,
 ) -> EqsrBound:
     """Quantum communication cost bound q <= (1/2) cond-MI + log(1/delta').
 
@@ -447,8 +434,9 @@ def eqsr_cost_bound(
     d_a, d_ap, d_b = dims
     if rho.dim != d_a * d_ap * d_b:
         raise ValidationError(f"state does not match tripartition {dims}")
+    # the purification lives on R (x) A A' B with |R| = rank rho; check its size before building it
+    check_dim_cap(rho.rank * rho.dim)
     psi, d_r, _ = purify(rho)
-    check_dim_cap(psi.dim, cap)
     marginal = _ptrace(psi.mat, [d_r, d_a, d_ap, d_b], [0, 2, 3])
     cmi = cond_mutual_info(DensityOperator(marginal), (d_r, d_ap, d_b), delta0, delta1)
     q_bound = 0.5 * cmi.value + math.log2(1.0 / dp)

@@ -45,8 +45,8 @@ def dim_cap() -> int:
     return cap
 
 
-def check_dim_cap(dim: int, cap: int | None = None) -> None:
-    limit = dim_cap() if cap is None else cap
+def check_dim_cap(dim: int) -> None:
+    limit = dim_cap()
     if dim > limit:
         raise ValidationError(f"composite dimension {dim} exceeds cap {limit}")
 
@@ -275,13 +275,7 @@ class PairwiseFamily:
         return worst
 
 
-def pairwise_tensor_family(
-    rho_ra,
-    dims: tuple[int, int],
-    sigma_a,
-    n: int,
-    cap: int | None = None,
-) -> PairwiseFamily:
+def pairwise_tensor_family(rho_ra, dims: tuple[int, int], sigma_a, n: int) -> PairwiseFamily:
     """tau_x = rho on (R, A_x) tensored with sigma on every other slot."""
     rho = as_density(rho_ra)
     sigma = as_density(sigma_a)
@@ -292,7 +286,7 @@ def pairwise_tensor_family(
         raise ValidationError(f"sigma dimension {sigma.dim} != {d_a}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    check_dim_cap(d_r * d_a**n, cap)
+    check_dim_cap(d_r * d_a**n)
     members = tuple(_exact_herm(m) for m in _slot_products(rho.mat, sigma.mat, d_r, d_a, n))
     rho_r = partial_trace(rho, [d_r, d_a], [0]).mat
     sigma_ra = DensityOperator(np.kron(rho_r, sigma.mat))

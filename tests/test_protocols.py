@@ -25,7 +25,10 @@ from qdiv import (
 from qdiv.induced import induced_renyi
 from qdiv.linalg import _ptrace, _sandwiched_q
 from qdiv.protocols import _pbd_block_success
+import qdiv.protocols as qdiv_protocols
+import qdiv.states as qdiv_states
 from qdiv.states import (
+    PairwiseFamily,
     basis_state,
     channel,
     classical_channel,
@@ -128,12 +131,13 @@ def test_pbd_random_instance():
     assert max(rep.success_probs) <= 1.0 + 1e-9
 
 
-def test_pbd_cap_abort_keeps_divergences():
+def test_pbd_cap_abort_keeps_divergences(monkeypatch):
+    monkeypatch.setenv("QDIV_DIM_CAP", "8")
     rho = random_density(4, 1, 5)  # pure, large divergence
     mixed = DensityOperator(0.9 * rho.mat + 0.1 * np.eye(4) / 4)
     rho_r = _ptrace(mixed.mat, [2, 2], [0])
     sigma = DensityOperator(np.kron(rho_r, random_density(2, 2, 6).mat))
-    rep = pbd_simulate(mixed, sigma, (2, 2), 0.3, cap=8)
+    rep = pbd_simulate(mixed, sigma, (2, 2), 0.3)
     assert rep.aborted
     assert rep.n >= 1 and rep.divergence_used.is_finite
     assert rep.success_probs == ()
@@ -185,26 +189,39 @@ def test_pbd_success_is_pgm_success(kind, seed, eps, n):
 
 def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch):
     # with d_A = 2, Q_2(tau_x || eta) is read from eta's spin-j blocks: no eigh
-    # or eigvalsh runs at the family dimension
-    kind, seed, eps, n = PBD_DRAWS[0]
-    rho, _, sigma_ra = _pbd_draw(kind, seed)
+    # or eigvalsh runs at the family dimension, and no member of the family is
+    # built; on any slot dimension its marginals are never re-checked
     dims = {"eigh": [], "eigvalsh": []}
+    calls = {"permute_systems": 0, "verify_marginals": 0}
 
-    def counting(name):
-        fn = getattr(np.linalg, name)
-
+    def counting(name, fn):
         def counted(a, *args, **kwargs):
-            dims[name].append(np.shape(a)[-1])
+            if name in dims:
+                dims[name].append(np.shape(a)[-1])
+            else:
+                calls[name] += 1
             return fn(a, *args, **kwargs)
 
         return counted
 
     for name in dims:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(qdiv_states, "permute_systems", counting("permute_systems", permute_systems))
+    monkeypatch.setattr(
+        PairwiseFamily, "verify_marginals", counting("verify_marginals", PairwiseFamily.verify_marginals)
+    )
+    kind, seed, eps, n = PBD_DRAWS[0]
+    rho, _, sigma_ra = _pbd_draw(kind, seed)
     rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
     assert rep.n == n
     assert dims["eigh"].count(2 * 2**n) == 0
     assert dims["eigvalsh"].count(2 * 2**n) == 0
+    assert calls == {"permute_systems": 0, "verify_marginals": 0}
+
+    kind, seed, eps, n = PBD_DRAWS[-1]
+    rho, _, sigma_ra = _pbd_draw(kind, seed)
+    assert pbd_simulate(rho, sigma_ra, (2, 3), eps).n == n
+    assert calls["verify_marginals"] == 0
 
 
 @pytest.mark.parametrize("kind", ["plain", "conditioned", "rank1"])
@@ -320,6 +337,17 @@ def test_brute_force_limits():
         brute_force_tc(np.eye(10), 6)
     with pytest.raises(ValidationError):
         brute_force_tc([[0.5, 0.6], [0.5, 0.4]], 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_classical_channel_with_non_finite_entry_is_refused(bad):
+    # NaN fails every comparison, so the sign and row-sum checks alone let it
+    # through to a brute_force_tc of inf and an expurgate_check with no codebook
+    mat = [[bad, 1.0], [0.5, 0.5]]
+    with pytest.raises(ValidationError, match="non-finite"):
+        brute_force_tc(mat, 2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        expurgate_check(mat, 2)
 
 
 def test_expurgate_noiseless():
@@ -525,11 +553,12 @@ def test_convex_split_product_extension_reads_fidelity_one(n):
         assert convex_split_check(ext, (4, 2), sigma, n).actual_p <= 1.5e-7
 
 
-def test_convex_split_cap():
+def test_convex_split_cap(monkeypatch):
+    monkeypatch.setenv("QDIV_DIM_CAP", "32")
     ext = random_density(8, 8, 40)
     sigma = random_density(2, 2, 41)
     with pytest.raises(ValidationError):
-        convex_split_check(ext, (4, 2), sigma, 5, cap=32)
+        convex_split_check(ext, (4, 2), sigma, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +596,14 @@ def test_eqsr_random_state_assembly():
     assert math.isfinite(bound.q_bound)
     assert bound.assembly_gap() <= 1e-12
     assert bound.delta_prime > 0
+
+
+def test_eqsr_checks_the_cap_before_purifying(monkeypatch):
+    # the purification of a full-rank 8 x 8 state has dimension 64: over a cap of
+    # 32 the call is refused from rho's rank before anything of that size is built
+    monkeypatch.setenv("QDIV_DIM_CAP", "32")
+    calls = []
+    monkeypatch.setattr(qdiv_protocols, "purify", lambda rho: calls.append(rho))
+    with pytest.raises(ValidationError, match="exceeds cap 32"):
+        eqsr_cost_bound(random_density(8, 8, 53), (2, 2, 2), 0.5, 0.005, 0.005)
+    assert calls == []

@@ -225,10 +225,11 @@ def test_pairwise_family_rank_deficient_inputs():
         d_alpha(HermitianOperator(2.0 * m0.mat), m1, 0.5)
 
 
-def test_pairwise_family_cap():
+def test_pairwise_family_cap(monkeypatch):
+    monkeypatch.setenv("QDIV_DIM_CAP", "16")
     rho = random_density(4, 4, 40)
     with pytest.raises(ValidationError):
-        pairwise_tensor_family(rho, (2, 2), random_density(2, 2, 41), 4, cap=16)
+        pairwise_tensor_family(rho, (2, 2), random_density(2, 2, 41), 4)
 
 
 def test_state_file_roundtrip(tmp_path):
