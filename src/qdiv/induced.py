@@ -8,7 +8,8 @@ of any relative entropy), so the threshold is found by bracketed bisection.
 
 Renyi parents dispatch on the order: alpha > 1 uses the condition
 Q_alpha >= (1-eps)^(alpha-1), alpha = 1 the Umegaki condition, and
-alpha in [0, 1) the reversed condition Q_alpha <= (1-eps)^(alpha-1).
+alpha in [0, 1) the reversed condition Q_alpha <= (1-eps)^(alpha-1).  Every
+alpha = 2 threshold, those of `info` too, solves one margin (`_q2_margin`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import (
     DensityOperator,
     PositiveOperator,
     ValidationError,
+    _q2_eigenbasis,
     _sandwiched_q,
     as_density,
     as_matrix,
@@ -150,14 +152,8 @@ class ParentDivergence:
             return margin
 
         if self.kind == "min":
-            overlap = float(
-                np.einsum(
-                    "ji,jk,ki->",
-                    rho.eigenvectors[:, rho.eigenvalues > rho.cutoff].conj(),
-                    s_mat,
-                    rho.eigenvectors[:, rho.eigenvalues > rho.cutoff],
-                ).real
-            )
+            on = rho.eigenvectors[:, rho.eigenvalues > rho.cutoff]
+            overlap = float(np.einsum("ji,jk,ki->", on.conj(), s_mat, on).real)  # Tr[sigma Pi_rho]
 
             def margin(lam: float) -> float:
                 return -math.log2(1.0 + (2.0**lam) * overlap) - log_1me
@@ -186,20 +182,59 @@ class ParentDivergence:
             return margin
 
         a = self.alpha  # renyi
+        if a == 2.0:
+            return _q2_margin([(r_mat, s_mat)], eps)[0]
         threshold = (1.0 - eps) ** (a - 1.0)
-        if a > 1.0:
+        sign = 1.0 if a > 1.0 else -1.0  # the condition is Q_alpha >= threshold above order 1, <= below
 
-            def margin(lam: float) -> float:
-                x = r_mat + (2.0**lam) * s_mat
-                return _sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold
-
-        else:
-
-            def margin(lam: float) -> float:
-                x = r_mat + (2.0**lam) * s_mat
-                return threshold - _sandwiched_q(r_mat, *np.linalg.eigh(x), a)
+        def margin(lam: float) -> float:
+            x = r_mat + (2.0**lam) * s_mat
+            return sign * (_sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold)
 
         return margin
+
+
+def _decompose(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(evals, vecs) of a positive operator; a vector is a diagonal, with vecs None."""
+    return (x, None) if x.ndim == 1 else np.linalg.eigh(x)
+
+
+def _q2_decomposed(c: np.ndarray, evals: np.ndarray, vecs: np.ndarray | None) -> float:
+    """Q_2(c || X) from X's decomposition (`_decompose`)."""
+    if vecs is None:
+        on = evals > 0.0
+        return float(np.sum(c[on] ** 2 / evals[on]))
+    return _q2_eigenbasis(c, evals, vecs)[0]
+
+
+def _q2_margin(blocks: list, eps: float) -> tuple[Callable[[float], float], dict]:
+    """The collision margin lam -> sum_x Q_2(a_x || X_x) - (1 - eps), X_x = a_x + 2^lam b_x.
+
+    ``blocks`` holds pairs (a_x, b_x) of positive operators, or of vectors
+    read as diagonals.  With t = 2^lam, a = X - t b gives Q_2(a || X) =
+    Tr a - t Tr b + t^2 Q_2(b || X).  While t sum Tr b_x <= 1 - eps, the
+    margin is eps - (1 - sum Tr a_x) - t (sum Tr b_x - t sum Q_2(b_x || X_x)),
+    with 1 - sum Tr a_x summed exactly: terms of the order of eps, where the
+    direct sum cancels against 1 - eps as eps -> 0.  Beyond, where that form
+    cancels in turn, it is the direct sum minus 1 - eps.  Returns the margin
+    and the decompositions (`_decompose`) of each X_x it made, keyed by lam.
+    """
+    target = 1.0 - eps
+    diagonals = [(m if m.ndim == 1 else np.diagonal(m).real).tolist() for pair in blocks for m in pair]
+    deficit = math.fsum([1.0, *(-x for a in diagonals[::2] for x in a)])  # 1 - sum Tr a_x
+    mass = math.fsum(x for b in diagonals[1::2] for x in b)
+    evaluated: dict = {}
+
+    def margin(lam: float) -> float:
+        t = 2.0**lam
+        small = t * mass <= target
+        evaluated[lam] = decomposed = [_decompose(a + t * b) for a, b in blocks]
+        total = sum(_q2_decomposed(b if small else a, *dec) for (a, b), dec in zip(blocks, decomposed))
+        if small:
+            return eps - deficit - t * (mass - t * total)
+        return total - target
+
+    return margin, evaluated
 
 
 @dataclass(frozen=True)
@@ -209,6 +244,8 @@ class InducedResult:
     ``raw`` is the optimizer lambda* itself and ``normalized`` adds
     log((1-eps)/eps); ``residual`` is the defining condition's deviation
     from its target at return, in the dispatched condition's own scale.
+    At alpha = 2 the margin keeps its relative accuracy at every eps, so
+    lambda* is a lower bound to rounding; other orders lose it as eps -> 0.
     """
 
     lambda_star: float

@@ -10,7 +10,8 @@ the smoothed I_2 runs one such descent per candidate state, and every
 candidate after rho starts at rho's optimum.  The channel quantity, the raw induced D_2 of the cq
 state, is maximized over input distributions with multi-start projected
 gradient ascent; the reported value is attained by a feasible point, hence a
-certified lower bound on the supremum.
+certified lower bound on the supremum.  Both induced thresholds solve
+`induced._q2_margin` and read their gradients from its decompositions.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .divergences import canon_alpha, d_umegaki
 from .induced import InducedResult, ParentDivergence, _infinite_result, _parent_tag, _threshold
+from .induced import _decompose, _q2_decomposed, _q2_margin
 from .linalg import (
     DensityOperator,
     PositiveOperator,
@@ -31,7 +33,6 @@ from .linalg import (
     _ptrace,
     _q2_eigenbasis,
     _q2_rotated,
-    _sandwiched_q,
     permute_systems,
     support_cutoff,
     trace_distance,
@@ -44,12 +45,6 @@ _LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # Frechet machinery for x -> x^(-1/2)
 # ---------------------------------------------------------------------------
-
-
-def _q2_gradient(evals: np.ndarray, vecs: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
-    """G with dQ_2(rho || X) = Tr[G dX], from X's eigendecomposition and `_q2_eigenbasis`."""
-    g = vecs @ _q2_gradient_eigenbasis(evals, r_eig, k_vals) @ vecs.conj().T
-    return 0.5 * (g + g.conj().T)
 
 
 def _q2_gradient_eigenbasis(evals: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
@@ -67,11 +62,13 @@ def _q2_gradient_eigenbasis(evals: np.ndarray, r_eig: np.ndarray, k_vals: np.nda
     return loewner * (2.0 * ((r_eig * k_vals) @ r_eig))
 
 
-def q2_and_gradient(rho_mat: np.ndarray, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Q_2(rho || X) and G with dQ_2 = Tr[G dX] (gradient in the 2nd slot)."""
-    evals, vecs = np.linalg.eigh(x_mat)
-    q, r_eig, k_vals = _q2_eigenbasis(rho_mat, evals, vecs)
-    return q, _q2_gradient(evals, vecs, r_eig, k_vals)
+def _q2_and_gradient(a: np.ndarray, evals: np.ndarray, vecs: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """Q_2(a || X) and G with dQ_2 = Tr[G dX], from X's decomposition; a vector X has a diagonal G."""
+    if vecs is None:  # -(a / x)^2 on the support of x
+        return _q2_decomposed(a, evals, vecs), -np.divide(a, evals, out=np.zeros_like(evals), where=evals > 0.0) ** 2
+    q, r_eig, k_vals = _q2_eigenbasis(a, evals, vecs)
+    g = vecs @ _q2_gradient_eigenbasis(evals, r_eig, k_vals) @ vecs.conj().T
+    return q, 0.5 * (g + g.conj().T)
 
 
 def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
@@ -103,12 +100,6 @@ def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray],
         return q, w @ np.einsum("i,ijik->jk", a, g) @ w.conj().T
 
     return q2_and_contracted_gradient
-
-
-def _contract_second(g: np.ndarray, rho_b: np.ndarray, da: int, db: int) -> np.ndarray:
-    """M with Tr[G (H (x) rho_B)] = Tr[M H] for every H on the first factor."""
-    g4 = g.reshape(da, db, da, db)
-    return np.einsum("abcd,db->ac", g4, rho_b)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +321,6 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     rho_b = _ptrace(r.mat, [da, db], [1])
     parent = ParentDivergence.renyi(2.0)
     tag = _parent_tag(parent)
-    target = 1.0 - eps
     # The iterate floor keeps sigma full rank, so sigma (x) rho_B has one
     # support for the whole descent and one leak test settles +inf.
     infinite = parent.margin_limit(r, PositiveOperator(np.kron(np.eye(da) / da, rho_b)), eps) >= 0.0
@@ -342,24 +332,17 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
         if infinite:
             return _infinite_result(eps, tag), zero
         tau = np.kron(sigma, rho_b)
-        evaluated = {}
-
-        def margin(lam: float) -> float:
-            evals, vecs = np.linalg.eigh(r.mat + (2.0**lam) * tau)
-            q, r_eig, k_vals = _q2_eigenbasis(r.mat, evals, vecs)
-            evaluated[lam] = evals, vecs, r_eig, k_vals
-            return q - target
-
+        margin, evaluated = _q2_margin([(r.mat, tau)], eps)
         res = _threshold(margin, start, eps, tag)
         if not res.is_finite:
             return res, zero
-        start = res.lambda_star
-        t = res.t_star
-        g = _q2_gradient(*evaluated[start])  # lambda* is a point the margin was evaluated at
+        start, t = res.lambda_star, res.t_star
+        _, g = _q2_and_gradient(r.mat, *evaluated[start][0])  # lambda* is a point the margin was evaluated at
         df_dlam = _LN2 * t * float(np.trace(g @ tau).real)
         if abs(df_dlam) < 1e-300:
             return res, zero
-        grad = -(t * _contract_second(g, rho_b, da, db)) / df_dlam
+        # M with Tr[G (H (x) rho_B)] = Tr[M H] for every H on A
+        grad = -(t * np.einsum("abcd,db->ac", g.reshape(da, db, da, db), rho_b)) / df_dlam
         return res, 0.5 * (grad + grad.conj().T)
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
@@ -464,70 +447,44 @@ class ChannelMutualInfo(NamedTuple):
     epsilon: float
 
 
-def _diagonal_q2(a: np.ndarray, x: np.ndarray) -> float:
-    """Q_2(a || x) for commuting diagonals given as vectors."""
-    mask = x > 0.0
-    return float(np.sum(a[mask] ** 2 / x[mask]))
-
-
-def _diagonal_q2_and_gradient(a: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Diagonal Q_2(a || x) and its gradient in x."""
-    mask = x > 0.0
-    grad = np.zeros_like(x)
-    grad[mask] = -(a[mask] ** 2) / x[mask] ** 2
-    return _diagonal_q2(a, x), grad
-
-
-def _matrix_q2(a: np.ndarray, x: np.ndarray) -> float:
-    return _sandwiched_q(a, *np.linalg.eigh(x), 2.0)
-
-
 def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
     """Objective p -> raw induced D_2 of the cq state, with implicit gradient.
 
     The direct-sum identity reduces the defining condition to blocks of size
-    |B|: g(p, t) = sum_x p_x Q_2(sigma_x || sigma_x + t sigma_bar) = 1 - eps,
-    and d lambda / dp = -(dg/dp) / (dg/dlambda).  Classical channels keep
-    their outputs as diagonal vectors; only the per-block (Q_2, dQ_2)
-    evaluation depends on that.
+    |B|: g(p, t) = sum_x p_x Q_2(sigma_x || sigma_x + t sigma_bar) = 1 - eps.
+    Q_2 is jointly homogeneous, so that is the collision margin
+    (`_q2_margin`) over the blocks (p_x sigma_x, p_x sigma_bar) of the inputs
+    with p_x > 0, and d lambda / dp = -(dg/dp) / (dg/dlambda) is read from
+    the decompositions the margin made at lambda*.  An input with p_x = 0
+    adds Q_2(sigma_x || sigma_x + t sigma_bar) to dg/dp_x, from one more
+    decomposition.  Classical channels keep their outputs as diagonal
+    vectors, which the margin reads from their shape.
     """
-    if chan.is_classical():
-        outs = [np.diag(o.mat).real.copy() for o in chan.outputs]
-        q2, q2_grad, pair = _diagonal_q2, _diagonal_q2_and_gradient, np.dot
-    else:
-        outs = [o.mat for o in chan.outputs]
-        q2, q2_grad = _matrix_q2, q2_and_gradient
-
-        def pair(g: np.ndarray, h: np.ndarray) -> float:
-            return np.trace(g @ h).real
-
+    classical = chan.is_classical()
+    outs = [np.diag(o.mat).real.copy() if classical else o.mat for o in chan.outputs]
     k = chan.input_size
-    target = 1.0 - eps
+
+    def pair(g: np.ndarray, h: np.ndarray) -> float:  # Tr[G H] for Hermitian H
+        return float(np.vdot(h, g).real)
 
     def value_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
         sbar = sum(p[x] * outs[x] for x in range(k))
-
-        def margin(lam: float) -> float:
-            t = 2.0**lam
-            total = 0.0
-            for x in range(k):
-                if p[x] > 0.0:
-                    total += p[x] * q2(outs[x], outs[x] + t * sbar)
-            return total - target
-
+        live = [x for x in range(k) if p[x] > 0.0]
+        blocks = [(p[x] * outs[x], p[x] * sbar) for x in live]
+        margin, evaluated = _q2_margin(blocks, eps)
         # sigma_x + t sbar >= (1 + t p_x) sigma_x, so g < k / t - (1 - eps) < 0
         # at the ceiling t = 2^60 (k <= 8, 1 - eps >= 2^-53): lambda* is finite.
         res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, "renyi(2)")
         lam, t = res.lambda_star, res.t_star
 
-        grads = [q2_grad(outs[x], outs[x] + t * sbar) for x in range(k)]
-        live = [y for y in range(k) if p[y] > 0.0]
+        # Q_2(p a || p X) = p Q_2(a || X), and the gradient in X does not scale
+        grads = {x: _q2_and_gradient(a, *dec) for x, (a, _), dec in zip(live, blocks, evaluated[lam])}
         dgdp = np.zeros(k)
         for x in range(k):
-            cross = sum(p[y] * float(pair(grads[y][1], outs[x])) for y in live)
-            dgdp[x] = grads[x][0] + t * cross
-        dgdt = sum(p[y] * float(pair(grads[y][1], sbar)) for y in live)
-        dgdlam = _LN2 * t * dgdt
+            cross = sum(p[y] * pair(grads[y][1], outs[x]) for y in live)
+            q = grads[x][0] / p[x] if x in grads else _q2_decomposed(outs[x], *_decompose(outs[x] + t * sbar))
+            dgdp[x] = q + t * cross
+        dgdlam = _LN2 * t * sum(p[y] * pair(grads[y][1], sbar) for y in live)
         if abs(dgdlam) < 1e-300:
             return lam, np.zeros(k)
         return lam, -dgdp / dgdlam

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import d_hypothesis
-from .induced import InducedResult, induced_renyi
+from .induced import InducedResult, _q2_margin, induced_renyi
 from .info import CondMutualInfo, channel_mutual_info, cond_mutual_info
 from .linalg import (
     DensityOperator,
@@ -33,7 +33,7 @@ from .linalg import (
     _sandwiched_q,
     spectral_fn,
 )
-from .states import Channel, _slot_products, check_dim_cap, purify
+from .states import Channel, _power_exceeds, _slot_products, check_dim_cap, dim_cap, purify
 
 
 class InfeasibleError(ValueError):
@@ -141,9 +141,7 @@ def pbd_simulate(rho_ra, sigma_ra, dims: tuple[int, int], eps: float) -> Decodin
     dh, _ = d_hypothesis(rho, sigma, eps)
     n_old = math.ceil(eps * 2.0**dh.value) if dh.is_finite else math.inf
 
-    try:
-        check_dim_cap(d_r * d_a**n)
-    except ValidationError:
+    if _power_exceeds(d_r, d_a, n, dim_cap()):
         return DecodingReport(n, (), math.nan, math.nan, res, n_old, dh.value, aborted=True)
 
     # tau_x is a slot permutation of rho (x) sigma_A^(x (n-1)), so its marginals hold by
@@ -168,18 +166,15 @@ def tc_upper(chan: Channel, m: int, probs) -> float:
     """Upper bound on the Choi conversion distance to the size-m dephaser.
 
     1 - Q_2(sigma_p || sigma_p + (m-1) sigma_p^X (x) sigma_p^B), evaluated
-    blockwise through the direct-sum property.
+    blockwise through the direct-sum property: minus the collision margin
+    (`_q2_margin`) at eps = 0 over the blocks (p_x sigma_x, p_x sigma_bar).
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     cq = chan.cq_state(probs)
     sbar = cq.marginal_b()
-    total = 0.0
-    for p, out in zip(cq.probs, cq.outputs):
-        if p <= 0.0:
-            continue
-        total += p * _sandwiched_q(out.mat, *np.linalg.eigh(out.mat + (m - 1) * sbar), 2.0)
-    return max(0.0, 1.0 - total)
+    margin, _ = _q2_margin([(p * out.mat, p * sbar) for p, out in zip(cq.probs, cq.outputs) if p > 0.0], 0.0)
+    return max(0.0, -margin(math.log2(m - 1))) if m > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -249,8 +244,8 @@ def brute_force_tc(chan_or_matrix, m: int, return_codebook: bool = False):
     k = mat.shape[0]
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    if k**m > MAX_CODEBOOKS:
-        raise ValidationError(f"{k}^{m} codebooks exceed the enumeration limit")
+    if m > MAX_CODEBOOKS or _power_exceeds(1, k, m, MAX_CODEBOOKS):
+        raise ValidationError(f"{k}^{m} codebooks of {m} messages exceed the enumeration limit")
     best_err = math.inf
     best_cb = None
     chunk: list[tuple[int, ...]] = []
@@ -360,7 +355,8 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
         raise ValidationError(f"sigma dimension {sigma.dim} != {d_bp}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    check_dim_cap(d_rb * d_bp**n)
+    if _power_exceeds(d_rb, d_bp, n, dim_cap()):
+        raise ValidationError(f"composite dimension {d_rb}*{d_bp}^{n} exceeds cap {dim_cap()}")
 
     a, u = np.linalg.eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
     b, w = sigma.eigenvalues, sigma.eigenvectors

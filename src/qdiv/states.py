@@ -51,6 +51,15 @@ def check_dim_cap(dim: int) -> None:
         raise ValidationError(f"composite dimension {dim} exceeds cap {limit}")
 
 
+def _power_exceeds(base: int, factor: int, power: int, limit: int) -> bool:
+    """Whether base * factor**power > limit, multiplying only until the product passes the limit."""
+    for _ in range(power if factor > 1 else 0):
+        if base > limit:
+            break
+        base *= factor
+    return base > limit
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
@@ -286,7 +295,8 @@ def pairwise_tensor_family(rho_ra, dims: tuple[int, int], sigma_a, n: int) -> Pa
         raise ValidationError(f"sigma dimension {sigma.dim} != {d_a}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    check_dim_cap(d_r * d_a**n)
+    if _power_exceeds(d_r, d_a, n, dim_cap()):
+        raise ValidationError(f"composite dimension {d_r}*{d_a}^{n} exceeds cap {dim_cap()}")
     members = tuple(_exact_herm(m) for m in _slot_products(rho.mat, sigma.mat, d_r, d_a, n))
     rho_r = partial_trace(rho, [d_r, d_a], [0]).mat
     sigma_ra = DensityOperator(np.kron(rho_r, sigma.mat))

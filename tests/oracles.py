@@ -188,6 +188,51 @@ def mp_q2(rho_mat, x_mat, dps: int = 60) -> float:
         return float(_mp_q2(_mp_hermitian(rho_mat), _mp_hermitian(x_mat)))
 
 
+def mp_induced_collision(
+    rho_mat, sigma_mat, eps: float, near: float, half_width: float = 2e-11, dps: int = 50, cut: float = 1e-12
+) -> float:
+    """The raw induced D_2: the lambda where Q_2(rho || rho + 2^lambda sigma) falls to 1 - eps.
+
+    sigma is read as the rounding of a state whose kernel is exact, as in
+    `mp_fidelity`.  The margin decreases to the weight of rho on the kernel
+    of sigma, so the value is +inf when that weight is at least 1 - eps.
+    Otherwise the root is bisected inside [near - half_width, near +
+    half_width] to a width below 5e-15, after the margin is
+    checked to be >= 0 at its lower end and < 0 at its upper end; a root
+    outside the bracket raises ValueError.
+    """
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        r, s = _mp_hermitian(rho_mat), _mp_hermitian(sigma_mat)
+        evals, vecs = mp.eighe(s)
+        floor = cut * max(evals)
+        s = vecs * mp.diag([v if v > floor else 0 for v in evals]) * vecs.H
+        kernel = [i for i in range(s.rows) if evals[i] <= floor]
+        leak = mp.re(sum(((vecs[:, i].H * r * vecs[:, i])[0] for i in kernel), mp.mpf(0)))
+        target = 1 - mp.mpf(eps)
+        if leak >= target:
+            return math.inf
+        if not math.isfinite(near):
+            raise ValueError(f"the reference threshold is finite: weight {float(leak)} off supp sigma")
+
+        def margin(lam):
+            return _mp_q2(r, r + mp.mpf(2) ** lam * s) - target
+
+        lo, hi = mp.mpf(near) - mp.mpf(half_width), mp.mpf(near) + mp.mpf(half_width)
+        if margin(lo) < 0:
+            raise ValueError(f"the reference threshold is below {near} - {half_width}")
+        if margin(hi) >= 0:
+            raise ValueError(f"the reference threshold is above {near} + {half_width}")
+        while hi - lo > 5e-15:
+            mid = (lo + hi) / 2
+            if margin(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
 def mp_fidelity(rho_mat, sigma_mat, dps: int = 40, cut: float = 1e-12) -> float:
     """||sqrt(rho) sqrt(sigma)||_1 = Tr sqrt(sqrt(sigma) rho sqrt(sigma)) at ``dps`` digits.
 

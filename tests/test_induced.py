@@ -114,6 +114,44 @@ def test_residual_invariant():
         assert abs((res.normalized - res.raw) - math.log2(0.7 / 0.3)) < 1e-15
 
 
+_ORACLE_EPS = (1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999, 0.999999)
+
+
+def _collision_oracle_pairs():
+    """(id, rho, sigma): full-rank pairs, and sigma of rank 1 or 2, which the oracle reads with an exact kernel."""
+    for d, s in ((2, 0), (2, 1), (3, 2), (3, 3), (4, 4), (4, 5)):
+        yield f"d={d},s={s}", random_density(d, d, s), random_density(d, d, s + 500)
+    v = np.array([0.6, 0.8j])
+    for s in (3, 5, 7):
+        yield f"rank1,s={s}", random_density(2, 2, s), PositiveOperator(np.outer(v, v.conj()))
+    w = np.array([0.6, 0.0, 0.8])
+    for s in (4, 6):
+        sigma = 0.5 * np.outer(w, w) + 0.5 * np.diag([0.0, 1.0, 0.0])
+        yield f"rank2,s={s}", random_density(3, 3, s), PositiveOperator(sigma.astype(complex))
+
+
+@pytest.mark.parametrize(
+    "rho, sigma, eps",
+    [
+        pytest.param(rho, sigma, eps, id=f"{name},eps={eps:g}")
+        for name, rho, sigma in _collision_oracle_pairs()
+        for eps in _ORACLE_EPS
+    ],
+)
+def test_renyi2_threshold_matches_mpmath_oracle(rho, sigma, eps):
+    # the returned lambda* is the certified lower end of a 1e-11 bracket: it may
+    # sit below the root by the bracket, and above it only by rounding
+    pytest.importorskip("mpmath")
+    from oracles import mp_induced_collision
+
+    raw = induced_renyi(rho, sigma, 2.0, eps).raw
+    reference = mp_induced_collision(rho.mat, sigma.mat, eps, raw)
+    if math.isinf(reference):
+        assert raw == math.inf
+    else:
+        assert reference - 1e-11 <= raw <= reference + 1e-13
+
+
 def test_infinite_when_sigma_orthogonal():
     res = induced_renyi(basis_state(0, 2), basis_state(1, 2), 2.0, 0.3)
     assert not res.is_finite

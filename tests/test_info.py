@@ -19,7 +19,7 @@ from qdiv import (
 )
 from qdiv import _roots, info
 from qdiv.induced import induced_renyi
-from qdiv.info import q2_and_gradient, minimize_density
+from qdiv.info import minimize_density
 from qdiv.linalg import _ptrace, permute_systems
 from qdiv.states import (
     apply_kraus,
@@ -45,6 +45,11 @@ def classical_joint(pmf, da, db):
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
+
+
+def q2_and_gradient(rho, x):
+    """Q_2(rho || X) and its gradient in X, from one eigendecomposition of X."""
+    return info._q2_and_gradient(rho, *np.linalg.eigh(x))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -143,6 +143,17 @@ def test_pbd_cap_abort_keeps_divergences(monkeypatch):
     assert rep.success_probs == ()
 
 
+def test_pbd_cap_is_checked_without_building_the_dimension():
+    # eps near 1 puts t* at 4.48e10 slots: the check must stop multiplying
+    # once d_R d_A^n passes the cap, not build 2^n first
+    rho, sigma_a = random_density(4, 4, 0), random_density(2, 2, 1)
+    sigma = DensityOperator(np.kron(_ptrace(rho.mat, [2, 2], [0]), sigma_a.mat))
+    rep = pbd_simulate(rho, sigma, (2, 2), 1.0 - 1e-9)
+    assert rep.aborted and rep.success_probs == ()
+    assert abs(rep.divergence_used.t_star / 44_802_796_159.6 - 1.0) <= 1e-10
+    assert rep.n == qdiv_protocols._ceil_guarded(rep.divergence_used.t_star)
+
+
 def _pbd_draw(kind, seed):
     """(rho_RA, sigma_A, sigma_RA = rho_R (x) sigma_A) with d_R = 2; d_A = 3 for "qutrit", else 2."""
     if kind == "plain":
@@ -335,6 +346,9 @@ def test_brute_force_bsc():
 def test_brute_force_limits():
     with pytest.raises(ValidationError):
         brute_force_tc(np.eye(10), 6)
+    for k in (1, 2):  # one input has a single codebook, but of 10^12 messages
+        with pytest.raises(ValidationError, match="enumeration limit"):
+            brute_force_tc(np.eye(k), 10**12)
     with pytest.raises(ValidationError):
         brute_force_tc([[0.5, 0.6], [0.5, 0.4]], 2)
 
@@ -559,6 +573,14 @@ def test_convex_split_cap(monkeypatch):
     sigma = random_density(2, 2, 41)
     with pytest.raises(ValidationError):
         convex_split_check(ext, (4, 2), sigma, 5)
+
+
+def test_huge_slot_counts_are_refused_without_building_the_dimension():
+    ext, sigma = random_density(8, 8, 40), random_density(2, 2, 41)
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        convex_split_check(ext, (4, 2), sigma, 10**12)
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        pairwise_tensor_family(random_density(4, 4, 0), (2, 2), sigma, 10**12)
 
 
 # ---------------------------------------------------------------------------
