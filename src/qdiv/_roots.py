@@ -2,9 +2,10 @@
 
 Every continuous threshold in the package (the induced-divergence
 threshold, the induced-D_2 channel objective, the information-spectrum
-divergence and the Neyman-Pearson multiplier of the hypothesis-testing
-divergence) is the largest x with f(x) >= 0 for a nonincreasing f, and is
-found by ``bisect_decreasing``: one evaluation at a start point, a walk by
+divergence, and the Neyman-Pearson multiplier of the hypothesis-testing
+divergence where it lies between two jumps of the pass probability) is the
+largest x with f(x) >= 0 for a nonincreasing f, and is found by
+``bisect_decreasing``: one evaluation at a start point, a walk by
 doubling steps to bracket the sign change, then a safeguarded
 inverse-quadratic search inside that bracket (Chandrupatla, Adv. Eng.
 Softw. 28, 145, 1997) to an absolute width of 1e-11 on the unknown and a
@@ -18,7 +19,11 @@ bisection of the same bracket by more than two halvings.  Smooth thresholds
 take a few steps instead of about 38.  A margin that jumps across zero at
 its threshold never meets the residual test, so its search runs on to the
 float resolution of 1 or of the bracket's ends, whichever is coarser (about
-55 steps from a unit bracket), or to the step cap.
+55 steps from a unit bracket), or to the step cap.  Thresholds known in
+closed form skip the search: ``d_hypothesis`` reads a multiplier at a jump
+from the pencil rho^(-1/2) sigma rho^(-1/2) and searches only between two
+jumps, or over the full range when rho is rank-deficient, and the induced
+D_min and D_max thresholds are D + log(eps/(1-eps)).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .linalg import (
     PositiveOperator,
     ValidationError,
     _sandwiched_q,
+    _spectral_positive,
     as_density,
     as_matrix,
     as_positive,
@@ -209,24 +210,34 @@ class NeymanPearsonTest:
     beta: float  # Tr[sigma Lambda]
 
 
-def _np_split(mat: np.ndarray, band: float):
-    evals, vecs = np.linalg.eigh(mat)
-    pos = vecs[:, evals > band]
-    ker = vecs[:, np.abs(evals) <= band]
-    return pos @ pos.conj().T, ker @ ker.conj().T
-
-
 def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearsonTest]:
     """Hypothesis-testing divergence, exact via quantum Neyman-Pearson.
 
     The optimal effect is the projector onto the positive part of
-    mu*rho - sigma plus a fractional weight on its kernel eigenspace.  mu is
-    the smallest multiplier whose pass probability Tr[rho P_+(mu)] reaches
-    1 - eps, the certified end of one ``bisect_decreasing`` search over
-    x = -log2 mu; that probability jumps wherever an eigenvalue crosses zero.
-    The kernel weight makes Tr[rho Lambda] = 1 - eps exactly.  If rho puts
-    weight 1 - eps or more on the kernel of sigma, the value is +inf and
-    the effect is a multiple of that kernel's projector.
+    mu*rho - sigma plus a fractional weight on its kernel, where mu is the
+    smallest multiplier whose pass probability f(mu) = Tr[rho P_+(mu)]
+    reaches 1 - eps; the kernel weight makes Tr[rho Lambda] = 1 - eps.
+
+    f is nondecreasing and jumps where an eigenvalue of mu*rho - sigma
+    crosses zero.  For full-rank rho, mu*rho - sigma is congruent to
+    mu - rho^(-1/2) sigma rho^(-1/2) (Sylvester's law of inertia), so the
+    jumps are the eigenvalues mu_k of that pencil, from one ``eigvalsh``.
+    A binary search over the sorted mu_k reads f just below and just above
+    a probed mu_k from one eigendecomposition of mu_k*rho - sigma: its
+    positive part and its kernel.  If 1 - eps falls inside that jump, mu is
+    mu_k exactly.  Otherwise f is continuous between the two neighbouring
+    probes, and one ``bisect_decreasing`` search over x = -log2 mu runs
+    between them.  For rank-deficient rho the pencil is singular and the
+    jump list is empty; then, and whenever the probes do not bracket
+    1 - eps, the search runs over the full range.  Eigenvalues within
+    128 eps_mach |mu*rho - sigma| + delta lambda_max(rho) of zero are
+    kernel, where delta is mu's uncertainty: 0 at a search's probe, its
+    bracket at the searched mu, and at a jump the pencil eigenvalue's own
+    error, or the bracket if that is smaller.  The searched margin is f just
+    above mu, rho's weight on the eigenvalues at or above -band, so a jump
+    the search meets ends inside the final kernel.  If rho puts weight
+    1 - eps or more on the kernel of sigma, the value is +inf and the effect
+    is a multiple of that kernel's projector.
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"eps must be in [0, 1), got {eps}")
@@ -254,36 +265,73 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
         beta = float(np.trace(s.mat @ effect.mat).real)
         return DivergenceValue(INF, "not_contained"), NeymanPearsonTest(INF, effect, alpha_pass, beta)
 
-    def margin(x: float) -> float:  # pass probability at mu = 2^-x, minus 1 - eps
-        mat = 2.0**-x * r.mat - s.mat
-        band = 64.0 * _EPS * max(1.0, float(np.max(np.abs(mat))))
-        evals, vecs = np.linalg.eigh(mat)
-        sel = vecs[:, evals > band]
-        return float(np.einsum("ij,jk,ki->", sel.conj().T, r.mat, sel).real) - target
+    top = float(r.eigenvalues[-1])
+    splits: dict = {}  # x = -log2 mu -> (mu, its uncertainty, eigh of mu rho - sigma, rho's weights, rounding)
 
-    # Every eigenvalue of 2^-120 rho - sigma lies below the band, so the
-    # margin is -(1 - eps) at the ceiling and the upward walk always stops.
-    start = -math.log2(max(1.0, float(s.eigenvalues[-1])))
-    try:
-        x, _ = _roots.bisect_decreasing(margin, start, -120.0, 120.0)
-    except _roots.BracketError:
-        raise ValidationError("Neyman-Pearson multiplier bracketing failed") from None
-    mu = 2.0**-x
-    mat = mu * r.mat - s.mat
-    norm = max(1.0, float(np.max(np.abs(mat))))
-    # the margin's own band, plus the bracket's width in mu times lambda_max(rho)
-    band = 128.0 * _EPS * norm + 4.0 * _roots.BISECT_TOL * mu * float(r.eigenvalues[-1])
-    p_pos, p_ker = _np_split(mat, band)
-    a_pos = float(np.trace(r.mat @ p_pos).real)
-    a_ker = float(np.trace(r.mat @ p_ker).real)
-    if a_ker > 1e-15:
-        w = min(max((target - a_pos) / a_ker, 0.0), 1.0)
-    else:
-        w = 0.0
-    effect_mat = p_pos + w * p_ker
+    def split(x: float, mu: float, mu_err: float) -> None:
+        mat = mu * r.mat - s.mat
+        evals, vecs = np.linalg.eigh(mat)
+        weights = np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real  # rho's weight on each eigenvector
+        splits[x] = (mu, mu_err, evals, vecs, weights, 128.0 * _EPS * max(1.0, float(np.max(np.abs(mat)))))
+
+    def parts(x: float, mu_err: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rho's weights at x, and masks of the positive part and the kernel under the band rule."""
+        _, _, evals, _, weights, rounding = splits[x]
+        band = rounding + mu_err * top
+        return weights, evals > band, np.abs(evals) <= band
+
+    def margin(x: float) -> float:  # f just above mu = 2^-x, minus 1 - eps: nonincreasing in x
+        if x not in splits:
+            split(x, 2.0**-x, 0.0)
+        weights, pos, ker = parts(x, splits[x][1])
+        return float(np.sum(weights[pos | ker])) - target
+
+    jumps, pencil_err = np.empty(0), 0.0
+    if r.eigenvalues[0] > r.cutoff:
+        half = (r.eigenvectors * r.eigenvalues**-0.5) @ r.eigenvectors.conj().T
+        pencil = half @ s.mat @ half
+        jumps = np.linalg.eigvalsh(0.5 * (pencil + pencil.conj().T))
+        pencil_err = max(r.dim, 8) * _EPS * float(jumps[-1])
+        jumps = jumps[jumps > pencil_err]  # a zero is the kernel of sigma, which the leak weighs
+    xs = -np.log2(jumps)
+    lo, hi = -1, jumps.size  # margin(xs[lo]) < 0 <= margin(xs[hi]); -1 and size are unprobed
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        split(float(xs[mid]), float(jumps[mid]), min(pencil_err, 4.0 * _roots.BISECT_TOL * float(jumps[mid])))
+        if margin(float(xs[mid])) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+    at_jump = False
+    if hi < jumps.size:
+        x = float(xs[hi])
+        weights, pos, _ = parts(x, splits[x][1])
+        at_jump = np.sum(weights[pos]) < target  # 1 - eps lies inside the jump at jumps[hi]
+    if at_jump:
+        mu_err = splits[x][1]
+    else:  # f is continuous between the probes, or they do not bracket 1 - eps
+        if hi < jumps.size and lo >= 0:
+            found = _roots.bisect_decreasing(margin, x, x, float(xs[lo]))
+        else:  # at mu = 2^-120 the margin is about the leak minus 1 - eps, so the walk up stops
+            start = -math.log2(max(1.0, float(s.eigenvalues[-1])))
+            try:
+                found = _roots.bisect_decreasing(margin, start, -120.0, 120.0)
+            except _roots.BracketError:
+                found = None
+        if found is None:
+            raise ValidationError("Neyman-Pearson multiplier bracketing failed")
+        x = found[0]
+        mu_err = 4.0 * _roots.BISECT_TOL * splits[x][0]  # the bracket on x, in mu
+    weights, pos, ker = parts(x, mu_err)
+    mu, vecs = splits[x][0], splits[x][3]
+    a_pos, a_ker = float(np.sum(weights[pos])), float(np.sum(weights[ker]))
+    w = min(max((target - a_pos) / a_ker, 0.0), 1.0) if a_ker > 1e-15 else 0.0
+    # the effect's spectrum, 0 below the kernel, w on it and 1 above, is ascending as the eigenvalues are
+    effect = _spectral_positive(np.where(pos, 1.0, np.where(ker, w, 0.0)), vecs)
     alpha_pass = a_pos + w * a_ker
-    beta = float(np.trace(s.mat @ effect_mat).real)
-    test = NeymanPearsonTest(mu, PositiveOperator(effect_mat), alpha_pass, beta)
+    beta = float(np.trace(s.mat @ effect.mat).real)
+    test = NeymanPearsonTest(mu, effect, alpha_pass, beta)
     if beta <= 0.0:
         return DivergenceValue(INF, "orthogonal"), test
     return DivergenceValue(-math.log2(beta), "hypothesis"), test

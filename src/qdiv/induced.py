@@ -4,7 +4,8 @@ For a parent D and smoothing parameter eps in (0,1), the induced divergence
 is the largest lambda with D(rho || rho + 2^lambda sigma) >= log(1-eps); its
 normalized version adds log((1-eps)/eps) so that equal arguments give zero.
 The map t -> D(rho || rho + t sigma) is nonincreasing (Loewner monotonicity
-of any relative entropy), so the threshold is found by bracketed bisection.
+of any relative entropy), so the threshold is found by bracketed bisection;
+the D_min and D_max parents have it in closed form, lam* = D + log(eps/(1-eps)).
 
 Renyi parents dispatch on the order: alpha > 1 uses the condition
 Q_alpha >= (1-eps)^(alpha-1), alpha = 1 the Umegaki condition, and
@@ -151,26 +152,8 @@ class ParentDivergence:
 
             return margin
 
-        if self.kind == "min":
-            on = rho.eigenvectors[:, rho.eigenvalues > rho.cutoff]
-            overlap = float(np.einsum("ji,jk,ki->", on.conj(), s_mat, on).real)  # Tr[sigma Pi_rho]
-
-            def margin(lam: float) -> float:
-                return -math.log2(1.0 + (2.0**lam) * overlap) - log_1me
-
-            return margin
-
-        if self.kind == "max":
-            dmx = d_max(rho, sigma).value
-            r_star = INF if math.isinf(dmx) else 2.0**dmx
-
-            def margin(lam: float) -> float:
-                if math.isinf(r_star):
-                    return -log_1me  # condition holds for every t
-                t = 2.0**lam
-                return math.log2(r_star / (r_star + t)) - log_1me
-
-            return margin
+        if self.kind in ("min", "max"):
+            return _ratio_margin(self.evaluate(rho, sigma), eps)
 
         if self.kind == "umegaki":
             ent_r = _xlogx_sum(rho.eigenvalues)
@@ -192,6 +175,21 @@ class ParentDivergence:
             return sign * (_sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold)
 
         return margin
+
+
+def _ratio_margin(value: float, eps: float) -> Callable[[float], float]:
+    """The margin of the D_min and D_max parents, whose parent value is ``value``.
+
+    Both are -log2(1 + t 2^-value) - log2(1 - eps), t = 2^lam: D_min(rho || rho + t sigma)
+    = -log2(1 + t Tr[sigma Pi_rho]) and D_max(rho || rho + t sigma) = -log2(1 + t / r*)
+    with r* = 2^D_max(rho || sigma).  The zero is lam* = value + log2(eps / (1 - eps)).
+    """
+    log_1me = math.log1p(-eps)
+
+    def margin(lam: float) -> float:
+        return -(math.log1p(2.0 ** min(lam - value, 1000.0)) + log_1me) / math.log(2.0)
+
+    return margin
 
 
 def _decompose(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -274,6 +272,9 @@ def _parent_tag(parent: ParentDivergence) -> str:
 def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     """Induced divergence of ``parent`` evaluated by bracketed bisection.
 
+    The D_min and D_max parents skip the search: lambda* is their closed
+    form D(rho || sigma) + log(eps/(1-eps)), moved down by a few units in
+    the last place until their margin holds there (`_closed_threshold`).
     The result is +inf (a value, not an error) when the defining condition
     holds for every t, which happens when sigma misses too much of rho's
     support.  A built-in parent detects this from the closed-form limit of
@@ -290,17 +291,37 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     if r.dim != s.dim:
         raise ValidationError(f"dimension mismatch: {r.dim} vs {s.dim}")
     tag = _parent_tag(parent)
-    margin = parent.margin_factory(r, s, eps)
-
-    if parent.fn is not None:
-        if margin(45.0) >= 0.0:
+    if parent.fn is None:
+        if parent.margin_limit(r, s, eps) >= 0.0:
             return _infinite_result(eps, tag)
-    elif parent.margin_limit(r, s, eps) >= 0.0:
+        if parent.kind in ("min", "max"):
+            value = parent.evaluate(r, s)
+            return _closed_threshold(_ratio_margin(value, eps), value + math.log2(eps / (1.0 - eps)), eps, tag)
+    margin = parent.margin_factory(r, s, eps)
+    if parent.fn is not None and margin(45.0) >= 0.0:
         return _infinite_result(eps, tag)
 
     dm = d_min(r, s).value
     guess = dm + math.log2(eps / (1.0 - eps)) if math.isfinite(dm) else 0.0
     return _threshold(margin, guess, eps, tag)
+
+
+def _closed_threshold(margin: Callable[[float], float], lam: float, eps: float, tag: str) -> InducedResult:
+    """The threshold at its closed form ``lam``, moved down until the margin holds there.
+
+    Each step down is twice the last, from one unit in the last place of
+    max(1, |lam|); a closed form that needs more than the search's bracket
+    (``BISECT_TOL``), or lies outside the search range, is searched instead.
+    """
+    step = np.spacing(max(1.0, abs(lam)))
+    while LAMBDA_FLOOR < lam < LAMBDA_CEILING and step <= _roots.BISECT_TOL:
+        value = margin(lam)
+        if value >= 0.0:
+            normalized = lam + math.log2((1.0 - eps) / eps)
+            return InducedResult(lam, 2.0**lam, lam, normalized, eps, abs(value), tag)
+        lam -= step
+        step *= 2.0
+    return _threshold(margin, lam, eps, tag)
 
 
 def _threshold(margin: Callable[[float], float], start: float, eps: float, tag: str) -> InducedResult:

@@ -144,6 +144,21 @@ def _exact_herm(mat: np.ndarray) -> HermitianOperator:
     return op
 
 
+def _spectral_positive(evals: np.ndarray, vecs: np.ndarray) -> PositiveOperator:
+    """V diag(evals) V^dag from an eigendecomposition the caller vouches for, with no eigh or check.
+
+    ``evals`` must be ascending and >= 0 and ``vecs`` unitary; they become
+    the operator's cached spectrum.
+    """
+    op = object.__new__(PositiveOperator)
+    mat = (vecs * evals) @ vecs.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    for arr in (mat, evals, vecs):
+        arr.setflags(write=False)
+    op.mat, op.dim, op.eigenvalues, op.eigenvectors = mat, mat.shape[0], evals, vecs
+    return op
+
+
 @dataclass(frozen=True)
 class SupportProjector:
     projector: PositiveOperator

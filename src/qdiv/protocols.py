@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _roots
 from .divergences import d_hypothesis
 from .induced import InducedResult, _q2_margin, induced_renyi
 from .info import CondMutualInfo, channel_mutual_info, cond_mutual_info
@@ -52,10 +53,18 @@ class DecodingReport:
     aborted: bool = False
 
 
+def _t_bracket(t: float) -> float:
+    """Width in t = 2^lambda of a threshold's final bracket, ``BISECT_TOL`` wide in lambda.
+
+    A threshold that close to an integer may be that integer, so family
+    sizes and message counts are rounded across this width and no wider.
+    """
+    return abs(t) * math.expm1(_roots.BISECT_TOL * math.log(2.0))
+
+
 def _ceil_guarded(x: float) -> int:
-    # nudge guards against root-finder noise at exactly-integer thresholds;
     # rounding down is always safe for the decoding guarantee (n - 1 < t*)
-    return max(1, int(math.ceil(x - 1e-9 * (1.0 + abs(x)))))
+    return max(1, int(math.ceil(x - _t_bracket(x))))
 
 
 def _spin_blocks(b: np.ndarray, slots: int):
@@ -209,7 +218,7 @@ def distill_lower_bound(chan: Channel, eps: float, seed: int = 0) -> CommBound:
     cm = channel_mutual_info(chan, eps=eps, seed=seed)
     best_p = cm.best_p
     t_raw = 2.0**cm.value
-    floor_m = 1 + int(math.floor(t_raw + 1e-9 * (1.0 + abs(t_raw))))
+    floor_m = 1 + int(math.floor(t_raw + _t_bracket(t_raw)))
     floor_bits = math.log2(floor_m)
     bound_bits = cm.value + math.log2(eps / (1.0 - eps))
     curve = tuple(

@@ -201,9 +201,10 @@ def test_hypothesis_equal_states():
 
 
 def test_hypothesis_equal_states_stops_at_float_resolution(monkeypatch):
-    # the pass probability of equal states jumps at x = -log2 mu = 0 (here
-    # about -2.8e-14), where floats are far finer than the bracket needs;
-    # the search stops at the resolution of 1 instead of halving toward 0
+    # equal rank-2 states have no pencil, so their multiplier is searched; the
+    # pass probability jumps at x = -log2 mu = 0 (here about 1e-13), where
+    # floats are far finer than the bracket needs; the search stops at the
+    # resolution of 1 instead of halving toward 0
     calls = []
     search = _roots.bisect_decreasing
 
@@ -215,10 +216,62 @@ def test_hypothesis_equal_states_stops_at_float_resolution(monkeypatch):
         return search(recorded, *args)
 
     monkeypatch.setattr(_roots, "bisect_decreasing", counted)
-    rho = random_density(3, 3, 1)
+    rho = random_density(3, 2, 1)
     dv, _ = d_hypothesis(rho, rho, 0.3)
     assert abs(dv.value + math.log2(0.7)) < 1e-9
-    assert len(calls) <= 60
+    assert 0 < len(calls) <= 60
+
+
+def _count_solver_calls(monkeypatch) -> dict:
+    """Count eigendecompositions (eigh and eigvalsh) and root-finder calls from here on."""
+    counts = {"eigh": 0, "searches": 0}
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            counts["eigh"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    search = _roots.bisect_decreasing
+
+    def searched(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(_roots, "bisect_decreasing", searched)
+    return counts
+
+
+def test_hypothesis_equal_states_jump_at_one(monkeypatch):
+    # every eigenvalue of the pencil rho^(-1/2) rho rho^(-1/2) is 1: the whole
+    # space is the kernel of mu rho - rho there, and no search runs
+    rho = random_density(4, 4, 8)
+    counts = _count_solver_calls(monkeypatch)
+    for eps in (0.1, 0.3, 0.7):
+        dv, test = d_hypothesis(rho, rho, eps)
+        assert abs(test.mu - 1.0) <= 1e-14
+        assert abs(dv.value + math.log2(1.0 - eps)) <= 1e-12
+        assert abs(test.alpha_err - (1.0 - eps)) <= 1e-14
+    assert counts["searches"] == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hypothesis_classical_multiplier_is_a_likelihood_ratio(seed, monkeypatch):
+    # on commuting pairs the pass probability is a step function, so the
+    # multiplier is a jump q_i / p_i, read from the pencil without a search
+    rng = rng_from_seed(seed)
+    d = 2 + seed % 4
+    p = rng.random(d) + 1e-3
+    p /= p.sum()
+    q = rng.random(d) + 1e-3
+    eps = 0.05 + 0.9 * rng.random()
+    rho, sigma = diag_density(*p), PositiveOperator(np.diag(q).astype(complex))
+    counts = _count_solver_calls(monkeypatch)
+    dv, test = d_hypothesis(rho, sigma, eps)
+    assert counts["searches"] == 0
+    assert counts["eigh"] <= math.ceil(math.log2(d)) + 2
+    assert np.min(np.abs(test.mu / (q / p) - 1.0)) <= 1e-14
+    assert abs(dv.value + math.log2(classical_np_beta(p, q, eps))) < 1e-9
 
 
 def test_hypothesis_classical_example():
@@ -326,8 +379,56 @@ def test_hypothesis_takes_few_eigendecompositions(monkeypatch):
     for rho, sigma in pairs:
         for eps in HYPOTHESIS_EPS:
             solves += math.isfinite(d_hypothesis(rho, sigma, eps)[1].mu)
-    # a smooth crossing takes about 12, a jump runs to float resolution (about 58)
-    assert len(calls) <= 36 * solves
+    # a jump takes about log2(d) + 1, a search between two jumps about 12
+    assert len(calls) <= 12 * solves
+
+
+def test_hypothesis_jump_solves_take_log_d_eigendecompositions(monkeypatch):
+    pairs = list(_hypothesis_pairs())
+    counts = _count_solver_calls(monkeypatch)
+    jumps = 0
+    for rho, sigma in pairs:
+        for eps in HYPOTHESIS_EPS:
+            eighs, searches = counts["eigh"], counts["searches"]
+            _, test = d_hypothesis(rho, sigma, eps)
+            if math.isfinite(test.mu) and counts["searches"] == searches:
+                jumps += 1
+                # one eigvalsh of the pencil, then a binary search over its d eigenvalues
+                assert counts["eigh"] - eighs <= math.ceil(math.log2(rho.dim)) + 2
+    assert jumps >= 80
+
+
+def _full_range_hypothesis(rho, sigma, eps) -> float:
+    """D_H from one search over the whole multiplier range, with no pencil."""
+    target = 1.0 - eps
+    eps_m = np.finfo(np.float64).eps
+
+    def margin(x):
+        mat = 2.0**-x * rho.mat - sigma.mat
+        evals, vecs = np.linalg.eigh(mat)
+        sel = vecs[:, evals > 64.0 * eps_m * max(1.0, np.max(np.abs(mat)))]
+        return float(np.trace(sel.conj().T @ rho.mat @ sel).real) - target
+
+    x, _ = _roots.bisect_decreasing(margin, 0.0, -120.0, 120.0)
+    mu = 2.0**-x
+    mat = mu * rho.mat - sigma.mat
+    band = 128.0 * eps_m * max(1.0, np.max(np.abs(mat))) + 4.0 * _roots.BISECT_TOL * mu * rho.eigenvalues[-1]
+    evals, vecs = np.linalg.eigh(mat)
+    pos, ker = vecs[:, evals > band], vecs[:, np.abs(evals) <= band]
+    a_pos = float(np.trace(pos.conj().T @ rho.mat @ pos).real)
+    a_ker = float(np.trace(ker.conj().T @ rho.mat @ ker).real)
+    w = min(max((target - a_pos) / a_ker, 0.0), 1.0) if a_ker > 1e-15 else 0.0
+    beta = float(np.trace(pos.conj().T @ sigma.mat @ pos).real + w * np.trace(ker.conj().T @ sigma.mat @ ker).real)
+    return -math.log2(beta)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hypothesis_rank_deficient_rho_matches_full_range_search(seed):
+    # the pencil of a rank-2 rho on C^4 is singular: no jumps, one search
+    rho, sigma = random_density(4, 2, seed), random_density(4, 4, seed + 500)
+    for eps in HYPOTHESIS_EPS:
+        dv, _ = d_hypothesis(rho, sigma, eps)
+        assert abs(dv.value - _full_range_hypothesis(rho, sigma, eps)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

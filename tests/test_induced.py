@@ -18,6 +18,7 @@ from qdiv import (
     induced_block_property,
     induced_renyi,
 )
+from qdiv import _roots
 from qdiv.states import basis_state, maximally_mixed, random_density, rng_from_seed
 
 
@@ -66,6 +67,27 @@ def test_closed_forms_match_engine(seed):
         res = induced(parent, rho, sigma, eps)
         assert abs(res.raw - (parent_value + math.log2(eps / (1.0 - eps)))) <= 1e-8
         assert res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_min_max_thresholds_need_no_search(seed, monkeypatch):
+    # lambda* is the closed form moved down by at most the search's bracket,
+    # to where the parent's own margin holds; the root-finder never runs
+    def no_search(*args):
+        raise AssertionError("bisect_decreasing called")
+
+    dim = 2 + seed % 3
+    rho = random_density(dim, dim, seed)
+    sigma = random_density(dim, dim if seed % 3 else 1, seed + 300)  # rank-1 sigma on every third seed
+    monkeypatch.setattr(_roots, "bisect_decreasing", no_search)
+    for eps in (0.01, 0.3, 0.9):
+        for parent in (ParentDivergence.min_(), ParentDivergence.max_()):
+            res = induced(parent, rho, sigma, eps)
+            if not res.is_finite:
+                continue
+            closed = parent.evaluate(rho, sigma) + math.log2(eps / (1.0 - eps))
+            assert closed - 2e-11 <= res.raw <= closed
+            assert parent.margin_factory(rho, sigma, eps)(res.raw) >= 0.0
 
 
 def test_closed_form_pure_vs_uniform():

@@ -154,6 +154,15 @@ def test_pbd_cap_is_checked_without_building_the_dimension():
     assert rep.n == qdiv_protocols._ceil_guarded(rep.divergence_used.t_star)
 
 
+def test_pbd_family_size_is_the_ceiling_of_a_large_threshold():
+    # the rounding guard is the threshold's own bracket (7e-12 relative in t),
+    # so at t* = 44,802,796,159.6 the family size is the ceiling, not 45 below it
+    rho, sigma_a = random_density(4, 4, 0), random_density(2, 2, 1)
+    sigma = DensityOperator(np.kron(_ptrace(rho.mat, [2, 2], [0]), sigma_a.mat))
+    rep = pbd_simulate(rho, sigma, (2, 2), 1.0 - 1e-9)
+    assert rep.n == math.ceil(rep.divergence_used.t_star) == 44_802_796_160
+
+
 def _pbd_draw(kind, seed):
     """(rho_RA, sigma_A, sigma_RA = rho_R (x) sigma_A) with d_R = 2; d_A = 3 for "qutrit", else 2."""
     if kind == "plain":
@@ -322,7 +331,7 @@ def test_distill_value_is_the_full_cq_threshold(index):
     product = PositiveOperator(np.kron(cq.marginal_x(), cq.marginal_b()))
     full = induced_renyi(cq.density(), product, 2.0, eps)
     assert abs(bound.induced_value - full.raw) <= 1e-9
-    assert bound.floor_m == 1 + math.floor(full.t_star + 1e-9 * (1.0 + full.t_star))
+    assert bound.floor_m == 1 + math.floor(full.t_star + qdiv_protocols._t_bracket(full.t_star))
 
 
 # ---------------------------------------------------------------------------
