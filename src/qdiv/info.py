@@ -4,14 +4,16 @@ I_1 has a closed-form minimizer.  I_2 and the induced I_2 minimize over a
 reference state; both problems are convex in that state, so they are solved
 by matrix exponentiated-gradient (mirror descent) with analytic gradients
 obtained from the closed-form (Daleckii-Krein) Frechet derivative of the
-inverse square root.  I_2 reads X = rho_A (x) sigma in the eigenbasis of
-its factors (`_product_q2`), so each objective call decomposes only sigma;
-the smoothed I_2 runs one such descent per candidate state, and every
-candidate after rho starts at rho's optimum.  The channel quantity, the raw induced D_2 of the cq
-state, is maximized over input distributions with multi-start projected
-gradient ascent; the reported value is attained by a feasible point, hence a
-certified lower bound on the supremum.  Both induced thresholds solve
-`induced._q2_margin` and read their gradients from its decompositions.
+inverse square root; each descent takes Barzilai-Borwein first steps.
+I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors
+(`_product_q2`), so each objective call decomposes only sigma.  The smoothed
+I_2 descends rho's candidate, then every other candidate from rho's optimum,
+unless its Frank-Wolfe lower bound there shows it cannot win.  The channel
+quantity, the raw induced D_2 of the cq state, is maximized over input
+distributions with multi-start projected gradient ascent; the reported value
+is attained by a feasible point, hence a certified lower bound on the
+supremum.  Both induced thresholds solve `induced._q2_margin` and read their
+gradients from its decompositions.
 """
 
 from __future__ import annotations
@@ -107,6 +109,16 @@ def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+def _frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
+    """Tr[G sigma] - lambda_min(G) for a Hermitian gradient G at ``sigma``.
+
+    A convex objective lies above its linearization at sigma, whose minimum
+    over density operators is value - gap, so value - gap bounds the
+    minimum from below (Jaggi 2013).
+    """
+    return float(np.trace(grad @ sigma).real) - float(np.linalg.eigvalsh(grad)[0])
+
+
 _ITERATE_FLOOR = 1e-8
 
 
@@ -123,7 +135,7 @@ def _expm_density(l_mat: np.ndarray) -> np.ndarray:
 
 _DESCENT_TOL = 1e-7  # residual at which minimize_density stops before its cap
 _REFERENCE_STEP = 0.5  # the first trial step, and the step the residual is measured at
-_MAX_STEP = 64.0
+_MIN_STEP, _MAX_STEP = 1e-3, 64.0  # the range of a first trial after the first iteration
 _SLACK = 1e-12  # a trial may raise the value by this much and still be accepted
 
 
@@ -151,9 +163,14 @@ def minimize_density(
     """Exponentiated-gradient descent over density operators.
 
     Each iteration tries a step and halves it until the value does not rise
-    by more than 1e-12.  The first trial is twice the last accepted step
-    (at most 64) when that step was accepted at its first trial and lowered
-    the value by more than 1e-12, and 0.5 otherwise.  Returns (sigma, value,
+    by more than 1e-12.  The first iteration's first trial is 0.5.  After an
+    accepted step, with s and y the changes of the trace-centred log-iterate
+    and of the gradient, the next first trial is the Barzilai-Borwein step
+    <s, s>/<s, y> (Barzilai & Borwein 1988), clipped to [1e-3, 64], when
+    <s, y> > 0.  Otherwise (no curvature along s, as on a linear objective)
+    it is twice the last step (at most 64) when that step was accepted at
+    its first trial and lowered the value by more than 1e-12, and 0.5 if
+    not.  Returns (sigma, value,
     iterations, residual), where the residual is the gradient mapping at
     the returned iterate: the trace-norm displacement of a step of 0.5
     from it, divided by 0.5.  The descent stops once the residual is at
@@ -184,8 +201,14 @@ def minimize_density(
         else:
             residual = _mapping_residual(l_mat, sigma, grad)
             break
-        grow = trial == 0 and val_try < value - _SLACK
-        first = min(2.0 * eta, _MAX_STEP) if grow else _REFERENCE_STEP
+        s, y = l_try - l_mat, grad_try - grad
+        sy = float(np.vdot(s, y).real)
+        if sy > 0.0:  # Barzilai-Borwein: the step of the secant model along s
+            first = min(max(float(np.vdot(s, s).real) / sy, _MIN_STEP), _MAX_STEP)
+        elif trial == 0 and val_try < value - _SLACK:
+            first = min(2.0 * eta, _MAX_STEP)
+        else:
+            first = _REFERENCE_STEP
         l_mat, sigma, value, grad = l_try, sig_try, val_try, grad_try
         residual = _mapping_residual(l_mat, sigma, grad)
         if residual <= tol:
@@ -351,7 +374,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
 
     sigma, _, iters, res_grad = minimize_density(value_grad, da)
     final, grad = solve(sigma)
-    gap = float(np.trace(grad @ sigma).real) - float(np.linalg.eigvalsh(grad)[0])
+    gap = _frank_wolfe_gap(grad, sigma)
     return InducedMutualInfo(
         final.raw, DensityOperator(sigma), final, iters, res_grad, res_grad <= _DESCENT_TOL, final.raw - gap
     )
@@ -367,9 +390,11 @@ class SmoothedResult:
 
 
 _LADDER = tuple(0.5**j for j in range(1, 11))
+_PRUNE_MARGIN = 1e-12  # a pruned candidate's lower bound exceeds the incumbent by more than rounding
 
 
-def _truncated_renormalized(rho: DensityOperator, quantile: float) -> np.ndarray | None:
+def _truncated_renormalized(rho: DensityOperator, quantile: float) -> tuple[np.ndarray, float] | None:
+    """rho with its lowest eigenvalues (mass at most ``quantile``) dropped and renormalized, and that mass."""
     evals = rho.eigenvalues
     cum = np.cumsum(evals)
     drop = int(np.searchsorted(cum, quantile + 1e-15, side="right"))
@@ -382,7 +407,29 @@ def _truncated_renormalized(rho: DensityOperator, quantile: float) -> np.ndarray
     if mass <= 0.0:
         return None
     v = rho.eigenvectors
-    return (v * (kept / mass)) @ v.conj().T
+    return (v * (kept / mass)) @ v.conj().T, float(cum[drop - 1])
+
+
+def _smoothing_candidates(r: DensityOperator, eps: float) -> list[tuple[str, np.ndarray, float]]:
+    """(name, matrix, trace distance to rho) of the candidates inside the eps-ball, rho first.
+
+    Their distances to rho are read from rho's spectrum: a depolarized
+    candidate (1 - s) rho + s I/d lies at s times rho's distance to I/d, and
+    a truncation at the eigenvalue mass it drops.
+    """
+    uniform = np.eye(r.dim, dtype=np.complex128) / r.dim
+    td_uniform = 0.5 * float(np.sum(np.abs(r.eigenvalues - 1.0 / r.dim)))
+    candidates: list[tuple[str, np.ndarray, float]] = [("rho", r.mat, 0.0)]
+    for d in _LADDER:
+        if d > eps + 1e-12:
+            continue
+        if td_uniform > 1e-14:
+            s = min(1.0, d / td_uniform)
+            candidates.append((f"depolarized@{d:g}", (1.0 - s) * r.mat + s * uniform, s * td_uniform))
+        trunc = _truncated_renormalized(r, d)
+        if trunc is not None:
+            candidates.append((f"truncated@{d:g}", *trunc))
+    return [cand for cand in candidates if cand[2] <= eps + 1e-10]
 
 
 def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedResult:
@@ -398,40 +445,34 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     rho_A (x) sigma (`_product_q2`).  The rho candidate starts at rho_B and
     every other candidate at rho's optimum sigma*: each objective is convex
     in sigma (Frank & Lieb 2013), so the start changes the length of a
-    descent, not the minimum it certifies.
+    descent, not the minimum it certifies.  By the same convexity, the
+    Frank-Wolfe bound Q - (Tr[G sigma*] - lambda_min(G)) at sigma* is below
+    a candidate's minimum Q_2; a candidate whose bound lies above the best
+    value so far (by more than rounding) cannot win and is not descended.
+    The winner, its value and every reported field are those of a run that
+    descends every candidate.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     r = as_density(rho)
     da, db = _split_dims(r, dims)
-    uniform = np.eye(r.dim, dtype=np.complex128) / r.dim
-    td_uniform = trace_distance(r.mat, uniform)
-
-    candidates: list[tuple[str, np.ndarray]] = [("rho", r.mat)]
-    for d in _LADDER:
-        if d > eps + 1e-12:
-            continue
-        if td_uniform > 1e-14:
-            s = min(1.0, d / td_uniform)
-            candidates.append((f"depolarized@{d:g}", (1.0 - s) * r.mat + s * uniform))
-        trunc = _truncated_renormalized(r, d)
-        if trunc is not None:
-            candidates.append((f"truncated@{d:g}", trunc))
 
     warm = None  # the rho candidate's optimum, where every other candidate starts
-    best: tuple[str, np.ndarray, float, MutualInfoResult] | None = None
-    for name, mat in candidates:
-        dist = trace_distance(mat, r.mat)
-        if dist > eps + 1e-10:
-            continue
+    best: tuple[str, np.ndarray, DensityOperator, MutualInfoResult] | None = None
+    for name, mat, _ in _smoothing_candidates(r, eps):
+        if warm is not None:
+            q, m = _product_q2(mat, da, db)(warm)
+            lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
+            if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
+                continue
         cand = as_density(mat)
         mi = _mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
-            best = (name, mat, dist, mi)
-    name, mat, dist, mi = best
-    return SmoothedResult(mi.value, DensityOperator(mat), dist, True, name)
+            best = (name, mat, cand, mi)
+    name, mat, cand, mi = best
+    return SmoothedResult(mi.value, cand, trace_distance(mat, r.mat), True, name)
 
 
 # ---------------------------------------------------------------------------

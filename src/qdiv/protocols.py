@@ -28,6 +28,7 @@ from .linalg import (
     ValidationError,
     as_density,
     support_cutoff,
+    _EPS,
     _fidelity_and_purified,
     _ptrace,
     _q2_rotated,
@@ -332,14 +333,22 @@ def _trace_sqrt(mat: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConvexSplitReport:
+    """``ok`` reads actual_p = sqrt(1 - F^2) at F + ``fidelity_error``, the edge of F's rounding bound.
+
+    On a product extension F = 1 in exact arithmetic; an error of a few
+    eps_mach in F alone puts actual_p near 1e-7, above epsilon_n + 1e-8.
+    """
+
     n: int
     mu: float
     epsilon_n: float
     actual_p: float
+    fidelity_error: float  # rounding bound on the fidelity behind actual_p
 
     @property
     def ok(self) -> bool:
-        return self.actual_p <= self.epsilon_n + 1e-8
+        fid = math.sqrt(max(0.0, 1.0 - self.actual_p**2))
+        return _fidelity_and_purified(fid + self.fidelity_error)[1] <= self.epsilon_n + 1e-8
 
 
 def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> ConvexSplitReport:
@@ -354,6 +363,11 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     the mixture's spin-j blocks (`_spin_blocks`) and nothing of X's dimension
     is built; at rank 1 the mixture has the dimension of rho^RB's support, and
     at rank 3 or more it is built at X's.
+
+    F's rounding bound (``fidelity_error``) is the sum over the blocks of
+    m^2 eps_mach Tr sqrt(block), m the block's dimension: each Tr sqrt sums
+    m singular values, each accurate to about m eps_mach times the largest,
+    which is at most their sum.
     """
     rho = as_density(rho_ext)
     sigma = as_density(sigma_bp)
@@ -381,15 +395,19 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     if r_b == 2:
         # the mixture is (1/n) sum_ac G_ac (x) T_ac with T_ac of `_spin_blocks` at weights beta
         g4 = g.reshape(r_a, 2, r_a, 2)
-        fid = 0.0
+        fid = fid_error = 0.0
         for mult, dj, t in _spin_blocks(beta, n):
             size = r_a * dj.size
-            fid += mult * _trace_sqrt(np.einsum("paqc,acil->piql", g4, t).reshape(size, size) / n)
+            part = mult * _trace_sqrt(np.einsum("paqc,acil->piql", g4, t).reshape(size, size) / n)
+            fid += part
+            fid_error += size * size * _EPS * part
     else:
-        fid = _trace_sqrt(sum(_slot_products(g, np.diag(beta), r_a, r_b, n)) / n)
+        mixture = sum(_slot_products(g, np.diag(beta), r_a, r_b, n)) / n
+        fid = _trace_sqrt(mixture)
+        fid_error = mixture.shape[0] ** 2 * _EPS * fid
     _, pd = _fidelity_and_purified(fid)
     eps_n = math.sqrt(mu / (mu + n))
-    return ConvexSplitReport(n, mu, eps_n, pd)
+    return ConvexSplitReport(n, mu, eps_n, pd, fid_error)
 
 
 @dataclass(frozen=True)

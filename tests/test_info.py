@@ -420,6 +420,102 @@ def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps
     assert sum(mi.iterations for mi in runs["warm"]) < sum(mi.iterations for mi in runs["cold"])
 
 
+def _unpruned_smoothed(rho, dims, eps):
+    """(candidate, matrix, operator, MutualInfoResult) of the winner when every candidate is descended."""
+    da, db = dims
+    warm = best = None
+    for name, mat, _ in info._smoothing_candidates(rho, eps):
+        cand = DensityOperator(mat)
+        mi = info._mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
+        if warm is None:
+            warm = mi.optimal_sigma.mat
+        if best is None or mi.value < best[3].value:
+            best = (name, mat, cand, mi)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("eps", [0.005, 0.05, 0.2])
+def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
+    rho, dims = _eqsr_smoothing_input(seed)
+    name, mat, cand, mi = _unpruned_smoothed(rho, dims, eps)
+    descended = []
+    helper = info._mutual_info_2
+
+    def recording(*args):
+        descended.append(1)
+        return helper(*args)
+
+    monkeypatch.setattr(info, "_mutual_info_2", recording)
+    out = smoothed_mutual_info_2(rho, dims, eps)
+    assert out.value == mi.value
+    assert out.candidate == name
+    assert out.distance_used == trace_distance(mat, rho.mat)
+    assert np.array_equal(out.smoothing_state.mat, cand.mat)
+    assert len(descended) < len(info._smoothing_candidates(rho, eps))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
+    rho, (da, db) = _eqsr_smoothing_input(seed)
+    sigma_star = None
+    for _, mat, _ in info._smoothing_candidates(rho, 0.2):
+        cand = DensityOperator(mat)
+        mi = info._mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]))
+        assert mi.converged
+        if sigma_star is None:  # rho's optimum, where the pruning reads the bound
+            sigma_star = mi.optimal_sigma.mat
+        q2_and_contracted_gradient = info._product_q2(mat, da, db)
+        for sigma in (sigma_star, np.eye(db) / db, random_density(db, db, seed + 7).mat):
+            q, m = q2_and_contracted_gradient(sigma)
+            lower = q - info._frank_wolfe_gap(0.5 * (m + m.conj().T), sigma)
+            assert lower <= 0.0 or math.log2(lower) <= mi.value + 1e-12
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [random_density(4, 4, 3), _eqsr_smoothing_input(0)[0], _eqsr_smoothing_input(1)[0]],
+    ids=["4x4,seed=3", "eqsr_marginal,seed=0", "eqsr_marginal,seed=1"],
+)
+def test_smoothing_candidate_distances_are_read_from_the_spectrum(rho):
+    candidates = info._smoothing_candidates(rho, 0.5)
+    assert len(candidates) > 10
+    for _, mat, dist in candidates:
+        assert abs(dist - trace_distance(mat, rho.mat)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# descent length
+# ---------------------------------------------------------------------------
+
+
+def _induced_sweep_states(seed):
+    yield random_density(4, 4, seed)
+    yield product_state(seed, seed + 1000)
+    yield DensityOperator(_ptrace(random_density(8, 8, seed).mat, [2, 2, 2], [1, 2]))
+
+
+def test_induced_mi_sweep_converges_in_few_iterations():
+    # 48 solves; with the gated step doubling in place of the Barzilai-Borwein
+    # step, 46 of them converged, in 834 iterations in all
+    solves = [
+        induced_mutual_info_2(rho, (2, 2), eps)
+        for seed in range(4)
+        for rho in _induced_sweep_states(seed)
+        for eps in (0.005, 0.1, 0.3, 0.5)
+    ]
+    assert sum(out.converged for out in solves) >= 47
+    assert sum(out.iterations for out in solves) <= 834 // 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mutual_info_descent_takes_barzilai_borwein_steps(seed):
+    # with the gated step doubling these took 17-18 iterations (25-26 objective calls)
+    out = mutual_info(random_density(8, 8, seed), (2, 4), 2.0)
+    assert out.converged
+    assert out.iterations <= 10
+
+
 # ---------------------------------------------------------------------------
 # channel mutual information
 # ---------------------------------------------------------------------------

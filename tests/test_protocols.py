@@ -24,7 +24,7 @@ from qdiv import (
 )
 from qdiv.induced import induced_renyi
 from qdiv.linalg import _ptrace, _sandwiched_q
-from qdiv.protocols import _pbd_block_success
+from qdiv.protocols import ConvexSplitReport, _pbd_block_success
 import qdiv.protocols as qdiv_protocols
 import qdiv.states as qdiv_states
 from qdiv.states import (
@@ -569,11 +569,24 @@ def test_convex_split_qutrit_slot_matches_validated_reference(rank, n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_convex_split_product_extension_reads_fidelity_one(n):
     # tau = X on rho_ext = rho_RB (x) sigma, so F = 1; actual_p = sqrt(1 - F^2) <= 1.5e-7
-    # means |1 - F| <= 1.1e-14 (a plain eigvalsh of the graded mixture put actual_p at 5.5e-5)
+    # means |1 - F| <= 1.1e-14 (a plain eigvalsh of the graded mixture put actual_p at 5.5e-5).
+    # ok reads F at the edge of its rounding bound; compared as computed, 103 of
+    # these 250 reports were not ok.
     for seed in range(50):
         rb, sigma = random_density(4, 4, seed), random_density(2, 2, seed + 1000)
         ext = DensityOperator(np.kron(rb.mat, sigma.mat))
-        assert convex_split_check(ext, (4, 2), sigma, n).actual_p <= 1.5e-7
+        rep = convex_split_check(ext, (4, 2), sigma, n)
+        assert rep.actual_p <= 1.5e-7
+        assert rep.ok, rep
+
+
+def test_convex_split_ok_refuses_a_distance_its_fidelity_resolves():
+    sigma = DensityOperator(np.diag([0.6, 0.4]).astype(complex))
+    rep = convex_split_check(random_density(8, 8, 30), (4, 2), sigma, 3)
+    assert 0.0 < rep.fidelity_error <= 1e-12
+    for eps_n in (0.0, rep.epsilon_n):
+        assert not ConvexSplitReport(3, rep.mu, eps_n, eps_n + 1e-6, rep.fidelity_error).ok
+        assert ConvexSplitReport(3, rep.mu, eps_n, eps_n + 1e-9, rep.fidelity_error).ok
 
 
 def test_convex_split_cap(monkeypatch):
