@@ -35,9 +35,8 @@ from .linalg import (
     _ptrace,
     _q2_eigenbasis,
     _q2_rotated,
-    permute_systems,
+    _spectral_positive,
     support_cutoff,
-    trace_distance,
 )
 from .states import Channel, rng_from_seed, random_probability
 
@@ -302,9 +301,9 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
     return _mutual_info_2(r, da, db, rho_b)
 
 
-def _mutual_info_2(r: DensityOperator, da: int, db: int, sigma0: np.ndarray) -> MutualInfoResult:
-    """I_2(A:B) of ``r`` by mirror descent from ``sigma0``, read in the product eigenbasis (`_product_q2`)."""
-    q2_and_contracted_gradient = _product_q2(r.mat, da, db)
+def _mutual_info_2(r: DensityOperator, da: int, db: int, sigma0: np.ndarray, objective=None) -> MutualInfoResult:
+    """I_2(A:B) of ``r`` by mirror descent from ``sigma0`` on ``objective``, r's `_product_q2` if not given."""
+    q2_and_contracted_gradient = objective or _product_q2(r.mat, da, db)
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
         q, m = q2_and_contracted_gradient(sigma)
@@ -393,42 +392,32 @@ _LADDER = tuple(0.5**j for j in range(1, 11))
 _PRUNE_MARGIN = 1e-12  # a pruned candidate's lower bound exceeds the incumbent by more than rounding
 
 
-def _truncated_renormalized(rho: DensityOperator, quantile: float) -> tuple[np.ndarray, float] | None:
-    """rho with its lowest eigenvalues (mass at most ``quantile``) dropped and renormalized, and that mass."""
-    evals = rho.eigenvalues
-    cum = np.cumsum(evals)
-    drop = int(np.searchsorted(cum, quantile + 1e-15, side="right"))
-    drop = min(drop, rho.dim - 1)
-    if drop == 0:
-        return None
-    kept = evals.copy()
-    kept[:drop] = 0.0
-    mass = kept.sum()
-    if mass <= 0.0:
-        return None
-    v = rho.eigenvectors
-    return (v * (kept / mass)) @ v.conj().T, float(cum[drop - 1])
+def _smoothing_candidates(r: DensityOperator, eps: float) -> list[tuple[str, DensityOperator, float]]:
+    """(name, state, trace distance to rho) of the candidates inside the eps-ball, rho first.
 
-
-def _smoothing_candidates(r: DensityOperator, eps: float) -> list[tuple[str, np.ndarray, float]]:
-    """(name, matrix, trace distance to rho) of the candidates inside the eps-ball, rho first.
-
-    Their distances to rho are read from rho's spectrum: a depolarized
-    candidate (1 - s) rho + s I/d lies at s times rho's distance to I/d, and
-    a truncation at the eigenvalue mass it drops.
+    ``rho`` is ``r``; the others are built on its eigenvectors by
+    `_spectral_positive` (no eigh or check), at distances read from its
+    spectrum.  A depolarized candidate (1 - s) rho + s I/d has eigenvalues
+    (1 - s) lambda + s/d and lies at s times rho's distance to I/d.  A
+    truncation drops the lowest eigenvalues (mass at most d), renormalizes
+    and lies at the dropped mass; it is left out when it drops nothing above
+    rho's support cutoff, as it is then rho renormalized by rounding.
     """
-    uniform = np.eye(r.dim, dtype=np.complex128) / r.dim
-    td_uniform = 0.5 * float(np.sum(np.abs(r.eigenvalues - 1.0 / r.dim)))
-    candidates: list[tuple[str, np.ndarray, float]] = [("rho", r.mat, 0.0)]
+    lam, vecs, dim = r.eigenvalues, r.eigenvectors, r.dim
+    td_uniform = 0.5 * float(np.sum(np.abs(lam - 1.0 / dim)))
+    cum = np.cumsum(lam)
+    candidates: list[tuple[str, DensityOperator, float]] = [("rho", r, 0.0)]
     for d in _LADDER:
         if d > eps + 1e-12:
             continue
         if td_uniform > 1e-14:
             s = min(1.0, d / td_uniform)
-            candidates.append((f"depolarized@{d:g}", (1.0 - s) * r.mat + s * uniform, s * td_uniform))
-        trunc = _truncated_renormalized(r, d)
-        if trunc is not None:
-            candidates.append((f"truncated@{d:g}", *trunc))
+            depolarized = _spectral_positive((1.0 - s) * lam + s / dim, vecs)
+            candidates.append((f"depolarized@{d:g}", depolarized, s * td_uniform))
+        drop = min(int(np.searchsorted(cum, d + 1e-15, side="right")), dim - 1)
+        if np.any(lam[:drop] > r.cutoff):
+            kept = np.where(np.arange(dim) < drop, 0.0, lam)
+            candidates.append((f"truncated@{d:g}", _spectral_positive(kept / kept.sum(), vecs), float(cum[drop - 1])))
     return [cand for cand in candidates if cand[2] <= eps + 1e-10]
 
 
@@ -441,16 +430,17 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     can only lower the bound).  The true minimum over the ball can be lower;
     the flag records that this is an upper bound.
 
-    Each candidate's I_2 is a mirror descent in the product eigenbasis of
-    rho_A (x) sigma (`_product_q2`).  The rho candidate starts at rho_B and
-    every other candidate at rho's optimum sigma*: each objective is convex
-    in sigma (Frank & Lieb 2013), so the start changes the length of a
-    descent, not the minimum it certifies.  By the same convexity, the
-    Frank-Wolfe bound Q - (Tr[G sigma*] - lambda_min(G)) at sigma* is below
-    a candidate's minimum Q_2; a candidate whose bound lies above the best
-    value so far (by more than rounding) cannot win and is not descended.
-    The winner, its value and every reported field are those of a run that
-    descends every candidate.
+    Only ``rho`` is validated: the candidates come from its spectrum.  Each
+    candidate's I_2 is a mirror descent in the product eigenbasis of
+    rho_A (x) sigma (`_product_q2`, built once per candidate).  The rho
+    candidate starts at rho_B and every other candidate at rho's optimum
+    sigma*: each objective is convex in sigma (Frank & Lieb 2013), so the
+    start changes the length of a descent, not the minimum it certifies.  By
+    the same convexity, the Frank-Wolfe bound Q - (Tr[G sigma*] -
+    lambda_min(G)) at sigma* is below a candidate's minimum Q_2; a candidate
+    whose bound lies above the best value so far (by more than rounding)
+    cannot win and is not descended.  The winner, its value and every
+    reported field are those of a run that descends every candidate.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -458,21 +448,21 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     da, db = _split_dims(r, dims)
 
     warm = None  # the rho candidate's optimum, where every other candidate starts
-    best: tuple[str, np.ndarray, DensityOperator, MutualInfoResult] | None = None
-    for name, mat, _ in _smoothing_candidates(r, eps):
+    best: tuple[str, DensityOperator, float, MutualInfoResult] | None = None
+    for name, cand, dist in _smoothing_candidates(r, eps):
+        objective = _product_q2(cand.mat, da, db)
         if warm is not None:
-            q, m = _product_q2(mat, da, db)(warm)
+            q, m = objective(warm)
             lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
             if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
                 continue
-        cand = as_density(mat)
-        mi = _mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
+        mi = _mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm, objective)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
-            best = (name, mat, cand, mi)
-    name, mat, cand, mi = best
-    return SmoothedResult(mi.value, cand, trace_distance(mat, r.mat), True, name)
+            best = (name, cand, dist, mi)
+    name, cand, dist, mi = best
+    return SmoothedResult(mi.value, cand, dist, True, name)
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +570,18 @@ class CondMutualInfo:
 def cond_mutual_info(
     rho_rab, dims: tuple[int, int, int], delta0: float, delta1: float
 ) -> CondMutualInfo:
+    """I_2^{delta0}(RB:A) - induced I_2^{delta1}(B:A) of rho on R A B, validated once, here.
+
+    Reordering R A B to R B A permutes the rows of rho's eigenvectors, so the
+    smoothed term's state is `_spectral_positive` of them and rho's spectrum.
+    """
     r = as_density(rho_rab)
     dr, da, db = (int(d) for d in dims)
     if dr * da * db != r.dim:
         raise ValidationError(f"tripartition {dims} does not match dim {r.dim}")
-    mat_rba = permute_systems(r.mat, [dr, da, db], [0, 2, 1])
-    smoothed = smoothed_mutual_info_2(DensityOperator(mat_rba), (dr * db, da), delta0)
-    mat_ab = _ptrace(r.mat, [dr, da, db], [1, 2])
-    ind = induced_mutual_info_2(DensityOperator(mat_ab), (da, db), delta1)
+    vecs_rba = r.eigenvectors.reshape(dr, da, db, -1).transpose(0, 2, 1, 3).reshape(r.dim, -1)
+    smoothed = smoothed_mutual_info_2(_spectral_positive(r.eigenvalues, vecs_rba), (dr * db, da), delta0)
+    ind = induced_mutual_info_2(_ptrace(r.mat, [dr, da, db], [1, 2]), (da, db), delta1)
     return CondMutualInfo(
         delta0, delta1, smoothed, ind.certified_lower, smoothed.value - ind.certified_lower, ind
     )

@@ -148,9 +148,11 @@ def _spectral_positive(evals: np.ndarray, vecs: np.ndarray) -> PositiveOperator:
     """V diag(evals) V^dag from an eigendecomposition the caller vouches for, with no eigh or check.
 
     ``evals`` must be ascending and >= 0 and ``vecs`` unitary; they become
-    the operator's cached spectrum.
+    the operator's cached spectrum.  The operator is a `DensityOperator`
+    when ``evals`` sum to 1 within ``TRACE_TOL``, the constructor's own test.
     """
-    op = object.__new__(PositiveOperator)
+    unit = abs(float(np.sum(evals)) - 1.0) <= TRACE_TOL
+    op = object.__new__(DensityOperator if unit else PositiveOperator)
     mat = (vecs * evals) @ vecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)
     for arr in (mat, evals, vecs):

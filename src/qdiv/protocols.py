@@ -35,7 +35,7 @@ from .linalg import (
     _sandwiched_q,
     spectral_fn,
 )
-from .states import Channel, _power_exceeds, _slot_products, check_dim_cap, dim_cap, purify
+from .states import Channel, _power_exceeds, _slot_products, check_dim_cap, dim_cap
 
 
 class InfeasibleError(ValueError):
@@ -439,9 +439,11 @@ def eqsr_cost_bound(
 ) -> EqsrBound:
     """Quantum communication cost bound q <= (1/2) cond-MI + log(1/delta').
 
-    Purifies the source to expose the reference system R, then evaluates the
-    smoothed conditional mutual information on the (R, A', B) partition.
-    Refuses with a diagnostic when the smoothing budget is infeasible.
+    Evaluates the smoothed conditional mutual information on the R A' B
+    marginal of the source's purification (|R| = rank rho), contracted over A
+    from psi[i, a, k] = sqrt(lambda_i) v_i[a, k] on rho's support eigenpairs
+    and divided by their mass, as `purify` normalizes; nothing on R A A' B is
+    built.  Refuses with a diagnostic when the smoothing budget is infeasible.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -457,10 +459,11 @@ def eqsr_cost_bound(
     d_a, d_ap, d_b = dims
     if rho.dim != d_a * d_ap * d_b:
         raise ValidationError(f"state does not match tripartition {dims}")
-    # the purification lives on R (x) A A' B with |R| = rank rho; check its size before building it
-    check_dim_cap(rho.rank * rho.dim)
-    psi, d_r, _ = purify(rho)
-    marginal = _ptrace(psi.mat, [d_r, d_a, d_ap, d_b], [0, 2, 3])
-    cmi = cond_mutual_info(DensityOperator(marginal), (d_r, d_ap, d_b), delta0, delta1)
+    on = rho.eigenvalues > rho.cutoff
+    lam, d_r = rho.eigenvalues[on], rho.rank
+    check_dim_cap(d_r * d_ap * d_b)  # the marginal on R A' B is the largest thing built
+    psi = (rho.eigenvectors[:, on] * np.sqrt(lam)).T.reshape(d_r, d_a, d_ap * d_b)
+    marginal = np.einsum("iak,jal->ikjl", psi, psi.conj()).reshape(d_r * d_ap * d_b, -1) / lam.sum()
+    cmi = cond_mutual_info(marginal, (d_r, d_ap, d_b), delta0, delta1)
     q_bound = 0.5 * cmi.value + math.log2(1.0 / dp)
     return EqsrBound(delta0, delta1, dp, cmi, q_bound)

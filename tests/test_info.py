@@ -398,10 +398,10 @@ def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps
     runs = {"warm": [], "cold": []}
 
     def recording(kind, from_rho_b):
-        def run(r, da, db, sigma0):
+        def run(r, da, db, sigma0, *objective):
             if from_rho_b:
                 sigma0 = _ptrace(r.mat, [da, db], [1])
-            out = helper(r, da, db, sigma0)
+            out = helper(r, da, db, sigma0, *objective)
             runs[kind].append(out)
             return out
 
@@ -421,16 +421,15 @@ def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps
 
 
 def _unpruned_smoothed(rho, dims, eps):
-    """(candidate, matrix, operator, MutualInfoResult) of the winner when every candidate is descended."""
+    """(candidate, operator, listed distance, MutualInfoResult) of the winner when every candidate is descended."""
     da, db = dims
     warm = best = None
-    for name, mat, _ in info._smoothing_candidates(rho, eps):
-        cand = DensityOperator(mat)
+    for name, cand, dist in info._smoothing_candidates(rho, eps):
         mi = info._mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
-            best = (name, mat, cand, mi)
+            best = (name, cand, dist, mi)
     return best
 
 
@@ -438,7 +437,7 @@ def _unpruned_smoothed(rho, dims, eps):
 @pytest.mark.parametrize("eps", [0.005, 0.05, 0.2])
 def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
     rho, dims = _eqsr_smoothing_input(seed)
-    name, mat, cand, mi = _unpruned_smoothed(rho, dims, eps)
+    name, cand, dist, mi = _unpruned_smoothed(rho, dims, eps)
     descended = []
     helper = info._mutual_info_2
 
@@ -450,7 +449,7 @@ def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
     out = smoothed_mutual_info_2(rho, dims, eps)
     assert out.value == mi.value
     assert out.candidate == name
-    assert out.distance_used == trace_distance(mat, rho.mat)
+    assert out.distance_used == dist
     assert np.array_equal(out.smoothing_state.mat, cand.mat)
     assert len(descended) < len(info._smoothing_candidates(rho, eps))
 
@@ -459,13 +458,12 @@ def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
 def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
     rho, (da, db) = _eqsr_smoothing_input(seed)
     sigma_star = None
-    for _, mat, _ in info._smoothing_candidates(rho, 0.2):
-        cand = DensityOperator(mat)
+    for _, cand, _ in info._smoothing_candidates(rho, 0.2):
         mi = info._mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]))
         assert mi.converged
         if sigma_star is None:  # rho's optimum, where the pruning reads the bound
             sigma_star = mi.optimal_sigma.mat
-        q2_and_contracted_gradient = info._product_q2(mat, da, db)
+        q2_and_contracted_gradient = info._product_q2(cand.mat, da, db)
         for sigma in (sigma_star, np.eye(db) / db, random_density(db, db, seed + 7).mat):
             q, m = q2_and_contracted_gradient(sigma)
             lower = q - info._frank_wolfe_gap(0.5 * (m + m.conj().T), sigma)
@@ -480,8 +478,8 @@ def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
 def test_smoothing_candidate_distances_are_read_from_the_spectrum(rho):
     candidates = info._smoothing_candidates(rho, 0.5)
     assert len(candidates) > 10
-    for _, mat, dist in candidates:
-        assert abs(dist - trace_distance(mat, rho.mat)) <= 1e-14
+    for _, cand, dist in candidates:
+        assert abs(dist - trace_distance(cand.mat, rho.mat)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +550,17 @@ def test_channel_dpi_post_processing(eps):
     before = channel_mutual_info(chan, eps=eps).value
     after = channel_mutual_info(degraded, eps=eps).value
     assert after <= before + 1e-6
+
+
+def test_channel_objective_has_a_strict_local_maximum_on_a_face():
+    # lambda*(p) is not quasi-concave: from the uniform start the ascent stops at
+    # p = (0.4848, 0, 0.5152), where the derivative into the interior is -0.061,
+    # while the seeded starts reach 2.1393689685 at (0.446, 0.116, 0.438)
+    chan = channel([random_density(3, r, 7760 + x) for x, r in enumerate([2, 3, 1])])
+    best = channel_mutual_info(chan, 0.7).value
+    assert best >= 2.1393689685 - 1e-9
+    uniform, _ = info.maximize_simplex(info._induced_channel_value_grad(chan, 0.7), [np.full(3, 1.0 / 3.0)])
+    assert uniform <= best - 1e-2
 
 
 def test_channel_input_size_cap():

@@ -33,6 +33,7 @@ from qdiv.states import (
     channel,
     classical_channel,
     pairwise_tensor_family,
+    purify,
     random_density,
 )
 from qdiv.suites import _comm_channel, _correlated_extension, conditioned_density
@@ -642,12 +643,51 @@ def test_eqsr_random_state_assembly():
     assert bound.delta_prime > 0
 
 
-def test_eqsr_checks_the_cap_before_purifying(monkeypatch):
-    # the purification of a full-rank 8 x 8 state has dimension 64: over a cap of
-    # 32 the call is refused from rho's rank before anything of that size is built
+def _recording_decompositions(monkeypatch):
+    """The dimension of every eigh and eigvalsh made from here on."""
+    dims = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def recorded(a, *args, _fn=fn, **kwargs):
+            dims.append(a.shape[-1])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return dims
+
+
+def test_eqsr_checks_the_cap_on_the_marginal_it_builds(monkeypatch):
+    # a full-rank 8 x 8 source has its R A' B marginal at 8 * 4 = 32, the largest thing
+    # the bound builds: a cap of 31 refuses it before any decomposition at 32, a cap of 32 runs it
+    rho = random_density(8, 8, 53)
+    dims = _recording_decompositions(monkeypatch)
+    monkeypatch.setenv("QDIV_DIM_CAP", "31")
+    with pytest.raises(ValidationError, match="exceeds cap 31"):
+        eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
+    assert all(d < 32 for d in dims)
     monkeypatch.setenv("QDIV_DIM_CAP", "32")
-    calls = []
-    monkeypatch.setattr(qdiv_protocols, "purify", lambda rho: calls.append(rho))
-    with pytest.raises(ValidationError, match="exceeds cap 32"):
-        eqsr_cost_bound(random_density(8, 8, 53), (2, 2, 2), 0.5, 0.005, 0.005)
-    assert calls == []
+    assert math.isfinite(eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005).q_bound)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 8])
+@pytest.mark.parametrize("seed", range(2))
+def test_eqsr_marginal_is_that_of_the_purification(monkeypatch, rank, seed):
+    rho = random_density(8, rank, seed)
+    handed, cond_mutual_info = [], qdiv_protocols.cond_mutual_info
+    monkeypatch.setattr(qdiv_protocols, "cond_mutual_info", lambda *a: handed.append(a) or cond_mutual_info(*a))
+    eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
+    ((marginal, (d_r, d_ap, d_b), _, _),) = handed
+    psi = purify(rho)
+    assert (d_r, d_ap, d_b) == (psi.dim_ref, 2, 2) and psi.dim_ref == rank
+    reference = _ptrace(psi.state.mat, [d_r, 2, 2, 2], [0, 2, 3])
+    assert np.max(np.abs(marginal - reference)) <= 1e-15
+
+
+def test_eqsr_decomposes_nothing_at_the_purification_dimension(monkeypatch):
+    # the purification of a full-rank 8 x 8 source lives at 64; only its R A' B marginal, at 32, is decomposed
+    rho = random_density(8, 8, 11)
+    dims = _recording_decompositions(monkeypatch)
+    eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
+    assert dims.count(64) == 0
+    assert dims.count(32) == 1
