@@ -71,7 +71,7 @@ def _check_dims(a: PositiveOperator, b: PositiveOperator) -> None:
 
 
 def _is_orthogonal(rho: PositiveOperator, sigma: PositiveOperator) -> bool:
-    overlap = float(np.trace(rho.mat @ sigma.mat).real)
+    overlap = float(np.vdot(sigma.mat, rho.mat).real)  # Tr[rho sigma], sigma Hermitian
     scale = max(1.0, float(rho.eigenvalues[-1])) * max(1.0, float(sigma.eigenvalues[-1]))
     return overlap <= 1e-12 * scale
 
@@ -95,12 +95,10 @@ def _xlogx_sum(evals: np.ndarray) -> float:
     return float(sum(x * math.log2(x) for x in evals if x > cut))
 
 
-def _log_cross(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> float:
-    """Tr[rho log X] over the support of X, from the eigendecomposition of X."""
+def _log_cross(weights: np.ndarray, evals: np.ndarray) -> float:
+    """Tr[rho log X] over the support of X, from X's eigenvalues and rho's weight on each eigenvector."""
     mask = evals > support_cutoff(evals, evals.size)
-    v = vecs[:, mask]
-    weights = np.einsum("ji,jk,ki->i", v.conj(), r_mat, v).real
-    return float(np.dot(weights, np.log2(evals[mask])))
+    return float(np.dot(weights[mask], np.log2(evals[mask])))
 
 
 def q_alpha(rho, sigma, alpha) -> float:
@@ -119,6 +117,8 @@ def q_alpha(rho, sigma, alpha) -> float:
     _check_dims(r, s)
     if a == 0.0:
         mask = r.eigenvalues > r.cutoff
+        if mask.all():  # Pi_rho = I
+            return s.trace
         v = r.eigenvectors[:, mask]
         return float(np.einsum("ij,jk,ki->", v.conj().T, s.mat, v).real)
     return _sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, a)
@@ -158,7 +158,8 @@ def d_umegaki(rho, sigma) -> DivergenceValue:
     if not _is_contained(r, s):
         return DivergenceValue(INF, "not_contained")
     ent = _xlogx_sum(r.eigenvalues)
-    cross = _log_cross(r.mat, s.eigenvalues, s.eigenvectors)
+    vecs = s.eigenvectors
+    cross = _log_cross(np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real, s.eigenvalues)
     return DivergenceValue(ent - cross, "umegaki")
 
 

@@ -11,6 +11,9 @@ Renyi parents dispatch on the order: alpha > 1 uses the condition
 Q_alpha >= (1-eps)^(alpha-1), alpha = 1 the Umegaki condition, and
 alpha in [0, 1) the reversed condition Q_alpha <= (1-eps)^(alpha-1).  Every
 alpha = 2 threshold, those of `info` too, solves one margin (`_q2_margin`).
+The other orders and the Umegaki parent read X = rho + t sigma in rho's
+eigenbasis, where sigma is rotated once per solve; at alpha = 1/2 an
+evaluation is a single eigvalsh (`ParentDivergence.margin_factory`).
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .linalg import (
     PositiveOperator,
     ValidationError,
     _q2_eigenbasis,
-    _sandwiched_q,
     as_density,
     as_matrix,
     as_positive,
+    support_cutoff,
 )
 
 
@@ -138,7 +141,15 @@ class ParentDivergence:
     def margin_factory(
         self, rho: DensityOperator, sigma: PositiveOperator, eps: float
     ) -> Callable[[float], float]:
-        """Nonincreasing lam -> margin with margin >= 0 iff condition holds."""
+        """Nonincreasing lam -> margin with margin >= 0 iff condition holds.
+
+        Umegaki and Renyi alpha != 2 read X = rho + t sigma as diag(r) + t S,
+        with S = U^dag sigma U rotated once into rho's eigenbasis.  Umegaki takes
+        Tr[rho log X] = sum_i w_i log2 lambda_i, w = r |V|^2; Renyi sums mu^alpha
+        over the eigenvalues mu of rho^1/2 X^p rho^1/2 on supp rho, p = (1-alpha)/alpha.
+        At alpha = 1/2 that sandwich is diag(r^2) + t diag(r^1/2) S diag(r^1/2):
+        one eigvalsh per evaluation and no eigh.  alpha = 2 is `_q2_margin`.
+        """
         r_mat = rho.mat
         s_mat = sigma.mat
         log_1me = math.log2(1.0 - eps)
@@ -154,25 +165,49 @@ class ParentDivergence:
 
         if self.kind in ("min", "max"):
             return _ratio_margin(self.evaluate(rho, sigma), eps)
+        if self.kind == "renyi" and self.alpha == 2.0:
+            return _q2_margin([(r_mat, s_mat)], eps)[0]
+
+        # sigma rotated once into rho's eigenbasis, where rho is diag(r) and X = rho + t sigma is diag(r) + t S
+        r, u = rho.eigenvalues, rho.eigenvectors
+        s_rot = u.conj().T @ s_mat @ u
+        base = np.diag(r + 0j)
 
         if self.kind == "umegaki":
-            ent_r = _xlogx_sum(rho.eigenvalues)
+            ent_r = _xlogx_sum(r)
 
             def margin(lam: float) -> float:
-                x = r_mat + (2.0**lam) * s_mat
-                return ent_r - _log_cross(r_mat, *np.linalg.eigh(x)) - log_1me
+                evals, vecs = np.linalg.eigh(base + (2.0**lam) * s_rot)
+                return ent_r - _log_cross(r @ (vecs.conj() * vecs).real, evals) - log_1me
 
             return margin
 
         a = self.alpha  # renyi
-        if a == 2.0:
-            return _q2_margin([(r_mat, s_mat)], eps)[0]
         threshold = (1.0 - eps) ** (a - 1.0)
         sign = 1.0 if a > 1.0 else -1.0  # the condition is Q_alpha >= threshold above order 1, <= below
+        k = int(np.count_nonzero(r <= rho.cutoff))  # r ascends: supp rho is the block from k on
+        root = np.sqrt(r[k:])
+        power = (1.0 - a) / a
+        if power == 1.0:  # alpha = 1/2: diag(r^2) + t C is affine in t, so X needs no decomposition
+            squares = np.diag(r[k:] ** 2 + 0j)
+            cross = root[:, None] * s_rot[k:, k:] * root
+
+            def sandwich(t: float) -> np.ndarray:
+                return squares + t * cross
+
+        else:
+
+            def sandwich(t: float) -> np.ndarray:
+                evals, vecs = np.linalg.eigh(base + t * s_rot)
+                j = int(np.count_nonzero(evals <= support_cutoff(evals, evals.size)))  # the kernel of X never enters
+                g = root[:, None] * vecs[k:, j:] * evals[j:] ** (0.5 * power)  # rho^1/2 X^(p/2), X's eigenbasis
+                # g g^dag and g^dag g share their nonzero eigenvalues: the smaller one holds no rounded kernel,
+                # and g^dag g is graded by X's spectrum, so its small eigenvalues keep their relative accuracy
+                return g @ g.conj().T if g.shape[0] < g.shape[1] else g.conj().T @ g
 
         def margin(lam: float) -> float:
-            x = r_mat + (2.0**lam) * s_mat
-            return sign * (_sandwiched_q(r_mat, *np.linalg.eigh(x), a) - threshold)
+            mu = np.maximum(np.linalg.eigvalsh(sandwich(2.0**lam)), 0.0)
+            return sign * (float((mu**a).sum()) - threshold)
 
         return margin
 

@@ -216,14 +216,15 @@ def _q2_rotated(
 def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
     """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
 
-    The one evaluator of the sandwiched quantity.  alpha = 2 is read in the
-    eigenbasis of X (`_q2_eigenbasis`): two matrix products and a sum of
-    nonnegative terms, so it needs no second eigendecomposition.  Other
-    orders take h = V_on diag(lambda_on^((1-a)/2a)) on the support of X and
-    Q = sum of a-th powers of the eigenvalues of h^dag rho h (rank x rank):
-    the kernel of X never enters, so no round-off eigenvalue of it is raised
-    to a power below 1.  That route keeps the fidelity (a = 1/2) at exactly 1
-    on equal states.
+    The evaluator of `q_alpha` and the fidelity; the induced margins read
+    Q_alpha in rho's eigenbasis (`ParentDivergence.margin_factory`).  alpha = 2
+    is read in the eigenbasis of X (`_q2_eigenbasis`): two matrix products and
+    a sum of nonnegative terms, so it needs no second eigendecomposition.
+    Other orders take h = V_on diag(lambda_on^((1-a)/2a)) on the support of X
+    and Q = sum of a-th powers of the eigenvalues of h^dag rho h (rank x
+    rank): the kernel of X never enters, so no round-off eigenvalue of it is
+    raised to a power below 1.  That route keeps the fidelity (a = 1/2) at
+    exactly 1 on equal states.
     """
     if alpha == 2.0:
         return _q2_eigenbasis(r_mat, evals, vecs)[0]

@@ -122,6 +122,15 @@ def test_d_alpha_low_branch_matches_classical():
     assert abs(got - expected) < 1e-12
 
 
+def test_q0_reads_the_trace_on_full_support():
+    # Pi_rho = I for full-rank rho; a rank-deficient rho still projects
+    sigma = PositiveOperator(2.0 * random_density(3, 2, 72).mat)
+    assert q_alpha(random_density(3, 3, 71), sigma, 0.0) == sigma.trace
+    rho = random_density(3, 2, 73)
+    v = rho.eigenvectors[:, rho.eigenvalues > rho.cutoff]
+    assert abs(q_alpha(rho, sigma, 0.0) - np.trace(v.conj().T @ sigma.mat @ v).real) <= 1e-15
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_d_min_log_m(m):
     assert abs(d_min(basis_state(0, m), maximally_mixed(m)).value - math.log2(m)) < 1e-12

@@ -17,6 +17,7 @@ from qdiv import (
     induced,
     induced_block_property,
     induced_renyi,
+    q_alpha,
 )
 from qdiv import _roots
 from qdiv.states import basis_state, maximally_mixed, random_density, rng_from_seed
@@ -172,6 +173,87 @@ def test_renyi2_threshold_matches_mpmath_oracle(rho, sigma, eps):
         assert raw == math.inf
     else:
         assert reference - 1e-11 <= raw <= reference + 1e-13
+
+
+def _padded(block, dim=4):
+    """``block`` in the top-left corner of a dim x dim state: its kernel is exact, not a rounding."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[: block.shape[0], : block.shape[0]] = block
+    return DensityOperator(mat)
+
+
+def _margin_pairs():
+    """(id, rho, sigma): rho of rank 1, 2 and 4 in d = 4 against sigma of rank 1 and 4, and a near-orthogonal pair."""
+    rhos = {
+        "rho1": _padded(np.full((2, 2), 0.5)),  # the projector onto (|0> + |1>) / sqrt 2
+        "rho2": _padded(random_density(2, 2, 61).mat),
+        "rho4": random_density(4, 4, 62),
+    }
+    sigmas = {"sigma1": PositiveOperator(random_density(4, 1, 63).mat), "sigma4": random_density(4, 4, 64)}
+    for rn, rho in rhos.items():
+        for sn, sigma in sigmas.items():
+            yield f"{rn},{sn}", rho, sigma
+    v = np.array([1e-6, 1.0, 0.0, 0.0], dtype=complex)
+    yield "near-orthogonal", basis_state(0, 4), PositiveOperator(np.outer(v, v.conj()) / np.vdot(v, v).real)
+
+
+_MARGIN_LAMBDAS = (-30.0, -10.0, 0.0, 10.0, 25.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("rho, sigma", [pytest.param(r, s, id=name) for name, r, s in _margin_pairs()])
+def test_rotated_margins_match_the_dense_route(rho, sigma, alpha):
+    # the margin reads X = rho + t sigma in rho's eigenbasis; the public routes build X and decompose it.
+    # Order 1/2 is read as Q_1/2(X || rho), the fidelity being symmetric: Q_1/2(rho || X) takes the
+    # square roots of the sandwich's rounded kernel eigenvalues (see the mpmath test below).  The margin's
+    # scale is the sum of its terms' sizes; eigh resolves the small eigenvalues of X only to eps_mach
+    # |X|, so where X is ill-conditioned on its support both routes carry eps_mach cond(X).
+    eps = 0.3
+    parent = ParentDivergence.renyi(alpha)
+    margin = parent.margin_factory(rho, sigma, eps)
+    log_1me = math.log2(1.0 - eps)
+    ent = float(sum(x * math.log2(x) for x in rho.eigenvalues if x > rho.cutoff))
+    threshold = (1.0 - eps) ** (alpha - 1.0)
+    for lam in _MARGIN_LAMBDAS:
+        x = PositiveOperator(rho.mat + 2.0**lam * sigma.mat)
+        if alpha == 1.0:
+            value = d_umegaki(rho, x).value
+            expected, scale = value - log_1me, abs(ent) + abs(ent - value) + abs(log_1me)
+        else:
+            q = q_alpha(x, rho, alpha) if alpha == 0.5 else q_alpha(rho, x, alpha)
+            expected, scale = math.copysign(1.0, alpha - 1.0) * (q - threshold), q + threshold
+        on = x.eigenvalues[x.eigenvalues > x.cutoff]
+        cond = on[-1] / on[0]
+        assert abs(margin(lam) - expected) <= (1e-10 + 8.0 * np.finfo(float).eps * cond) * scale, lam
+
+
+@pytest.mark.parametrize("rho, sigma", [pytest.param(r, s, id=name) for name, r, s in _margin_pairs()])
+def test_fidelity_margin_matches_mpmath(rho, sigma):
+    # Q_1/2(rho || rho + t sigma) from the margin is no further from a 40-digit reference than the dense
+    # route is, to twice its error plus rounding
+    pytest.importorskip("mpmath")
+    from oracles import mp_fidelity
+
+    threshold = 0.7**-0.5
+    margin = ParentDivergence.renyi(0.5).margin_factory(rho, sigma, 0.3)
+    for lam in _MARGIN_LAMBDAS:
+        x_mat = rho.mat + 2.0**lam * sigma.mat
+        reference = mp_fidelity(rho.mat, x_mat)
+        dense = q_alpha(rho, x_mat, 0.5)
+        got = threshold - margin(lam)
+        assert abs(got - reference) <= 2.0 * abs(dense - reference) + 1e-14 * reference, lam
+
+
+def test_fidelity_margin_takes_one_eigvalsh(monkeypatch):
+    rho = random_density(4, 4, 65)
+    sigma = random_density(4, 2, 66)
+    margin = ParentDivergence.renyi(0.5).margin_factory(rho, sigma, 0.3)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    margin(1.5)
+    assert calls == ["eigvalsh"]
 
 
 def test_infinite_when_sigma_orthogonal():
