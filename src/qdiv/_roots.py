@@ -10,7 +10,10 @@ doubling steps to bracket the sign change, then a safeguarded
 inverse-quadratic search inside that bracket (Chandrupatla, Adv. Eng.
 Softw. 28, 145, 1997) to an absolute width of 1e-11 on the unknown and a
 residual of at most 1e-10, with a hard cap of 200 steps.  No point is
-evaluated twice.
+evaluated twice.  The walk's first step is 1, except in the induced
+mirror descent (`info.induced_mutual_info_2`): it starts each solve after
+the first at the last solve's tangent, below the new root, and its first
+step is the move that tangent predicts.
 
 The function keeps its bisection name because it keeps bisection's
 contract: every step keeps a bracket with f >= 0 at its lower end, the
@@ -40,15 +43,22 @@ class BracketError(RuntimeError):
 
 
 def bisect_decreasing(
-    f: Callable[[float], float], start: float, floor: float, ceiling: float
+    f: Callable[[float], float],
+    start: float,
+    floor: float,
+    ceiling: float,
+    first_step: float = 1.0,
 ) -> tuple[float, float] | None:
     """Largest x with f(x) >= 0 for nonincreasing f, as the pair (x, f(x)).
 
     Evaluates ``f(start)`` once, then walks up (while f >= 0) or down (while
-    f < 0) by steps of 1, 2, 4, ...; the bracket is the last two points of
-    the walk.  The upward walk is clamped at ``ceiling`` and gives None if f
-    is still >= 0 there; the downward walk raises ``BracketError`` once a
-    point at or below ``floor`` still has f < 0.
+    f < 0) by steps of s, 2s, 4s, ..., s = ``first_step``; the bracket is
+    the last two points of the walk.  A caller whose start is already close
+    to the root passes the distance it expects as ``first_step``, so the
+    bracket is about that narrow; every other caller walks from steps of 1.
+    The upward walk is clamped at ``ceiling`` and gives None if f is still
+    >= 0 there; the downward walk raises ``BracketError`` once a point at or
+    below ``floor`` still has f < 0.
 
     The bracket is then searched as Chandrupatla does: each new point is
     the inverse-quadratic interpolant through the last three points when
@@ -72,7 +82,7 @@ def bisect_decreasing(
     # xi = phi = 1 and so a midpoint.
     a = b = c = start
     fa = fb = fc = f(start)
-    step = 1.0
+    step = first_step
     if fa >= 0.0:
         while fb >= 0.0:
             if b >= ceiling:

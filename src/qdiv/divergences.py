@@ -121,7 +121,7 @@ def q_alpha(rho, sigma, alpha) -> float:
             return s.trace
         v = r.eigenvectors[:, mask]
         return float(np.einsum("ij,jk,ki->", v.conj().T, s.mat, v).real)
-    return _sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, a)
+    return _sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, a, (r.eigenvalues, r.eigenvectors))
 
 
 def d_min(rho, sigma) -> DivergenceValue:

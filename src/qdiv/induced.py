@@ -359,16 +359,19 @@ def _closed_threshold(margin: Callable[[float], float], lam: float, eps: float, 
     return _threshold(margin, lam, eps, tag)
 
 
-def _threshold(margin: Callable[[float], float], start: float, eps: float, tag: str) -> InducedResult:
-    """The threshold of a nonincreasing margin, searched from ``start``.
+def _threshold(
+    margin: Callable[[float], float], start: float, eps: float, tag: str, first_step: float = 1.0
+) -> InducedResult:
+    """The threshold of a nonincreasing margin, searched from ``start`` by a walk whose first step is ``first_step``.
 
     The start is clamped inside the search range; a margin still >= 0 at
     the ceiling gives +inf.  Callers have already ruled out the closed-form
-    +inf cases.  ``induced`` starts from a D_min guess, mirror descent from
-    the previous iterate's lambda*.
+    +inf cases.  ``induced`` starts from a D_min guess with a unit step; the
+    induced mirror descent from the tangent prediction of the last solve,
+    with a step of the predicted move (`info.induced_mutual_info_2`).
     """
     start = min(max(start, LAMBDA_FLOOR + 1.0), LAMBDA_CEILING - 1.0)
-    found = _roots.bisect_decreasing(margin, start, LAMBDA_FLOOR, LAMBDA_CEILING)
+    found = _roots.bisect_decreasing(margin, start, LAMBDA_FLOOR, LAMBDA_CEILING, first_step)
     if found is None:
         return _infinite_result(eps, tag)
     lam, value = found

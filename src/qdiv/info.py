@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _roots
 from .divergences import canon_alpha, d_umegaki
 from .induced import InducedResult, ParentDivergence, _infinite_result, _parent_tag, _threshold
 from .induced import _decompose, _q2_decomposed, _q2_margin
@@ -36,6 +37,7 @@ from .linalg import (
     _q2_eigenbasis,
     _q2_rotated,
     _spectral_positive,
+    _vouched,
     support_cutoff,
 )
 from .states import Channel, rng_from_seed, random_probability
@@ -77,8 +79,9 @@ def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray],
 
     X = rho_A (x) sigma has the eigenbasis U (x) W and the eigenvalues a_i b_j
     of its factors.  rho_A = U diag(a) U^dag is decomposed and rho rotated
-    into U (x) I once; each call decomposes only sigma = W diag(b) W^dag and
-    conjugates with I (x) W.  In that basis (rho_A (x) I) G is
+    into U (x) I once; each call decomposes only sigma = W diag(b) W^dag
+    (unless the caller passes (b, W) as ``spectrum``) and conjugates with
+    I (x) W.  In that basis (rho_A (x) I) G is
     (U (x) W)(diag(a) (x) I) G' (U (x) W)^dag with G' = `_q2_gradient_eigenbasis`,
     so its partial trace over A is W (sum_i a_i G'_ii) W^dag, G'_ii the
     d_B x d_B diagonal blocks: nothing of dimension d_A d_B is decomposed,
@@ -92,8 +95,8 @@ def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray],
 
     rho_u = rotate_rows(rotate_rows(rho_mat).conj().T).conj().T.reshape(da, db, dim)
 
-    def q2_and_contracted_gradient(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        b, w = np.linalg.eigh(sigma)
+    def q2_and_contracted_gradient(sigma: np.ndarray, spectrum=None) -> tuple[float, np.ndarray]:
+        b, w = np.linalg.eigh(sigma) if spectrum is None else spectrum
         evals = np.outer(a, b).ravel()
         r_eig = (np.matmul(w.conj().T, rho_u).reshape(-1, db) @ w).reshape(dim, dim)
         q, k_vals = _q2_rotated(r_eig, evals)
@@ -158,31 +161,38 @@ def minimize_density(
     max_iter: int = 500,
     tol: float = _DESCENT_TOL,
     sigma0: np.ndarray | None = None,
+    slack: float = _SLACK,
 ) -> tuple[np.ndarray, float, int, float]:
     """Exponentiated-gradient descent over density operators.
 
-    Each iteration tries a step and halves it until the value does not rise
-    by more than 1e-12.  The first iteration's first trial is 0.5.  After an
-    accepted step, with s and y the changes of the trace-centred log-iterate
-    and of the gradient, the next first trial is the Barzilai-Borwein step
-    <s, s>/<s, y> (Barzilai & Borwein 1988), clipped to [1e-3, 64], when
-    <s, y> > 0.  Otherwise (no curvature along s, as on a linear objective)
-    it is twice the last step (at most 64) when that step was accepted at
-    its first trial and lowered the value by more than 1e-12, and 0.5 if
-    not.  Returns (sigma, value,
-    iterations, residual), where the residual is the gradient mapping at
-    the returned iterate: the trace-norm displacement of a step of 0.5
-    from it, divided by 0.5.  The descent stops once the residual is at
-    most ``tol``, after ``max_iter`` iterations, or when 40 halvings all
-    raise the value (a stalled line search); each exit reports the residual
-    of the iterate it returns.
+    The log-iterate L starts trace-centred: at 0 (sigma = I/d), or at log
+    sigma0 minus (Tr L / d) I.  E(L) ignores a multiple of I, so only the
+    centred L is a point of the exponentiated-gradient geometry (Tsuda,
+    Ratsch & Warmuth 2005), and every later iterate is centred too.  Each
+    iteration tries a step and halves it until the value does not rise by
+    more than ``slack`` (1e-12; a caller whose values carry more noise than
+    that passes their resolution).  The first iteration's first trial is
+    0.5.  After an accepted step, with s and y the changes of the
+    log-iterate and of the gradient, the next first trial is the
+    Barzilai-Borwein step <s, s>/<s, y> (Barzilai & Borwein 1988), clipped
+    to [1e-3, 64], when <s, y> > 0.  Otherwise (no curvature along s, as on
+    a linear objective) it is twice the last step (at most 64) when that
+    step was accepted at its first trial and lowered the value by more than
+    ``slack``, and 0.5 if not.  Returns (sigma, value, iterations,
+    residual): sigma is the array the objective was called with at the
+    returned iterate, so a caller can match it with ``is`` to what it
+    computed there, and the residual is the gradient mapping at it, the
+    trace-norm displacement of a step of 0.5 from it, divided by 0.5.  The
+    descent stops once the residual is at most ``tol``, after ``max_iter``
+    iterations, or when 40 halvings all raise the value (a stalled line
+    search); each exit reports the residual of the iterate it returns.
     """
     if sigma0 is None:
         l_mat = np.zeros((dim, dim), dtype=np.complex128)
     else:
         evals, vecs = np.linalg.eigh(np.asarray(sigma0, dtype=np.complex128))
-        evals = np.clip(evals, 1e-14, None)
-        l_mat = (vecs * np.log(evals)) @ vecs.conj().T
+        logs = np.log(np.clip(evals, 1e-14, None))
+        l_mat = (vecs * (logs - logs.mean())) @ vecs.conj().T
     sigma = _expm_density(l_mat)
     value, grad = value_and_grad(sigma)
     iterations = 0
@@ -194,7 +204,7 @@ def minimize_density(
         for trial in range(40):
             l_try, sig_try = _mirror_step(l_mat, grad, eta)
             val_try, grad_try = value_and_grad(sig_try)
-            if val_try <= value + _SLACK:
+            if val_try <= value + slack:
                 break
             eta *= 0.5
         else:
@@ -204,7 +214,7 @@ def minimize_density(
         sy = float(np.vdot(s, y).real)
         if sy > 0.0:  # Barzilai-Borwein: the step of the secant model along s
             first = min(max(float(np.vdot(s, s).real) / sy, _MIN_STEP), _MAX_STEP)
-        elif trial == 0 and val_try < value - _SLACK:
+        elif trial == 0 and val_try < value - slack:
             first = min(2.0 * eta, _MAX_STEP)
         else:
             first = _REFERENCE_STEP
@@ -304,14 +314,17 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
 def _mutual_info_2(r: DensityOperator, da: int, db: int, sigma0: np.ndarray, objective=None) -> MutualInfoResult:
     """I_2(A:B) of ``r`` by mirror descent from ``sigma0`` on ``objective``, r's `_product_q2` if not given."""
     q2_and_contracted_gradient = objective or _product_q2(r.mat, da, db)
+    spectra = []  # (sigma, its eigendecomposition) of each call
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        q, m = q2_and_contracted_gradient(sigma)
+        spectra.append((sigma, np.linalg.eigh(sigma)))
+        q, m = q2_and_contracted_gradient(sigma, spectra[-1][1])
         grad = m / (q * _LN2)
         return math.log2(q), 0.5 * (grad + grad.conj().T)
 
     sigma, value, iters, res = minimize_density(value_grad, db, sigma0=sigma0)
-    return MutualInfoResult(value, DensityOperator(sigma), iters, res, res <= _DESCENT_TOL)
+    optimal = _vouched(sigma, *next(spectrum for s, spectrum in reversed(spectra) if s is sigma))
+    return MutualInfoResult(value, optimal, iters, res, res <= _DESCENT_TOL)
 
 
 class InducedMutualInfo(NamedTuple):
@@ -328,13 +341,17 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     """min over sigma on A of the raw induced D_2(rho^AB || sigma^A (x) rho^B).
 
     The threshold lambda*(sigma) is differentiated implicitly through the
-    defining equation Q_2(rho || rho + t sigma (x) rho_B) = 1 - eps; each
-    threshold solve starts from the previous one's lambda*.  lambda* is
-    convex in sigma: 1/t* is the concave gauge of the sublevel set of
-    u -> Q_2(rho || rho + u (x) rho_B), which is convex (joint convexity of
-    Q_2, Frank & Lieb 2013).  So value - (Tr[G sigma] - lambda_min(G)), with
-    G the gradient at the returned sigma, is a lower bound on the minimum
-    (``certified_lower``; Jaggi 2013).
+    defining equation Q_2(rho || rho + t sigma (x) rho_B) = 1 - eps.
+    lambda* is convex in sigma: 1/t* is the concave gauge of the sublevel
+    set of u -> Q_2(rho || rho + u (x) rho_B), which is convex (joint
+    convexity of Q_2, Frank & Lieb 2013).  So each threshold solve after the
+    first starts at the last solve's tangent, lambda*_k + Tr[G_k (sigma -
+    sigma_k)], which lies below the new root, and its walk's first step is
+    that predicted move, kept within [1e-9, 1]; the descent accepts a step
+    within the solves' bracket width (`_roots.BISECT_TOL`) of the last
+    value.  The result is the solve made at the returned iterate, and
+    value - (Tr[G sigma] - lambda_min(G)), with G the gradient there, is a
+    lower bound on the minimum (``certified_lower``; Jaggi 2013).
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -345,38 +362,42 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     tag = _parent_tag(parent)
     # The iterate floor keeps sigma full rank, so sigma (x) rho_B has one
     # support for the whole descent and one leak test settles +inf.
-    infinite = parent.margin_limit(r, PositiveOperator(np.kron(np.eye(da) / da, rho_b)), eps) >= 0.0
-    start = math.log2(eps / (1.0 - eps))  # lambda* when rho is sigma (x) rho_B
-
-    def solve(sigma: np.ndarray) -> tuple[InducedResult, np.ndarray]:
-        nonlocal start
-        zero = np.zeros((da, da), dtype=np.complex128)
-        if infinite:
-            return _infinite_result(eps, tag), zero
-        tau = np.kron(sigma, rho_b)
-        margin, evaluated = _q2_margin([(r.mat, tau)], eps)
-        res = _threshold(margin, start, eps, tag)
-        if not res.is_finite:
-            return res, zero
-        start, t = res.lambda_star, res.t_star
-        _, g = _q2_and_gradient(r.mat, *evaluated[start][0])  # lambda* is a point the margin was evaluated at
-        df_dlam = _LN2 * t * float(np.trace(g @ tau).real)
-        if abs(df_dlam) < 1e-300:
-            return res, zero
-        # M with Tr[G (H (x) rho_B)] = Tr[M H] for every H on A
-        grad = -(t * np.einsum("abcd,db->ac", g.reshape(da, db, da, db), rho_b)) / df_dlam
-        return res, 0.5 * (grad + grad.conj().T)
+    # I/d_A (x) rho_B is wrapped from rho_B's eigenpairs (b_j, w_j): e_i (x) w_j, listed j-major so b ascends
+    b, w = np.linalg.eigh(rho_b)
+    order = (np.arange(da)[None, :] * db + np.arange(db)[:, None]).ravel()
+    spectrum = np.repeat(np.clip(b, 0.0, None) / da, da), np.kron(np.eye(da), w)[:, order]
+    infinite = parent.margin_limit(r, _vouched(np.kron(np.eye(da) / da, rho_b), *spectrum), eps) >= 0.0
+    solves: list[tuple[np.ndarray, InducedResult, np.ndarray]] = []  # (sigma, result, gradient) of each call
+    last = None  # the latest finite solve, whose tangent predicts the next
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        res, grad = solve(sigma)
+        nonlocal last
+        res, grad = _infinite_result(eps, tag), np.zeros((da, da), dtype=np.complex128)
+        if not infinite:
+            tau = np.kron(sigma, rho_b)
+            margin, evaluated = _q2_margin([(r.mat, tau)], eps)
+            if last is None:  # lambda* when rho is sigma (x) rho_B, with a unit first step
+                res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, tag)
+            else:
+                move = float(np.vdot(sigma - last[0], last[2]).real)  # Tr[G_k (sigma - sigma_k)]
+                res = _threshold(margin, last[1].lambda_star + move, eps, tag, min(1.0, max(abs(move), 1e-9)))
+        if res.is_finite:
+            t = res.t_star
+            _, g = _q2_and_gradient(r.mat, *evaluated[res.lambda_star][0])  # the margin was evaluated at lambda*
+            df_dlam = _LN2 * t * float(np.trace(g @ tau).real)
+            if abs(df_dlam) >= 1e-300:
+                # M with Tr[G (H (x) rho_B)] = Tr[M H] for every H on A
+                grad = -(t * np.einsum("abcd,db->ac", g.reshape(da, db, da, db), rho_b)) / df_dlam
+                grad = 0.5 * (grad + grad.conj().T)
+            last = (sigma, res, grad)
+        solves.append((sigma, res, grad))
         return res.raw, grad
 
-    sigma, _, iters, res_grad = minimize_density(value_grad, da)
-    final, grad = solve(sigma)
+    sigma, _, iters, res_grad = minimize_density(value_grad, da, slack=_roots.BISECT_TOL)
+    final, grad = next((res, g) for s, res, g in reversed(solves) if s is sigma)
     gap = _frank_wolfe_gap(grad, sigma)
-    return InducedMutualInfo(
-        final.raw, DensityOperator(sigma), final, iters, res_grad, res_grad <= _DESCENT_TOL, final.raw - gap
-    )
+    optimal = _vouched(sigma, *np.linalg.eigh(sigma))
+    return InducedMutualInfo(final.raw, optimal, final, iters, res_grad, res_grad <= _DESCENT_TOL, final.raw - gap)
 
 
 @dataclass(frozen=True)

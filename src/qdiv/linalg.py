@@ -40,7 +40,7 @@ def as_matrix(op) -> np.ndarray:
 
 def support_cutoff(eigenvalues: np.ndarray, dim: int) -> float:
     """Eigenvalue threshold below which spectrum is treated as kernel."""
-    top = float(np.max(eigenvalues, initial=0.0))
+    top = float(eigenvalues.max()) if eigenvalues.size else 0.0
     return max(dim, 8) * _EPS * max(top, _EPS)
 
 
@@ -144,21 +144,26 @@ def _exact_herm(mat: np.ndarray) -> HermitianOperator:
     return op
 
 
-def _spectral_positive(evals: np.ndarray, vecs: np.ndarray) -> PositiveOperator:
-    """V diag(evals) V^dag from an eigendecomposition the caller vouches for, with no eigh or check.
+def _vouched(mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> PositiveOperator:
+    """``mat`` with an eigendecomposition the caller vouches for, with no eigh or check.
 
     ``evals`` must be ascending and >= 0 and ``vecs`` unitary; they become
-    the operator's cached spectrum.  The operator is a `DensityOperator`
-    when ``evals`` sum to 1 within ``TRACE_TOL``, the constructor's own test.
+    the operator's cached spectrum.  The stored matrix is (mat + mat^dag) / 2,
+    as the constructors store it.  The operator is a `DensityOperator` when
+    ``evals`` sum to 1 within ``TRACE_TOL``, the constructor's own test.
     """
     unit = abs(float(np.sum(evals)) - 1.0) <= TRACE_TOL
     op = object.__new__(DensityOperator if unit else PositiveOperator)
-    mat = (vecs * evals) @ vecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)
     for arr in (mat, evals, vecs):
         arr.setflags(write=False)
     op.mat, op.dim, op.eigenvalues, op.eigenvectors = mat, mat.shape[0], evals, vecs
     return op
+
+
+def _spectral_positive(evals: np.ndarray, vecs: np.ndarray) -> PositiveOperator:
+    """V diag(evals) V^dag from an eigendecomposition the caller vouches for (`_vouched`)."""
+    return _vouched((vecs * evals) @ vecs.conj().T, evals, vecs)
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,9 @@ def _q2_rotated(
     return float(k_vals @ (r_eig.real**2 + r_eig.imag**2) @ k_vals), k_vals
 
 
-def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float) -> float:
+def _sandwiched_q(
+    r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float, r_eig: tuple | None = None
+) -> float:
     """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
 
     The evaluator of `q_alpha` and the fidelity; the induced margins read
@@ -224,13 +231,27 @@ def _sandwiched_q(r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha:
     and Q = sum of a-th powers of the eigenvalues of h^dag rho h (rank x
     rank): the kernel of X never enters, so no round-off eigenvalue of it is
     raised to a power below 1.  That route keeps the fidelity (a = 1/2) at
-    exactly 1 on equal states.
+    exactly 1 on equal states.  At orders <= 1/2 the kernel of rho is kept
+    out too, as the induced margins do: with rho = U diag(r) U^dag from
+    ``r_eig`` (rho's ascending eigendecomposition, computed here when not
+    given) and g = diag(r_on^1/2) U_on^dag h, Q sums the a-th powers of the
+    eigenvalues of the smaller of g g^dag and g^dag g, which share their
+    nonzero eigenvalues with h^dag rho h.  A rho of full support keeps
+    h^dag rho h.
     """
     if alpha == 2.0:
         return _q2_eigenbasis(r_mat, evals, vecs)[0]
     on = evals > support_cutoff(evals, evals.size)
     h = vecs[:, on] * evals[on] ** ((1.0 - alpha) / (2.0 * alpha))
-    inner = h.conj().T @ r_mat @ h
+    k = 0
+    if alpha <= 0.5:
+        r_vals, r_vecs = np.linalg.eigh(r_mat) if r_eig is None else r_eig
+        k = int(np.count_nonzero(r_vals <= support_cutoff(r_vals, r_vals.size)))  # supp rho is the block from k on
+    if k:
+        g = np.sqrt(r_vals[k:])[:, None] * (r_vecs[:, k:].conj().T @ h)
+        inner = g @ g.conj().T if g.shape[0] < g.shape[1] else g.conj().T @ g
+    else:
+        inner = h.conj().T @ r_mat @ h
     ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     return float(np.sum(ev**alpha))
 
@@ -326,7 +347,8 @@ def fidelity_and_purified(rho, sigma) -> tuple[float, float]:
     s = as_positive(sigma)
     if r.dim != s.dim:
         raise ValidationError("fidelity needs equal dimensions")
-    return _fidelity_and_purified(_sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, 0.5))
+    q_half = _sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, 0.5, (r.eigenvalues, r.eigenvectors))
+    return _fidelity_and_purified(q_half)
 
 
 def _fidelity_and_purified(q_half: float) -> tuple[float, float]:

@@ -14,6 +14,7 @@ from qdiv import (
     d_max,
     d_min,
     d_umegaki,
+    fidelity_and_purified,
     induced,
     induced_block_property,
     induced_renyi,
@@ -204,8 +205,7 @@ _MARGIN_LAMBDAS = (-30.0, -10.0, 0.0, 10.0, 25.0)
 @pytest.mark.parametrize("rho, sigma", [pytest.param(r, s, id=name) for name, r, s in _margin_pairs()])
 def test_rotated_margins_match_the_dense_route(rho, sigma, alpha):
     # the margin reads X = rho + t sigma in rho's eigenbasis; the public routes build X and decompose it.
-    # Order 1/2 is read as Q_1/2(X || rho), the fidelity being symmetric: Q_1/2(rho || X) takes the
-    # square roots of the sandwich's rounded kernel eigenvalues (see the mpmath test below).  The margin's
+    # Order 1/2 is read as Q_1/2(X || rho), the fidelity being symmetric.  The margin's
     # scale is the sum of its terms' sizes; eigh resolves the small eigenvalues of X only to eps_mach
     # |X|, so where X is ill-conditioned on its support both routes carry eps_mach cond(X).
     eps = 0.3
@@ -242,6 +242,24 @@ def test_fidelity_margin_matches_mpmath(rho, sigma):
         dense = q_alpha(rho, x_mat, 0.5)
         got = threshold - margin(lam)
         assert abs(got - reference) <= 2.0 * abs(dense - reference) + 1e-14 * reference, lam
+
+
+@pytest.mark.parametrize(
+    "rho, sigma", [pytest.param(r, s, id=name) for name, r, s in _margin_pairs() if name.startswith(("rho1", "rho2"))]
+)
+def test_fidelity_of_a_rank_deficient_rho_matches_mpmath(rho, sigma):
+    # the dense route keeps the kernel of a rank-deficient rho out of the sandwich, as the margin does;
+    # reading h^dag rho h put q_alpha(rho, X, 1/2) up to 1.5e-8 off the 40-digit value on these pairs
+    pytest.importorskip("mpmath")
+    from oracles import mp_fidelity
+
+    for lam in _MARGIN_LAMBDAS:
+        x_mat = rho.mat + 2.0**lam * sigma.mat
+        reference = mp_fidelity(rho.mat, x_mat)
+        assert abs(q_alpha(rho, x_mat, 0.5) - reference) <= 1e-12 * reference, lam
+    mixture = 0.5 * (rho.mat + sigma.mat)
+    reference = mp_fidelity(rho.mat, mixture)
+    assert abs(fidelity_and_purified(rho, mixture)[0] - reference) <= 1e-12 * reference
 
 
 def test_fidelity_margin_takes_one_eigvalsh(monkeypatch):
