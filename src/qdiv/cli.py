@@ -282,7 +282,7 @@ def _cmd_qsr(args) -> int:
     if not detail.converged:
         print(
             f"warning: the induced I_2 term stopped at {detail.iterations} mirror-descent "
-            f"iterations without converging (residual {detail.gradient_residual:.2g}); "
+            f"iterations without converging (Frank-Wolfe gap {detail.gradient_residual:.2g}); "
             "q_bound subtracts its certified lower bound, which may be loose",
             file=sys.stderr,
         )

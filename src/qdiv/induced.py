@@ -365,8 +365,8 @@ def _threshold(
     """The threshold of a nonincreasing margin, searched from ``start`` by a walk whose first step is ``first_step``.
 
     The start is clamped inside the search range; a margin still >= 0 at
-    the ceiling gives +inf.  Callers have already ruled out the closed-form
-    +inf cases.  ``induced`` starts from a D_min guess with a unit step; the
+    the ceiling gives +inf (``induced`` rules out the closed-form +inf cases
+    first).  ``induced`` starts from a D_min guess with a unit step; the
     induced mirror descent from the tangent prediction of the last solve,
     with a step of the predicted move (`info.induced_mutual_info_2`).
     """

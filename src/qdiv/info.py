@@ -4,7 +4,8 @@ I_1 has a closed-form minimizer.  I_2 and the induced I_2 minimize over a
 reference state; both problems are convex in that state, so they are solved
 by matrix exponentiated-gradient (mirror descent) with analytic gradients
 obtained from the closed-form (Daleckii-Krein) Frechet derivative of the
-inverse square root; each descent takes Barzilai-Borwein first steps.
+inverse square root; each descent takes Barzilai-Borwein first steps and
+stops on its Frank-Wolfe gap, which bounds its distance to the minimum.
 I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors
 (`_product_q2`), so each objective call decomposes only sigma.  The smoothed
 I_2 descends rho's candidate, then every other candidate from rho's optimum,
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import _roots
 from .divergences import canon_alpha, d_umegaki
-from .induced import InducedResult, ParentDivergence, _infinite_result, _parent_tag, _threshold
-from .induced import _decompose, _q2_decomposed, _q2_margin
+from .induced import InducedResult, _decompose, _q2_decomposed, _q2_margin, _threshold
 from .linalg import (
     DensityOperator,
     PositiveOperator,
@@ -135,8 +135,8 @@ def _expm_density(l_mat: np.ndarray) -> np.ndarray:
     return (1.0 - _ITERATE_FLOOR) * mat + _ITERATE_FLOOR * np.eye(dim) / dim
 
 
-_DESCENT_TOL = 1e-7  # residual at which minimize_density stops before its cap
-_REFERENCE_STEP = 0.5  # the first trial step, and the step the residual is measured at
+_DESCENT_TOL = 1e-7  # Frank-Wolfe gap at which minimize_density stops: a convex minimum is at most this below
+_REFERENCE_STEP = 0.5  # the first trial step
 _MIN_STEP, _MAX_STEP = 1e-3, 64.0  # the range of a first trial after the first iteration
 _SLACK = 1e-12  # a trial may raise the value by this much and still be accepted
 
@@ -147,12 +147,6 @@ def _mirror_step(l_mat: np.ndarray, grad: np.ndarray, eta: float) -> tuple[np.nd
     l_new = l_mat - eta * grad
     l_new = l_new - (np.trace(l_new).real / dim) * np.eye(dim)
     return l_new, _expm_density(l_new)
-
-
-def _mapping_residual(l_mat: np.ndarray, sigma: np.ndarray, grad: np.ndarray) -> float:
-    """Gradient mapping ||E(L - eta G) - sigma||_1 / eta at the reference step."""
-    _, sig_ref = _mirror_step(l_mat, grad, _REFERENCE_STEP)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(sig_ref - sigma)))) / _REFERENCE_STEP
 
 
 def minimize_density(
@@ -181,11 +175,11 @@ def minimize_density(
     ``slack``, and 0.5 if not.  Returns (sigma, value, iterations,
     residual): sigma is the array the objective was called with at the
     returned iterate, so a caller can match it with ``is`` to what it
-    computed there, and the residual is the gradient mapping at it, the
-    trace-norm displacement of a step of 0.5 from it, divided by 0.5.  The
-    descent stops once the residual is at most ``tol``, after ``max_iter``
-    iterations, or when 40 halvings all raise the value (a stalled line
-    search); each exit reports the residual of the iterate it returns.
+    computed there, and the residual is the Frank-Wolfe gap there
+    (`_frank_wolfe_gap`), 0 only at a minimum; value - residual bounds a
+    convex objective's minimum from below.  The descent stops once the gap
+    is at most ``tol``, after ``max_iter`` iterations, or when 40 halvings
+    all raise the value (a stalled line search).
     """
     if sigma0 is None:
         l_mat = np.zeros((dim, dim), dtype=np.complex128)
@@ -208,7 +202,7 @@ def minimize_density(
                 break
             eta *= 0.5
         else:
-            residual = _mapping_residual(l_mat, sigma, grad)
+            residual = _frank_wolfe_gap(grad, sigma)
             break
         s, y = l_try - l_mat, grad_try - grad
         sy = float(np.vdot(s, y).real)
@@ -219,7 +213,7 @@ def minimize_density(
         else:
             first = _REFERENCE_STEP
         l_mat, sigma, value, grad = l_try, sig_try, val_try, grad_try
-        residual = _mapping_residual(l_mat, sigma, grad)
+        residual = _frank_wolfe_gap(grad, sigma)
         if residual <= tol:
             break
     return sigma, value, iterations, residual
@@ -273,7 +267,8 @@ def maximize_simplex(
 
 @dataclass(frozen=True)
 class MutualInfoResult:
-    """``converged`` is False when ``gradient_residual`` is above 1e-7:
+    """``gradient_residual`` is the Frank-Wolfe gap of log2 Q_2 at ``optimal_sigma``; Q_2 is convex in
+    sigma, so I_2 >= value + log2(1 - gap ln 2).  ``converged`` is False when the gap is above 1e-7:
     mirror descent stopped at its iteration cap or on a stalled line search."""
 
     value: float
@@ -332,9 +327,9 @@ class InducedMutualInfo(NamedTuple):
     optimal_sigma: DensityOperator
     result: InducedResult
     iterations: int
-    gradient_residual: float
-    converged: bool  # as in MutualInfoResult
-    certified_lower: float  # value minus the Frank-Wolfe gap: a lower bound on the minimum
+    gradient_residual: float  # the Frank-Wolfe gap of lambda* at optimal_sigma
+    converged: bool  # the gap is at most 1e-7, so the minimum is within 1e-7 below value
+    certified_lower: float  # value minus the gap: a lower bound on the minimum (lambda* is convex)
 
 
 def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutualInfo:
@@ -349,38 +344,29 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     sigma_k)], which lies below the new root, and its walk's first step is
     that predicted move, kept within [1e-9, 1]; the descent accepts a step
     within the solves' bracket width (`_roots.BISECT_TOL`) of the last
-    value.  The result is the solve made at the returned iterate, and
-    value - (Tr[G sigma] - lambda_min(G)), with G the gradient there, is a
-    lower bound on the minimum (``certified_lower``; Jaggi 2013).
+    value, until the Frank-Wolfe gap at the iterate is at most 1e-7.  The
+    result is the solve made at the returned iterate, and value minus that
+    gap is a lower bound on the minimum (``certified_lower``; Jaggi 2013).
+    A margin still >= 0 at the search ceiling gives +inf (`_threshold`).
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     r = as_density(rho)
     da, db = _split_dims(r, dims)
     rho_b = _ptrace(r.mat, [da, db], [1])
-    parent = ParentDivergence.renyi(2.0)
-    tag = _parent_tag(parent)
-    # The iterate floor keeps sigma full rank, so sigma (x) rho_B has one
-    # support for the whole descent and one leak test settles +inf.
-    # I/d_A (x) rho_B is wrapped from rho_B's eigenpairs (b_j, w_j): e_i (x) w_j, listed j-major so b ascends
-    b, w = np.linalg.eigh(rho_b)
-    order = (np.arange(da)[None, :] * db + np.arange(db)[:, None]).ravel()
-    spectrum = np.repeat(np.clip(b, 0.0, None) / da, da), np.kron(np.eye(da), w)[:, order]
-    infinite = parent.margin_limit(r, _vouched(np.kron(np.eye(da) / da, rho_b), *spectrum), eps) >= 0.0
-    solves: list[tuple[np.ndarray, InducedResult, np.ndarray]] = []  # (sigma, result, gradient) of each call
-    last = None  # the latest finite solve, whose tangent predicts the next
+    solves: list[tuple[np.ndarray, InducedResult]] = []  # (sigma, result) of each call
+    last = None  # the latest finite solve and its gradient, whose tangent predicts the next
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal last
-        res, grad = _infinite_result(eps, tag), np.zeros((da, da), dtype=np.complex128)
-        if not infinite:
-            tau = np.kron(sigma, rho_b)
-            margin, evaluated = _q2_margin([(r.mat, tau)], eps)
-            if last is None:  # lambda* when rho is sigma (x) rho_B, with a unit first step
-                res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, tag)
-            else:
-                move = float(np.vdot(sigma - last[0], last[2]).real)  # Tr[G_k (sigma - sigma_k)]
-                res = _threshold(margin, last[1].lambda_star + move, eps, tag, min(1.0, max(abs(move), 1e-9)))
+        grad = np.zeros((da, da), dtype=np.complex128)
+        tau = np.kron(sigma, rho_b)
+        margin, evaluated = _q2_margin([(r.mat, tau)], eps)
+        if last is None:  # lambda* when rho is sigma (x) rho_B, with a unit first step
+            res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, "renyi(2)")
+        else:
+            move = float(np.vdot(sigma - last[0], last[2]).real)  # Tr[G_k (sigma - sigma_k)]
+            res = _threshold(margin, last[1].lambda_star + move, eps, "renyi(2)", min(1.0, max(abs(move), 1e-9)))
         if res.is_finite:
             t = res.t_star
             _, g = _q2_and_gradient(r.mat, *evaluated[res.lambda_star][0])  # the margin was evaluated at lambda*
@@ -390,14 +376,13 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
                 grad = -(t * np.einsum("abcd,db->ac", g.reshape(da, db, da, db), rho_b)) / df_dlam
                 grad = 0.5 * (grad + grad.conj().T)
             last = (sigma, res, grad)
-        solves.append((sigma, res, grad))
+        solves.append((sigma, res))
         return res.raw, grad
 
-    sigma, _, iters, res_grad = minimize_density(value_grad, da, slack=_roots.BISECT_TOL)
-    final, grad = next((res, g) for s, res, g in reversed(solves) if s is sigma)
-    gap = _frank_wolfe_gap(grad, sigma)
+    sigma, _, iters, gap = minimize_density(value_grad, da, slack=_roots.BISECT_TOL)
+    final = next(res for s, res in reversed(solves) if s is sigma)
     optimal = _vouched(sigma, *np.linalg.eigh(sigma))
-    return InducedMutualInfo(final.raw, optimal, final, iters, res_grad, res_grad <= _DESCENT_TOL, final.raw - gap)
+    return InducedMutualInfo(final.raw, optimal, final, iters, gap, gap <= _DESCENT_TOL, final.raw - gap)
 
 
 @dataclass(frozen=True)

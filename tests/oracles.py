@@ -236,18 +236,21 @@ def mp_induced_collision(
 def mp_fidelity(rho_mat, sigma_mat, dps: int = 40, cut: float = 1e-12) -> float:
     """||sqrt(rho) sqrt(sigma)||_1 = Tr sqrt(sqrt(sigma) rho sqrt(sigma)) at ``dps`` digits.
 
-    sigma is read as the rounding of a state whose kernel is exact: its
-    eigenvalues at most ``cut`` times the largest are dropped.  The kernel of
-    the sandwich then sits at the working precision, so the square roots of
-    its eigenvalues are far below double precision.
+    Both arguments are read as the roundings of states whose kernels are
+    exact: their eigenvalues at most ``cut`` times the largest are dropped,
+    so the reference is symmetric in them.  The kernel of the sandwich then
+    sits at the working precision, so the square roots of its eigenvalues
+    are far below double precision.
     """
     from mpmath import mp
 
-    with mp.workdps(dps):
-        r, s = _mp_hermitian(rho_mat), _mp_hermitian(sigma_mat)
-        evals, vecs = mp.eighe(s)
+    def on_support(mat, fn):  # fn of the eigenvalues above the cut, 0 on the rest
+        evals, vecs = mp.eighe(_mp_hermitian(mat))
         floor = cut * max(evals)
-        root = vecs * mp.diag([mp.sqrt(v) if v > floor else 0 for v in evals]) * vecs.H
+        return vecs * mp.diag([fn(v) if v > floor else 0 for v in evals]) * vecs.H
+
+    with mp.workdps(dps):
+        r, root = on_support(rho_mat, lambda v: v), on_support(sigma_mat, mp.sqrt)
         inner = root * r * root
         return float(sum(mp.sqrt(max(v, 0)) for v in mp.eighe((inner + inner.H) / 2, eigvals_only=True)))
 

@@ -108,13 +108,17 @@ def test_q2_gradient_matches_mpmath_oracle(gap, seed):
 
 
 def test_minimize_density_quadratic():
-    # minimize Tr[sigma^2] over density operators: optimum is maximally mixed
+    # minimize Tr[sigma^2] over density operators: optimum is maximally mixed; the residual is the
+    # Frank-Wolfe gap at the returned iterate, and Tr[sigma^2] is convex, so value minus it is below 1/3
     def vg(sigma):
         return float(np.trace(sigma @ sigma).real), 2.0 * sigma
 
-    sigma, value, iters, res = minimize_density(vg, 3)
-    assert abs(value - 1.0 / 3.0) < 1e-8
-    assert np.max(np.abs(sigma - np.eye(3) / 3)) < 1e-6
+    for sigma0 in (None, np.diag([0.7, 0.2, 0.1])):
+        sigma, value, iters, res = minimize_density(vg, 3, sigma0=sigma0)
+        assert abs(value - 1.0 / 3.0) < 1e-8
+        assert np.max(np.abs(sigma - np.eye(3) / 3)) < 1e-6
+        assert res == info._frank_wolfe_gap(2.0 * sigma, sigma) <= 1e-7
+        assert value - res <= 1.0 / 3.0 <= value
 
 
 def test_minimize_density_reports_a_stalled_line_search():
@@ -362,6 +366,17 @@ def test_induced_mi_certified_lower_bounds_every_reference_state(seed):
         assert lam >= out.certified_lower - 1e-10
 
 
+@pytest.mark.parametrize("seeds", [(5, 6), (3, 4)], ids=["5,6", "3,4"])
+def test_induced_mi_of_a_product_with_a_pure_marginal_is_finite_at_eps_near_one(seeds):
+    # rho_A (x) rho_B at sigma = rho_A gives log2(eps / (1 - eps)), finite for every eps < 1; rho's weight
+    # outside supp(I/d_A (x) rho_B) is rounding, which can exceed 1 - eps = 2^-53, so it cannot decide +inf
+    eps = 1.0 - 2.0**-53
+    rho = DensityOperator(np.kron(random_density(2, 2, seeds[0]).mat, random_density(2, 1, seeds[1]).mat))
+    out = induced_mutual_info_2(rho, (2, 2), eps)
+    assert out.converged
+    assert abs(out.value - math.log2(eps / (1.0 - eps))) <= 1e-9
+
+
 def test_induced_mi_monotone_in_eps():
     rho = random_density(4, 4, 23)
     v_small = induced_mutual_info_2(rho, (2, 2), 0.2).value
@@ -525,6 +540,8 @@ def test_induced_mi_sweep_converges_in_few_iterations():
     ]
     assert all(out.converged for out in solves)
     assert sum(out.iterations for out in solves) <= 834 // 2
+    # the descent stops on the Frank-Wolfe gap, so each value is within 1e-7 of its certified lower bound
+    assert all(out.value - out.certified_lower <= 1e-7 for out in solves)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -219,6 +219,26 @@ def test_fidelity_of_a_rank_deficient_sigma_matches_mpmath(dim, ranks, seeds):
             assert abs(fid - mp_fidelity(rho.mat, sigma.mat)) <= 1e-13
 
 
+@pytest.mark.parametrize("instance", [1, 2])
+def test_mpmath_fidelity_is_symmetric_on_rank_deficient_arguments(instance):
+    # the lemma2 states of `qdiv verify --seed 7`: rho of rank 2 in d = 3 and 4 and X = rho + sigma; a rounded
+    # kernel eigenvalue (~1e-17) of either argument enters under a square root and moves F by ~1e-9
+    pytest.importorskip("mpmath")
+    from oracles import mp_fidelity
+    from qdiv.states import rng_from_seed
+    from qdiv.suites import _random_positive, derived_seed
+
+    seed = derived_seed("lemma2", 7, instance)
+    rng = rng_from_seed(seed)
+    dim = 2 + instance % 3
+    rank_r, rank_s = 1 + int(rng.integers(dim)), 1 + int(rng.integers(dim))
+    rho = _random_positive(dim, rank_r, seed, 0.2 + 2.0 * rng.random()).mat
+    x_mat = rho + _random_positive(dim, rank_s, seed + 1, 0.2 + 2.0 * rng.random()).mat
+    assert (rank_r, dim) == (2, 2 + instance)
+    forward, backward = mp_fidelity(rho, x_mat), mp_fidelity(x_mat, rho)
+    assert abs(forward - backward) <= 1e-14 * forward
+
+
 def _eigvalsh_q2(r_mat, evals, vecs):
     """Q_2(rho || X) as the sum of squared eigenvalues of K rho K, K = X^(-1/4) on the support."""
     k = spectral_fn(evals, vecs, -0.25, support_cutoff(evals, evals.size))
