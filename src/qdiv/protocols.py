@@ -7,7 +7,11 @@ for cq channels (with an exact brute-force oracle for classical channels),
 the equality-based convex-split check, and the assembled quantum state
 redistribution cost bound.  When the slots are qubits, the decoder and the
 convex split read their spectra from the spin-j blocks of Schur-Weyl
-duality (`_spin_blocks`) instead of at the family dimension.
+duality instead of at the family dimension, both from one generator
+(`_spin_blocks`) that yields each block's slot operators as a closed-form
+factor.  The convex split takes no eigendecomposition of its mixture: its
+fidelity is the nuclear norm of a factor of it, one singular-value
+computation per block.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .linalg import (
     _ptrace,
     _q2_rotated,
     _sandwiched_q,
-    spectral_fn,
+    _vouched,
 )
 from .states import Channel, _power_exceeds, _slot_products, check_dim_cap, dim_cap
 
@@ -69,31 +73,48 @@ def _ceil_guarded(x: float) -> int:
 
 
 def _spin_blocks(b: np.ndarray, slots: int):
-    """Spin-j blocks of diag(b)^(x N) and T_ac = sum_x |a><c|_x (x) diag(b)^(x rest), N = slots.
+    """Spin-j blocks of diag(b)^(x N) and a factor of T_ac = sum_x |a><c|_x (x) diag(b)^(x rest), N = slots.
 
     Both commute with permutations of the slots, so by Schur-Weyl duality
     (Bacon, Chuang & Harrow, PRL 97, 170502, 2006) each acts as A_j (x) I on
     the spin-j irreps, which occur m_j = C(N, N/2-j) - C(N, N/2-j-1) times.
-    In the basis |j,m> with k = N/2 + m slots in state 0:
+    In the basis |j,m> with k = N/2 + m slots in state 0, from k_min = N/2 - j
+    to k_max = N/2 + j:
     D_j = diag(b0^k b1^(N-k)), T_00 = diag(k b0^(k-1) b1^(N-k)),
     T_11 = diag((N-k) b0^k b1^(N-k-1)), T_01 |j,m> = sqrt((j-m)(j+m+1))
     b0^k b1^(N-k-1) |j,m+1> (the raising operator times the weight of the
-    other N-1 slots) and T_10 = T_01^T.  Yields (m_j, D_j, T) with
-    T[a, c] = T_ac^j, for j = N/2, N/2 - 1, ..., down to 0 or 1/2.
+    other N-1 slots) and T_10 = T_01^T.
+
+    Indexed by (a, k), T^j pairs (0, k+1) with (1, k) in 2x2 blocks
+    w_k [[k+1, r_k], [r_k, N-k]], w_k = b0^k b1^(N-k-1), r_k^2 = (k_max-k)(k-k_min+1),
+    all of the integer determinant k_min (N+1-k_min); (0, k_min) and (1, k_max)
+    are the singletons k_min w_(k_min-1) and k_min w_(k_max).  So T^j = F_j F_j^T
+    in closed form: per pair sqrt(w_k) times the exact Cholesky columns
+    (sqrt(k+1), r_k/sqrt(k+1)) and (0, sqrt(det/(k+1))), then the singletons'
+    square roots.  At k_min = 0 the determinant and the singletons vanish and
+    their columns are dropped, which leaves 2j columns, the rank of T^j;
+    otherwise F_j has 2(2j+1).  Yields (m_j, D_j, F_j), F_j[a] of shape
+    (2j+1, columns), for j = N/2, N/2 - 1, ..., down to 0 or 1/2, every block
+    a slice of one weight table.
     """
     b0, b1 = b
+    p0, p1 = b0 ** np.arange(slots + 1), b1 ** np.arange(slots + 1)
+    weights, w = p0 * p1[::-1], p0[:-1] * p1[-2::-1]  # b0^k b1^(N-k) and w_k = b0^k b1^(N-k-1)
     for k_min in range(slots // 2 + 1):
-        k = np.arange(k_min, slots - k_min + 1)
+        k_max = slots - k_min
+        size = k_max - k_min + 1
         mult = math.comb(slots, k_min) - (math.comb(slots, k_min - 1) if k_min else 0)
-        t = np.zeros((2, 2, k.size, k.size))
-        # a coefficient k or N - k of 0 multiplies the power that would be negative
-        t[0, 0] = np.diag(k * b0 ** np.maximum(k - 1, 0) * b1 ** (slots - k))
-        t[1, 1] = np.diag((slots - k) * b0**k * b1 ** np.maximum(slots - k - 1, 0))
-        up = k[:-1]  # T_01 raises k to k + 1
-        raise_coef = np.sqrt((k[-1] - up) * (up - k_min + 1))
-        t[0, 1] = np.diag(raise_coef * b0**up * b1 ** (slots - up - 1), -1)
-        t[1, 0] = t[0, 1].T
-        yield mult, b0**k * b1 ** (slots - k), t
+        pair = np.arange(size - 1)
+        k = k_min + pair
+        root_w, root_p = np.sqrt(w[k_min:k_max]), np.sqrt(k + 1.0)
+        f = np.zeros((2, size, 2 * size if k_min else size - 1))
+        f[0, pair + 1, pair] = root_w * root_p
+        f[1, pair, pair] = root_w * np.sqrt((k_max - k) * (k - k_min + 1.0)) / root_p
+        if k_min:
+            f[1, pair, size - 1 + pair] = root_w * np.sqrt(k_min * (slots + 1.0 - k_min)) / root_p
+            f[0, 0, -2] = math.sqrt(k_min * w[k_min - 1])
+            f[1, -1, -1] = math.sqrt(k_min * w[k_max])
+        yield mult, weights[k_min : k_max + 1], f
 
 
 def _pbd_block_success(rho: DensityOperator, sigma_a: DensityOperator, d_r: int, n: int) -> float:
@@ -112,9 +133,10 @@ def _pbd_block_success(rho: DensityOperator, sigma_a: DensityOperator, d_r: int,
     v = np.kron(np.eye(d_r), w)
     rho_w = v.conj().T @ rho.mat @ v
     blocks = []
-    for mult, dj, t in _spin_blocks(b, n - 1):
+    for mult, dj, f in _spin_blocks(b, n - 1):
         size = 2 * d_r * dj.size
         tau0 = np.kron(rho_w, np.diag(dj))
+        t = np.einsum("aix,clx->acil", f, f)
         cross = np.einsum("paqc,ef,acil->peiqfl", rho_w.reshape(d_r, 2, d_r, 2), np.diag(b), t)
         evals, vecs = np.linalg.eigh(tau0 + cross.reshape(size, size))
         blocks.append((mult, evals, vecs.conj().T @ tau0 @ vecs))
@@ -162,7 +184,9 @@ def pbd_simulate(rho_ra, sigma_ra, dims: tuple[int, int], eps: float) -> Decodin
     # Every index succeeds with Q_2(tau_0 || eta): the swap P_x of A-slots 0 and x maps
     # tau_0 to tau_x, fixes every other tau_y (sigma_A sits in both slots), so fixes
     # eta, and Q_2 is unitarily invariant
-    sigma_a = DensityOperator(sigma_a)
+    # sigma_A = Tr_R sigma_RA of a validated state: one eigh, its rounding clipped, no re-check
+    evals, vecs = np.linalg.eigh(sigma_a)
+    sigma_a = _vouched(sigma_a, np.clip(evals, 0.0, None), vecs)
     if d_a == 2:
         q = _pbd_block_success(rho, sigma_a, d_r, n)
     else:
@@ -312,25 +336,6 @@ def expurgate_check(chan_or_matrix, m: int) -> ExpurgationReport:
     return ExpurgationReport(m, m_half, tc, lhs, tuple(cb), kept, lhs <= rhs + 1e-12)
 
 
-def _trace_sqrt(mat: np.ndarray) -> float:
-    """Tr sqrt(mat) of a positive semidefinite mat, read on its diagonal equilibration.
-
-    With d = sqrt(diag mat) and K = d^-1 mat d^-1 (unit diagonal), mat =
-    (K^(1/2) D)^dag (K^(1/2) D) for D = diag(d), so Tr sqrt(mat) is the sum of
-    the singular values of K^(1/2) D.  A graded mat (the spin blocks carry
-    weights b0^k b1^(N-k)) keeps its small eigenvalues this way, where a plain
-    eigvalsh loses them to an absolute error of order eps ||mat||.  A zero
-    diagonal entry of a positive semidefinite matrix heads a zero row and
-    column, which adds nothing, so it is dropped.
-    """
-    diag = mat.diagonal().real
-    on = diag > 0.0
-    d = np.sqrt(diag[on])
-    k = mat[np.ix_(on, on)] / np.outer(d, d)
-    root = spectral_fn(*np.linalg.eigh(0.5 * (k + k.conj().T)), 0.5, 0.0)
-    return float(np.sum(np.linalg.svd(root * d, compute_uv=False)))
-
-
 @dataclass(frozen=True)
 class ConvexSplitReport:
     """``ok`` reads actual_p = sqrt(1 - F^2) at F + ``fidelity_error``, the edge of F's rounding bound.
@@ -359,15 +364,19 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     product X = rho^RB (x) sigma^(x n): purified distance <= sqrt(mu/(mu+n))
     with mu = Q_2(rho_ext || rho^RB (x) sigma) - 1.  The fidelity is read on
     the support of X from its factors' eigendecompositions, as Tr sqrt of the
-    slot mixture (`_trace_sqrt`).  When sigma has rank 2, that is a sum over
-    the mixture's spin-j blocks (`_spin_blocks`) and nothing of X's dimension
-    is built; at rank 1 the mixture has the dimension of rho^RB's support, and
-    at rank 3 or more it is built at X's.
+    slot mixture, with no eigendecomposition of the mixture: rho_ext's cached
+    support eigenpairs give G = y y^dag, so the mixture is Z Z^dag / n and
+    Tr sqrt is the sum of Z's singular values over sqrt(n).  When sigma has
+    rank 2, that is a sum over the mixture's spin-j blocks, each with
+    Z_j = sum_a y_a (x) F_j[a] from the closed-form factor T^j = F_j F_j^T of
+    `_spin_blocks`, and nothing of X's dimension is built; otherwise Z sets
+    the slot products of y side by side, with the dimension of rho^RB's
+    support at rank 1 and X's at rank 3 or more.
 
     F's rounding bound (``fidelity_error``) is the sum over the blocks of
-    m^2 eps_mach Tr sqrt(block), m the block's dimension: each Tr sqrt sums
-    m singular values, each accurate to about m eps_mach times the largest,
-    which is at most their sum.
+    m^2 eps_mach Tr sqrt(block), m the number of rows of the block's Z: each
+    Tr sqrt sums at most m singular values, each accurate to about m eps_mach
+    times the largest, which is at most their sum.
     """
     rho = as_density(rho_ext)
     sigma = as_density(sigma_bp)
@@ -386,25 +395,36 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     mu = max(_sandwiched_q(rho.mat, np.kron(a, b), np.kron(u, w), 2.0) - 1.0, 0.0)
 
     # X = M M^dag, M = r (x) s^(x n) with r = u a^(1/2), s = w b^(1/2) on the supports; M
-    # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) with
-    # beta = b^2 on the n slots, and F = Tr sqrt of that mixture
+    # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) = y y^dag
+    # with beta = b^2 on the n slots, and F = Tr sqrt of that mixture = sum sigma(Z) / sqrt(n)
+    # over factors Z with Z Z^dag = n mixture (on each spin block when sigma has rank 2)
     on_a, on_b = a > support_cutoff(a, d_rb), b > sigma.cutoff
     h = np.kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
-    g = h.conj().T @ rho.mat @ h
-    r_a, r_b, beta = int(on_a.sum()), int(on_b.sum()), b[on_b] ** 2
+    on = rho.eigenvalues > rho.cutoff
+    y = h.conj().T @ (rho.eigenvectors[:, on] * np.sqrt(rho.eigenvalues[on]))
+    r_a, r_b = int(on_a.sum()), int(on_b.sum())
     if r_b == 2:
-        # the mixture is (1/n) sum_ac G_ac (x) T_ac with T_ac of `_spin_blocks` at weights beta
-        g4 = g.reshape(r_a, 2, r_a, 2)
-        fid = fid_error = 0.0
-        for mult, dj, t in _spin_blocks(beta, n):
-            size = r_a * dj.size
-            part = mult * _trace_sqrt(np.einsum("paqc,acil->piql", g4, t).reshape(size, size) / n)
-            fid += part
-            fid_error += size * size * _EPS * part
+        # the mixture is (1/n) sum_ac G_ac (x) T_ac^j on each spin block, G_ac = y_a y_c^dag and
+        # T_ac^j = F_j[a] F_j[c]^T (`_spin_blocks` at weights beta), so Z_j = sum_a y_a (x) F_j[a]
+        y3 = y.reshape(r_a, 2, -1)
+        factors = [
+            (mult, np.einsum("par,aix->pirx", y3, f).reshape(r_a * dj.size, -1))
+            for mult, dj, f in _spin_blocks(b[on_b] ** 2, n)
+        ]
     else:
-        mixture = sum(_slot_products(g, np.diag(beta), r_a, r_b, n)) / n
-        fid = _trace_sqrt(mixture)
-        fid_error = mixture.shape[0] ** 2 * _EPS * fid
+        # slot x's term P_x (G (x) diag(beta)^(x (n-1))) P_x^T is A_x A_x^dag with A_x =
+        # P_x (y (x) diag(b)^(x (n-1))) P_x^T once y is square (a wide y becomes R^dag of
+        # y^dag = QR, with the same G): permute_systems permutes rows and columns alike, and
+        # the column permutation cancels in A_x A_x^dag, so the A_x side by side are Z
+        if y.shape[1] > y.shape[0]:
+            y = np.linalg.qr(y.conj().T, mode="r").conj().T
+        y = np.pad(y, ((0, 0), (0, y.shape[0] - y.shape[1])))
+        factors = [(1, np.hstack(list(_slot_products(y, np.diag(b[on_b]), r_a, r_b, n))))]
+    fid = fid_error = 0.0
+    for mult, z in factors:
+        part = mult * float(np.sum(np.linalg.svd(z, compute_uv=False))) / math.sqrt(n)
+        fid += part
+        fid_error += z.shape[0] ** 2 * _EPS * part
     _, pd = _fidelity_and_purified(fid)
     eps_n = math.sqrt(mu / (mu + n))
     return ConvexSplitReport(n, mu, eps_n, pd, fid_error)

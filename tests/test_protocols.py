@@ -24,7 +24,7 @@ from qdiv import (
 )
 from qdiv.induced import induced_renyi
 from qdiv.linalg import _ptrace, _sandwiched_q
-from qdiv.protocols import ConvexSplitReport, _pbd_block_success
+from qdiv.protocols import ConvexSplitReport, _pbd_block_success, _spin_blocks
 import qdiv.protocols as qdiv_protocols
 import qdiv.states as qdiv_states
 from qdiv.states import (
@@ -211,9 +211,10 @@ def test_pbd_success_is_pgm_success(kind, seed, eps, n):
 def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch):
     # with d_A = 2, Q_2(tau_x || eta) is read from eta's spin-j blocks: no eigh
     # or eigvalsh runs at the family dimension, and no member of the family is
-    # built; on any slot dimension its marginals are never re-checked
+    # built; on any slot dimension its marginals are never re-checked, and
+    # sigma_A = Tr_R sigma_RA of a validated sigma_RA is not validated again
     dims = {"eigh": [], "eigvalsh": []}
-    calls = {"permute_systems": 0, "verify_marginals": 0}
+    calls = {"permute_systems": 0, "verify_marginals": 0, "validated": 0}
 
     def counting(name, fn):
         def counted(a, *args, **kwargs):
@@ -231,18 +232,17 @@ def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch):
     monkeypatch.setattr(
         PairwiseFamily, "verify_marginals", counting("verify_marginals", PairwiseFamily.verify_marginals)
     )
-    kind, seed, eps, n = PBD_DRAWS[0]
-    rho, _, sigma_ra = _pbd_draw(kind, seed)
+    (kind, seed, eps, n), (_, seed3, eps3, n3) = PBD_DRAWS[0], PBD_DRAWS[-1]
+    (rho, _, sigma_ra), (rho3, _, sigma3) = _pbd_draw(kind, seed), _pbd_draw("qutrit", seed3)
+    monkeypatch.setattr(HermitianOperator, "__init__", counting("validated", HermitianOperator.__init__))
     rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
     assert rep.n == n
     assert dims["eigh"].count(2 * 2**n) == 0
     assert dims["eigvalsh"].count(2 * 2**n) == 0
-    assert calls == {"permute_systems": 0, "verify_marginals": 0}
+    assert calls == {"permute_systems": 0, "verify_marginals": 0, "validated": 0}
 
-    kind, seed, eps, n = PBD_DRAWS[-1]
-    rho, _, sigma_ra = _pbd_draw(kind, seed)
-    assert pbd_simulate(rho, sigma_ra, (2, 3), eps).n == n
-    assert calls["verify_marginals"] == 0
+    assert pbd_simulate(rho3, sigma3, (2, 3), eps3).n == n3
+    assert calls["verify_marginals"] == 0 and calls["validated"] == 0
 
 
 @pytest.mark.parametrize("kind", ["plain", "conditioned", "rank1"])
@@ -464,12 +464,22 @@ def _split_reference(ext, sigma, n, dims=(4, 2)):
     return math.sqrt(max(0.0, 1.0 - min(fid, 1.0) ** 2))
 
 
-def _split_reference_mp(ext, sigma, n):
-    """The purified distance of `_split_reference` at 40 digits, from the same stored matrices."""
+def _split_reference_mp(ext, sigma, n, on_support=False):
+    """The purified distance of `_split_reference` at 40 digits, from the same stored matrices.
+
+    With ``on_support``, rho_ext is rebuilt in mpmath from its support
+    eigenpairs (eigenvalues above its cutoff), so its rank is exact, as
+    `oracles.mp_fidelity` reads a rank-deficient argument.
+    """
     from mpmath import mp
 
     with mp.workdps(40):
-        e = np.array(_mp_hermitian(ext.mat).tolist(), dtype=object)
+        if on_support:
+            on = ext.eigenvalues > ext.cutoff
+            vecs = mp.matrix(ext.eigenvectors[:, on].tolist())
+            e = np.array((vecs * mp.diag(ext.eigenvalues[on].tolist()) * vecs.H).tolist(), dtype=object)
+        else:
+            e = np.array(_mp_hermitian(ext.mat).tolist(), dtype=object)
         s = np.array(_mp_hermitian(sigma.mat).tolist(), dtype=object)
         base, product = e, np.array(
             [[e[2 * i, 2 * j] + e[2 * i + 1, 2 * j + 1] for j in range(4)] for i in range(4)]
@@ -531,6 +541,56 @@ def test_convex_split_matches_mpmath_reference(source, n):
     assert abs(rep.actual_p - _split_reference_mp(ext, sigma, n)) <= 1e-13
 
 
+@pytest.mark.parametrize("seed", [82, 83])
+@pytest.mark.parametrize("n", range(1, 4))
+def test_convex_split_of_a_pure_extension_matches_the_exact_rank_reference(seed, n):
+    # G = y y^dag from rho_ext's support eigenpairs: the square roots of the
+    # mixture's rounded kernel eigenvalues once put actual_p 1.1e-9 to 4.3e-9 off
+    pytest.importorskip("mpmath")
+    ext, sigma = random_density(8, 1, seed), DensityOperator(np.diag([0.35, 0.65]).astype(complex))
+    rep = convex_split_check(ext, (4, 2), sigma, n)
+    assert abs(rep.actual_p - _split_reference_mp(ext, sigma, n, on_support=True)) <= 1e-13
+
+
+def _spin_block_t(b, slots, k_min):
+    """T[a, c] = T_ac^j of the spin block at k_min, entry by entry from `_spin_blocks`' docstring."""
+    b0, b1 = b
+    k_max = slots - k_min
+    ks = range(k_min, k_max + 1)
+    t = np.zeros((2, 2, len(ks), len(ks)))
+    for i, k in enumerate(ks):
+        if k:
+            t[0, 0, i, i] = k * b0 ** (k - 1) * b1 ** (slots - k)
+        if slots - k:
+            t[1, 1, i, i] = (slots - k) * b0**k * b1 ** (slots - k - 1)
+        if k < k_max:
+            t[0, 1, i + 1, i] = t[1, 0, i, i + 1] = math.sqrt((k_max - k) * (k - k_min + 1)) * b0**k * b1 ** (
+                slots - k - 1
+            )
+    return t
+
+
+@pytest.mark.parametrize("b", [(0.5, 0.5), (0.35, 0.65), (0.9, 0.1), (1e-3, 1.0 - 1e-3), (0.0, 1.0)])
+@pytest.mark.parametrize("slots", range(1, 11))
+def test_spin_block_factor_reproduces_t(b, slots):
+    # T_ac^j = F_j[a] F_j[c]^T entry by entry; F_j has 2j columns, the rank of
+    # T^j at positive weights, at k_min = 0 (every 2x2 pair has determinant
+    # k_min (N + 1 - k_min) = 0) and 2 (2j + 1), full rank, otherwise
+    blocks = list(_spin_blocks(np.array(b), slots))
+    assert len(blocks) == slots // 2 + 1
+    for k_min, (mult, dj, f) in enumerate(blocks):
+        size = slots - 2 * k_min + 1
+        assert mult == math.comb(slots, k_min) - (math.comb(slots, k_min - 1) if k_min else 0)
+        assert f.shape == (2, size, 2 * size if k_min else size - 1)
+        ks = np.arange(k_min, slots - k_min + 1)
+        npt.assert_allclose(dj, b[0] ** ks * b[1] ** (slots - ks), rtol=1e-15, atol=0.0)
+        t = _spin_block_t(b, slots, k_min)
+        assert np.all(np.abs(np.einsum("aix,clx->acil", f, f) - t) <= 1e-14 * np.abs(t))
+        if b[0] == b[1]:  # equal weights keep the rank test well conditioned
+            rank = np.linalg.matrix_rank(t.transpose(0, 2, 1, 3).reshape(2 * size, -1))
+            assert rank == f.shape[2]
+
+
 def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch):
     n, total = 5, 4 * 2**5
     ext, sigma = _split_inputs("random8")
@@ -556,6 +616,9 @@ def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch)
     assert dims["eigh"].count(total) == 0
     assert dims["eigvalsh"].count(total) == 0
     assert dims["validated"].count(total) == 0
+    # at sigma of rank 2 the fidelity is read from singular values of the spin
+    # blocks' factors: rho^RB's eigh is the split's only eigendecomposition
+    assert dims["eigh"] == [4] and dims["eigvalsh"] == []
 
 
 @pytest.mark.parametrize("rank", [2, 3])
