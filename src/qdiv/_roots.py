@@ -25,7 +25,8 @@ float resolution of 1 or of the bracket's ends, whichever is coarser (about
 55 steps from a unit bracket), or to the step cap.  Thresholds known in
 closed form skip the search: ``d_hypothesis`` reads a multiplier at a jump
 from the pencil rho^(-1/2) sigma rho^(-1/2) and searches only between two
-jumps, or over the full range when rho is rank-deficient, and the induced
+jumps or upward from the first one, or over the full range when rho is
+rank-deficient, and the induced
 D_min and D_max thresholds are D + log(eps/(1-eps)).
 """
 

@@ -286,6 +286,14 @@ def _cmd_qsr(args) -> int:
             "q_bound subtracts its certified lower bound, which may be loose",
             file=sys.stderr,
         )
+    smoothed = bound.cond_mi.smoothed_term
+    if not smoothed.converged:
+        print(
+            f"warning: the smoothed I_2 term's descent ({smoothed.candidate}) stopped at "
+            f"{smoothed.iterations} mirror-descent iterations without converging (Frank-Wolfe gap "
+            f"{smoothed.gradient_residual:.2g}); q_bound adds its value there, an upper bound that may be loose",
+            file=sys.stderr,
+        )
     results = {
         "eps": args.eps,
         "delta0": bound.delta0,

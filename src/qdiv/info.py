@@ -6,10 +6,14 @@ by matrix exponentiated-gradient (mirror descent) with analytic gradients
 obtained from the closed-form (Daleckii-Krein) Frechet derivative of the
 inverse square root; each descent takes Barzilai-Borwein first steps and
 stops on its Frank-Wolfe gap, which bounds its distance to the minimum.
-I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors
-(`_product_q2`), so each objective call decomposes only sigma.  The smoothed
-I_2 descends rho's candidate, then every other candidate from rho's optimum,
-unless its Frank-Wolfe lower bound there shows it cannot win.  The channel
+I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors, on
+supp rho_A (x) B only (`_product_q2`): rho_A's eigenvalues and rho there come
+from one SVD of a factor of rho, the kernel of rho_A enters in closed form,
+and each objective call decomposes only sigma.  The smoothed I_2 descends
+rho's candidate, then every other candidate from rho's optimum, unless its
+Frank-Wolfe lower bound there shows it cannot win; rho and its depolarized
+candidates share one SVD, and the result reports the winning descent's
+convergence.  The channel
 quantity, the raw induced D_2 of the cq state, is maximized over input
 distributions with multi-start projected gradient ascent; the reported value
 is attained by a feasible point, hence a certified lower bound on the
@@ -38,6 +42,7 @@ from .linalg import (
     _q2_rotated,
     _spectral_positive,
     _vouched,
+    spectral_fn,
     support_cutoff,
 )
 from .states import Channel, rng_from_seed, random_probability
@@ -58,9 +63,10 @@ def _q2_gradient_eigenbasis(evals: np.ndarray, r_eig: np.ndarray, k_vals: np.nda
     Daleckii-Krein: dK = V (L o V^dag dX V) V^dag, where L is the Loewner
     matrix of first divided differences of x^(-1/2).  With s = sqrt(x) it is
     -1/(s_i s_j (s_i + s_j)) in closed form; s = inf on the kernel makes its
-    rows and columns zero.
+    rows and columns zero.  The kernel is where ``k_vals`` (from `_q2_rotated`)
+    is zero, so the gradient keeps the support cut its Q_2 was taken with.
     """
-    s = np.sqrt(np.where(evals > support_cutoff(evals, evals.size), evals, np.inf))
+    s = np.sqrt(np.where(k_vals > 0.0, evals, np.inf))
     loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
     return loewner * (2.0 * ((r_eig * k_vals) @ r_eig))
 
@@ -74,34 +80,75 @@ def _q2_and_gradient(a: np.ndarray, evals: np.ndarray, vecs: np.ndarray | None) 
     return q, 0.5 * (g + g.conj().T)
 
 
-def _product_q2(rho_mat: np.ndarray, da: int, db: int) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """sigma -> (Q_2(rho || rho_A (x) sigma), Tr_A[(rho_A (x) I) G]), G the gradient in X.
+def _marginal_support(
+    evals: np.ndarray, vecs: np.ndarray, da: int, db: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, rho_u): rho_A's eigenvalues on its support, and rho there, for rho = V diag(evals) V^dag on A B.
 
-    X = rho_A (x) sigma has the eigenbasis U (x) W and the eigenvalues a_i b_j
-    of its factors.  rho_A = U diag(a) U^dag is decomposed and rho rotated
-    into U (x) I once; each call decomposes only sigma = W diag(b) W^dag
-    (unless the caller passes (b, W) as ``spectrum``) and conjugates with
-    I (x) W.  In that basis (rho_A (x) I) G is
-    (U (x) W)(diag(a) (x) I) G' (U (x) W)^dag with G' = `_q2_gradient_eigenbasis`,
-    so its partial trace over A is W (sum_i a_i G'_ii) W^dag, G'_ii the
-    d_B x d_B diagonal blocks: nothing of dimension d_A d_B is decomposed,
-    built by np.kron or rotated back.
+    rho = F F^dag with the factor F = V_on diag(evals_on)^(1/2) on the
+    eigenvalues above the support cutoff.  The rows of F regrouped as
+    F_A[a, (b, m)] = F[(a, b), m] give rho_A = F_A F_A^dag, so one thin SVD
+    F_A = U S V^dag gives rho_A = U diag(S^2) U^dag.  Its support is the k
+    singular values whose squares lie above rho_A's `support_cutoff`, and
+    U_k^dag F_A = S_k V_k^dag is F rotated into U_k (x) I, so rho_u =
+    (U_k (x) I)^dag rho (U_k (x) I) is read from it at dimension k d_B
+    without U.  rho vanishes on ker rho_A (x) B, so rho_u is all of rho in
+    that basis.
     """
-    dim = da * db
-    a, u = np.linalg.eigh(_ptrace(rho_mat, [da, db], [0]))
+    on = evals > support_cutoff(evals, evals.size)
+    factor = vecs[:, on] * np.sqrt(evals[on])
+    _, sv, vh = np.linalg.svd(factor.reshape(da, -1), full_matrices=False)
+    a = sv**2
+    k = int(np.count_nonzero(a > support_cutoff(a, da)))
+    g = (sv[:k, None] * vh[:k]).reshape(k * db, -1)
+    return a[:k], g @ g.conj().T
 
-    def rotate_rows(m: np.ndarray) -> np.ndarray:  # (U (x) I)^dag m
-        return (u.conj().T @ m.reshape(da, -1)).reshape(dim, dim)
 
-    rho_u = rotate_rows(rotate_rows(rho_mat).conj().T).conj().T.reshape(da, db, dim)
+def _product_q2(
+    support: tuple[np.ndarray, np.ndarray], da: int, db: int, shift: float = 0.0
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """sigma -> (Q_2(c || c_A (x) sigma), Tr_A[(c_A (x) I) G]) for c = (1 - shift) rho + shift I/(d_A d_B).
+
+    G is the gradient in X = c_A (x) sigma.  ``support`` is rho's
+    `_marginal_support` (a, rho_u), which every depolarized candidate of rho
+    shares: c_A = U diag(a') U^dag with a' = (1 - shift) a + shift/d_A on
+    supp rho_A and a_ker = shift/d_A on its d_A - k kernel directions.  X
+    has the eigenbasis U (x) W and the eigenvalues a'_i b_j of its factors,
+    and c is block diagonal there: (1 - shift) rho_u + c0 I on supp rho_A
+    (x) B, with c0 = shift/(d_A d_B), and c0 I on ker rho_A (x) B.  Each call
+    decomposes only sigma = W diag(b) W^dag (unless the caller passes (b, W)
+    as ``spectrum``) and conjugates the support block with I (x) W; there
+    (c_A (x) I) G is (diag(a') (x) I) G' with G' = `_q2_gradient_eigenbasis`,
+    so its partial trace over A is W (sum_i a'_i G'_ii) W^dag, G'_ii the
+    d_B x d_B diagonal blocks.  The kernel block is in closed form: it adds
+    (d_A - k) c0^2 sum_j 1/(a_ker b_j) to Q_2 and
+    diag_j(-(d_A - k) c0^2 / (a_ker b_j^2)) to the contracted gradient in
+    sigma's eigenbasis.  Eigenvalues are cut at `support_cutoff` of the
+    whole spectrum at dimension d_A d_B, as the full-dimension objective
+    cuts them, so nothing of dimension d_A d_B is decomposed, built or
+    rotated; with shift 0 the kernel adds nothing.
+    """
+    a, rho_u = support
+    k = a.size
+    dim = k * db
+    c0, a_ker = shift / (da * db), shift / da
+    a_on = (1.0 - shift) * a + a_ker
+    kernel = (da - k) * c0 * c0  # weight of the kernel block's terms
+    cand_u = ((1.0 - shift) * rho_u + c0 * np.eye(dim)).reshape(k, db, dim)
 
     def q2_and_contracted_gradient(sigma: np.ndarray, spectrum=None) -> tuple[float, np.ndarray]:
         b, w = np.linalg.eigh(sigma) if spectrum is None else spectrum
-        evals = np.outer(a, b).ravel()
-        r_eig = (np.matmul(w.conj().T, rho_u).reshape(-1, db) @ w).reshape(dim, dim)
-        q, k_vals = _q2_rotated(r_eig, evals)
-        g = _q2_gradient_eigenbasis(evals, r_eig, k_vals).reshape(da, db, da, db)
-        return q, w @ np.einsum("i,ijik->jk", a, g) @ w.conj().T
+        evals = np.outer(a_on, b).ravel()
+        cut = support_cutoff(evals, da * db)  # a'_i >= a_ker: the top of the whole spectrum is here
+        r_eig = (np.matmul(w.conj().T, cand_u).reshape(-1, db) @ w).reshape(dim, dim)
+        q, k_vals = _q2_rotated(r_eig, evals, cut)
+        g = _q2_gradient_eigenbasis(evals, r_eig, k_vals).reshape(k, db, k, db)
+        m = np.einsum("i,ijik->jk", a_on, g)
+        if kernel > 0.0:
+            inv = spectral_fn(a_ker * b, None, -1.0, cut)  # 1 / (a_ker b_j) above the cut
+            q += kernel * float(np.sum(inv))
+            m -= np.diag(kernel * a_ker * inv * inv)
+        return q, w @ m @ w.conj().T
 
     return q2_and_contracted_gradient
 
@@ -303,12 +350,12 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
 
     if a != 2.0:
         raise ValidationError(f"mutual_info supports alpha in {{1, 2}}, got {a}")
-    return _mutual_info_2(r, da, db, rho_b)
+    support = _marginal_support(r.eigenvalues, r.eigenvectors, da, db)
+    return _mutual_info_2(_product_q2(support, da, db), db, rho_b)
 
 
-def _mutual_info_2(r: DensityOperator, da: int, db: int, sigma0: np.ndarray, objective=None) -> MutualInfoResult:
-    """I_2(A:B) of ``r`` by mirror descent from ``sigma0`` on ``objective``, r's `_product_q2` if not given."""
-    q2_and_contracted_gradient = objective or _product_q2(r.mat, da, db)
+def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.ndarray) -> MutualInfoResult:
+    """I_2 by mirror descent from ``sigma0`` on a `_product_q2` objective."""
     spectra = []  # (sigma, its eigendecomposition) of each call
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
@@ -387,43 +434,59 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
 
 @dataclass(frozen=True)
 class SmoothedResult:
+    """The best candidate's I_2 and its descent: ``iterations``, ``gradient_residual`` (the
+    Frank-Wolfe gap of log2 Q_2 there) and ``converged`` (the gap is at most 1e-7), as in
+    `MutualInfoResult`."""
+
     value: float
     smoothing_state: DensityOperator
     distance_used: float
     is_upper_bound: bool
     candidate: str
+    iterations: int
+    gradient_residual: float
+    converged: bool
 
 
 _LADDER = tuple(0.5**j for j in range(1, 11))
 _PRUNE_MARGIN = 1e-12  # a pruned candidate's lower bound exceeds the incumbent by more than rounding
 
 
-def _smoothing_candidates(r: DensityOperator, eps: float) -> list[tuple[str, DensityOperator, float]]:
-    """(name, state, trace distance to rho) of the candidates inside the eps-ball, rho first.
+def _smoothing_candidates(
+    r: DensityOperator, dims: tuple[int, int], eps: float
+) -> list[tuple[str, DensityOperator, float, Callable]]:
+    """(name, state, trace distance to rho, `_product_q2` objective) of the candidates inside the eps-ball, rho first.
 
     ``rho`` is ``r``; the others are built on its eigenvectors by
     `_spectral_positive` (no eigh or check), at distances read from its
     spectrum.  A depolarized candidate (1 - s) rho + s I/d has eigenvalues
-    (1 - s) lambda + s/d and lies at s times rho's distance to I/d.  A
+    (1 - s) lambda + s/d and lies at s times rho's distance T to I/d, which
+    is the rung d itself when s = d/T < 1 (so no rounding of s enters); its
+    objective is rho's with shift s, on rho's `_marginal_support`.  A
     truncation drops the lowest eigenvalues (mass at most d), renormalizes
-    and lies at the dropped mass; it is left out when it drops nothing above
-    rho's support cutoff, as it is then rho renormalized by rounding.
+    and lies at the dropped mass; its objective reads its own marginal from
+    one SVD of its support factor.  It is left out when it drops nothing above rho's
+    support cutoff, as it is then rho renormalized by rounding.
     """
+    da, db = dims
     lam, vecs, dim = r.eigenvalues, r.eigenvectors, r.dim
+    support = _marginal_support(lam, vecs, da, db)
     td_uniform = 0.5 * float(np.sum(np.abs(lam - 1.0 / dim)))
     cum = np.cumsum(lam)
-    candidates: list[tuple[str, DensityOperator, float]] = [("rho", r, 0.0)]
+    candidates = [("rho", r, 0.0, _product_q2(support, da, db))]
     for d in _LADDER:
         if d > eps + 1e-12:
             continue
         if td_uniform > 1e-14:
             s = min(1.0, d / td_uniform)
             depolarized = _spectral_positive((1.0 - s) * lam + s / dim, vecs)
-            candidates.append((f"depolarized@{d:g}", depolarized, s * td_uniform))
+            candidates.append((f"depolarized@{d:g}", depolarized, min(d, td_uniform), _product_q2(support, da, db, s)))
         drop = min(int(np.searchsorted(cum, d + 1e-15, side="right")), dim - 1)
         if np.any(lam[:drop] > r.cutoff):
             kept = np.where(np.arange(dim) < drop, 0.0, lam)
-            candidates.append((f"truncated@{d:g}", _spectral_positive(kept / kept.sum(), vecs), float(cum[drop - 1])))
+            kept /= kept.sum()
+            objective = _product_q2(_marginal_support(kept, vecs, da, db), da, db)
+            candidates.append((f"truncated@{d:g}", _spectral_positive(kept, vecs), float(cum[drop - 1]), objective))
     return [cand for cand in candidates if cand[2] <= eps + 1e-10]
 
 
@@ -438,15 +501,19 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
 
     Only ``rho`` is validated: the candidates come from its spectrum.  Each
     candidate's I_2 is a mirror descent in the product eigenbasis of
-    rho_A (x) sigma (`_product_q2`, built once per candidate).  The rho
-    candidate starts at rho_B and every other candidate at rho's optimum
-    sigma*: each objective is convex in sigma (Frank & Lieb 2013), so the
-    start changes the length of a descent, not the minimum it certifies.  By
-    the same convexity, the Frank-Wolfe bound Q - (Tr[G sigma*] -
-    lambda_min(G)) at sigma* is below a candidate's minimum Q_2; a candidate
-    whose bound lies above the best value so far (by more than rounding)
-    cannot win and is not descended.  The winner, its value and every
-    reported field are those of a run that descends every candidate.
+    rho_A (x) sigma restricted to supp rho_A (x) B (`_product_q2`), at
+    dimension rank(rho_A) d_B: rho and its depolarized candidates share one
+    SVD of rho's support factor, and the kernel of rho_A enters in closed
+    form.  The rho candidate starts at rho_B and every other candidate at
+    rho's optimum sigma*: each objective is convex in sigma (Frank & Lieb
+    2013), so the start changes the length of a descent, not the minimum it
+    certifies.  By the same convexity, the Frank-Wolfe bound Q - (Tr[G
+    sigma*] - lambda_min(G)) at sigma* is below a candidate's minimum Q_2; a
+    candidate whose bound lies above the best value so far (by more than
+    rounding) cannot win and is not descended.  The winner, its value and
+    every reported field are those of a run that descends every candidate;
+    the result carries the winning descent's iterations, Frank-Wolfe gap and
+    converged flag.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -455,20 +522,19 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
 
     warm = None  # the rho candidate's optimum, where every other candidate starts
     best: tuple[str, DensityOperator, float, MutualInfoResult] | None = None
-    for name, cand, dist in _smoothing_candidates(r, eps):
-        objective = _product_q2(cand.mat, da, db)
+    for name, cand, dist, objective in _smoothing_candidates(r, (da, db), eps):
         if warm is not None:
             q, m = objective(warm)
             lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
             if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
                 continue
-        mi = _mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm, objective)
+        mi = _mutual_info_2(objective, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
             best = (name, cand, dist, mi)
     name, cand, dist, mi = best
-    return SmoothedResult(mi.value, cand, dist, True, name)
+    return SmoothedResult(mi.value, cand, dist, True, name, mi.iterations, mi.gradient_residual, mi.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +644,10 @@ def cond_mutual_info(
 ) -> CondMutualInfo:
     """I_2^{delta0}(RB:A) - induced I_2^{delta1}(B:A) of rho on R A B, validated once, here.
 
-    Reordering R A B to R B A permutes the rows of rho's eigenvectors, so the
-    smoothed term's state is `_spectral_positive` of them and rho's spectrum.
+    A `DensityOperator` is taken as it is: `eqsr_cost_bound` hands over its
+    marginal with a spectrum it vouches for.  Reordering R A B to R B A
+    permutes the rows of rho's eigenvectors, so the smoothed term's state is
+    `_spectral_positive` of them and rho's spectrum.
     """
     r = as_density(rho_rab)
     dr, da, db = (int(d) for d in dims)

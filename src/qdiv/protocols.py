@@ -460,10 +460,16 @@ def eqsr_cost_bound(
     """Quantum communication cost bound q <= (1/2) cond-MI + log(1/delta').
 
     Evaluates the smoothed conditional mutual information on the R A' B
-    marginal of the source's purification (|R| = rank rho), contracted over A
-    from psi[i, a, k] = sqrt(lambda_i) v_i[a, k] on rho's support eigenpairs
-    and divided by their mass, as `purify` normalizes; nothing on R A A' B is
-    built.  Refuses with a diagnostic when the smoothing budget is infeasible.
+    marginal of the source's purification (|R| = rank rho): with
+    psi[i, a, k] = sqrt(lambda_i) v_i[a, k] on rho's support eigenpairs,
+    normalized by their mass as `purify` does, the marginal is phi phi^dag
+    for the (|R| d_A' d_B) x d_A factor phi[(i, k), a] = psi[i, a, k], so it
+    has rank at most d_A.  One full SVD of phi gives its eigenpairs: U is a
+    complete basis and the squared singular values, ascending, the
+    spectrum.  The marginal is handed on with them (`linalg._vouched`), so
+    nothing on R A A' B is built and nothing at the marginal's dimension is
+    decomposed or validated.  Refuses with a diagnostic when the smoothing
+    budget is infeasible.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -482,8 +488,12 @@ def eqsr_cost_bound(
     on = rho.eigenvalues > rho.cutoff
     lam, d_r = rho.eigenvalues[on], rho.rank
     check_dim_cap(d_r * d_ap * d_b)  # the marginal on R A' B is the largest thing built
-    psi = (rho.eigenvectors[:, on] * np.sqrt(lam)).T.reshape(d_r, d_a, d_ap * d_b)
-    marginal = np.einsum("iak,jal->ikjl", psi, psi.conj()).reshape(d_r * d_ap * d_b, -1) / lam.sum()
+    psi = (rho.eigenvectors[:, on] * np.sqrt(lam / lam.sum())).T.reshape(d_r, d_a, d_ap * d_b)
+    phi = psi.transpose(0, 2, 1).reshape(d_r * d_ap * d_b, d_a)  # phi[(i, k), a] = psi[i, a, k]
+    u, sv, _ = np.linalg.svd(phi)
+    evals = np.zeros(phi.shape[0])
+    evals[: sv.size] = sv**2
+    marginal = _vouched(phi @ phi.conj().T, evals[::-1].copy(), u[:, ::-1].copy())
     cmi = cond_mutual_info(marginal, (d_r, d_ap, d_b), delta0, delta1)
     q_bound = 0.5 * cmi.value + math.log2(1.0 / dp)
     return EqsrBound(delta0, delta1, dp, cmi, q_bound)

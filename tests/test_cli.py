@@ -331,3 +331,26 @@ def test_qsr_warns_when_induced_term_hits_its_cap(files, tmp_path, capsys, monke
     argv = ["qsr", "--state", str(tmp_path / "product.json"), "--eps", "0.95", "--delta0", "0.001", "--delta1", "0.3"]
     assert run(argv) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def test_qsr_warns_when_smoothed_term_does_not_converge(files, capsys, monkeypatch):
+    argv = ["qsr", "--state", files["tri"], "--eps", "0.5", "--delta0", "0.005", "--delta1", "0.005"]
+    argv += ["--format", "json"]
+    assert run(argv) == 0
+    converged = capsys.readouterr()
+    assert "warning" not in converged.err
+
+    descend = info.minimize_density
+
+    def capped(value_and_grad, dim, **kwargs):  # the induced descent passes its slack; cap only the others
+        return descend(value_and_grad, dim, **({} if "slack" in kwargs else {"max_iter": 2}), **kwargs)
+
+    monkeypatch.setattr(info, "minimize_density", capped)
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "smoothed I_2 term's descent" in warnings[0] and "stopped at 2 mirror-descent iterations" in warnings[0]
+    assert "without converging" in warnings[0]
+    # the report's fields are those of a converged run: the flag goes to stderr only
+    assert json.loads(captured.out)["results"].keys() == json.loads(converged.out)["results"].keys()

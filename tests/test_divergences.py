@@ -407,6 +407,26 @@ def test_hypothesis_jump_solves_take_log_d_eigendecompositions(monkeypatch):
     assert jumps >= 80
 
 
+def test_hypothesis_below_the_first_jump_walks_up_from_it(monkeypatch):
+    # a rank-deficient sigma can put 1 - eps below the pencil's first jump mu_0; the
+    # search then walks up from x_0 = -log2 mu_0 and never falls back to the full range
+    ranges = []
+    bisect = _roots.bisect_decreasing
+
+    def recording(f, start, floor, ceiling, *args, **kwargs):
+        ranges.append((start, floor, ceiling))
+        return bisect(f, start, floor, ceiling, *args, **kwargs)
+
+    monkeypatch.setattr(_roots, "bisect_decreasing", recording)
+    for rho, sigma in _hypothesis_pairs():  # every rho has full rank, so the pencil has jumps
+        for eps in HYPOTHESIS_EPS:
+            d_hypothesis(rho, sigma, eps)
+    assert not [r for r in ranges if r[1:] == (-120.0, 120.0)]
+    below = [r for r in ranges if r[2] == 120.0]
+    assert len(below) >= 40  # 45 of these solves lie below the first jump
+    assert all(start == floor for start, floor, _ in below)
+
+
 def _full_range_hypothesis(rho, sigma, eps) -> float:
     """D_H from one search over the whole multiplier range, with no pencil."""
     target = 1.0 - eps

@@ -18,6 +18,7 @@ from qdiv import (
     trace_distance,
 )
 from qdiv import _roots, info
+from qdiv.divergences import q_alpha
 from qdiv.induced import induced_renyi
 from qdiv.info import minimize_density
 from qdiv.linalg import _ptrace, permute_systems
@@ -204,14 +205,22 @@ def test_mutual_info_rejects_bad_alpha():
         mutual_info(product_state(3, 4), (3, 2), 2.0)
 
 
-def _eqsr_smoothing_input(seed):
-    """The (RB, A') state whose I_2 `eqsr_cost_bound` smooths, for random_density(8, 8, seed).
+def _eqsr_smoothing_input(seed, dims=(2, 2, 2)):
+    """The (RB, A') state whose I_2 `eqsr_cost_bound` smooths, for random_density(8, 8, seed) on A A' B.
 
-    The global state on R A A' B is pure, so rho_RB has rank at most 4 of 16.
+    The global state on R A A' B is pure, so rho_RB has rank at most d_A d_A': 4 of 16 at
+    dims (2, 2, 2), and all 8 of 8 at dims (4, 2, 1).
     """
+    d_a, d_ap, d_b = dims
     psi, d_r, _ = purify(random_density(8, 8, seed))
-    marginal = _ptrace(psi.mat, [d_r, 2, 2, 2], [0, 2, 3])
-    return DensityOperator(permute_systems(marginal, [d_r, 2, 2], [0, 2, 1])), (2 * d_r, 2)
+    marginal = _ptrace(psi.mat, [d_r, d_a, d_ap, d_b], [0, 2, 3])
+    return DensityOperator(permute_systems(marginal, [d_r, d_ap, d_b], [0, 2, 1])), (d_r * d_b, d_ap)
+
+
+def _objective(rho, dims):
+    """rho's `_product_q2` objective, on the marginal support read from its support eigenpairs."""
+    support = info._marginal_support(rho.eigenvalues, rho.eigenvectors, *dims)
+    return info._product_q2(support, *dims)
 
 
 def _product_basis_cases():
@@ -226,7 +235,7 @@ def _product_basis_cases():
 def test_product_basis_q2_matches_the_kronecker_form(rho, dims):
     da, db = dims
     rho_a = _ptrace(rho.mat, [da, db], [0])
-    q2_and_contracted_gradient = info._product_q2(rho.mat, da, db)
+    q2_and_contracted_gradient = _objective(rho, dims)
     rho_b = _ptrace(rho.mat, [da, db], [1])
     for sigma in (rho_b, random_density(db, db, 5).mat, random_density(db, db, 6).mat):
         q, m = q2_and_contracted_gradient(sigma)
@@ -234,6 +243,45 @@ def test_product_basis_q2_matches_the_kronecker_form(rho, dims):
         m_ref = np.einsum("abcd,ca->bd", g.reshape(da, db, da, db), rho_a)  # Tr_A[(rho_A (x) I) G]
         assert abs(q - q_ref) <= 1e-12 * q_ref
         assert np.max(np.abs(m - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
+
+
+def _richardson_derivative(f, h):
+    """f'(0) from central differences at h, h/2 and h/4, extrapolated twice (error O(h^6))."""
+    d = [(f(h / 2**i) - f(-h / 2**i)) / (2.0 * h / 2**i) for i in range(3)]
+    r = [(4.0 * d[i + 1] - d[i]) / 3.0 for i in range(2)]
+    return (16.0 * r[1] - r[0]) / 15.0
+
+
+@pytest.mark.parametrize(
+    "rho, dims",
+    [
+        pytest.param(*_eqsr_smoothing_input(0), id="rank_deficient_rho_A,seed=0"),
+        pytest.param(*_eqsr_smoothing_input(1), id="rank_deficient_rho_A,seed=1"),
+        pytest.param(*_eqsr_smoothing_input(13, (4, 2, 1)), id="full_support_rho_A,seed=13"),
+    ],
+)
+def test_restricted_objective_matches_q_alpha_and_finite_differences(rho, dims):
+    # the objective lives on supp rho_A (x) B and adds ker rho_A in closed form; each candidate
+    # c is checked against Q_2(c || c_A (x) sigma) at the full dimension, and its contracted
+    # gradient M (dQ_2 = Tr[M dsigma]) against a central difference of its own Q_2
+    da, db = dims
+    rank = np.linalg.matrix_rank(_ptrace(rho.mat, [da, db], [0]), hermitian=True, tol=1e-12)
+    assert rank == (4 if da == 16 else da)  # ker rho_A is empty at dims (4, 2, 1)
+    assert info._marginal_support(rho.eigenvalues, rho.eigenvectors, da, db)[0].size == rank
+    kinds = set()
+    for name, cand, _, objective in info._smoothing_candidates(rho, dims, 0.5):
+        kinds.add(name.split("@")[0])
+        cand_a = _ptrace(cand.mat, [da, db], [0])
+        for seed in (5, 6):
+            sigma = random_density(db, db, seed).mat
+            q, m = objective(sigma)
+            q_ref = q_alpha(cand, np.kron(cand_a, sigma), 2)
+            assert abs(q - q_ref) <= 1e-12 * q_ref
+            direction = random_density(db, db, seed + 10).mat - np.eye(db) / db
+            fd = _richardson_derivative(lambda t: objective(sigma + t * direction)[0], 1e-2)
+            analytic = float(np.trace(m @ direction).real)
+            assert abs(fd - analytic) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(direction)
+    assert kinds == {"rho", "depolarized", "truncated"}
 
 
 def test_mutual_info_objective_decomposes_only_sigma(monkeypatch):
@@ -429,18 +477,27 @@ def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps
     # every candidate but rho starts at rho's optimum; each objective is convex
     # in sigma, so the start changes the length of a descent, not its minimum
     rho, dims = _eqsr_smoothing_input(seed)
-    helper = info._mutual_info_2
+    da, db = dims
+    helper, candidates = info._mutual_info_2, info._smoothing_candidates
     runs = {"warm": [], "cold": []}
+    states = {}  # each candidate's state, by its objective
+
+    def listing(*args):
+        out = candidates(*args)
+        states.update((id(objective), cand) for _, cand, _, objective in out)
+        return out
 
     def recording(kind, from_rho_b):
-        def run(r, da, db, sigma0, *objective):
+        def run(objective, db, sigma0):
             if from_rho_b:
-                sigma0 = _ptrace(r.mat, [da, db], [1])
-            out = helper(r, da, db, sigma0, *objective)
+                sigma0 = _ptrace(states[id(objective)].mat, [da, db], [1])
+            out = helper(objective, db, sigma0)
             runs[kind].append(out)
             return out
 
         return run
+
+    monkeypatch.setattr(info, "_smoothing_candidates", listing)
 
     monkeypatch.setattr(info, "_mutual_info_2", recording("warm", False))
     warm = smoothed_mutual_info_2(rho, dims, eps)
@@ -456,11 +513,14 @@ def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps
 
 
 def _unpruned_smoothed(rho, dims, eps):
-    """(candidate, operator, listed distance, MutualInfoResult) of the winner when every candidate is descended."""
+    """(candidate, operator, listed distance, MutualInfoResult) of the winner when every candidate is descended.
+
+    Each descent runs on the candidate's own listed objective, as `smoothed_mutual_info_2` does.
+    """
     da, db = dims
     warm = best = None
-    for name, cand, dist in info._smoothing_candidates(rho, eps):
-        mi = info._mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
+    for name, cand, dist, objective in info._smoothing_candidates(rho, dims, eps):
+        mi = info._mutual_info_2(objective, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
@@ -483,22 +543,22 @@ def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
     monkeypatch.setattr(info, "_mutual_info_2", recording)
     out = smoothed_mutual_info_2(rho, dims, eps)
     assert out.value == mi.value
+    assert (out.iterations, out.gradient_residual, out.converged) == (mi.iterations, mi.gradient_residual, mi.converged)
     assert out.candidate == name
     assert out.distance_used == dist
     assert np.array_equal(out.smoothing_state.mat, cand.mat)
-    assert len(descended) < len(info._smoothing_candidates(rho, eps))
+    assert len(descended) < len(info._smoothing_candidates(rho, dims, eps))
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
     rho, (da, db) = _eqsr_smoothing_input(seed)
     sigma_star = None
-    for _, cand, _ in info._smoothing_candidates(rho, 0.2):
-        mi = info._mutual_info_2(cand, da, db, _ptrace(cand.mat, [da, db], [1]))
+    for _, cand, _, q2_and_contracted_gradient in info._smoothing_candidates(rho, (da, db), 0.2):
+        mi = info._mutual_info_2(q2_and_contracted_gradient, db, _ptrace(cand.mat, [da, db], [1]))
         assert mi.converged
         if sigma_star is None:  # rho's optimum, where the pruning reads the bound
             sigma_star = mi.optimal_sigma.mat
-        q2_and_contracted_gradient = info._product_q2(cand.mat, da, db)
         for sigma in (sigma_star, np.eye(db) / db, random_density(db, db, seed + 7).mat):
             q, m = q2_and_contracted_gradient(sigma)
             lower = q - info._frank_wolfe_gap(0.5 * (m + m.conj().T), sigma)
@@ -506,14 +566,14 @@ def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
 
 
 @pytest.mark.parametrize(
-    "rho",
-    [random_density(4, 4, 3), _eqsr_smoothing_input(0)[0], _eqsr_smoothing_input(1)[0]],
+    "rho, dims",
+    [(random_density(4, 4, 3), (2, 2)), _eqsr_smoothing_input(0), _eqsr_smoothing_input(1)],
     ids=["4x4,seed=3", "eqsr_marginal,seed=0", "eqsr_marginal,seed=1"],
 )
-def test_smoothing_candidate_distances_are_read_from_the_spectrum(rho):
-    candidates = info._smoothing_candidates(rho, 0.5)
+def test_smoothing_candidate_distances_are_read_from_the_spectrum(rho, dims):
+    candidates = info._smoothing_candidates(rho, dims, 0.5)
     assert len(candidates) > 10
-    for _, cand, dist in candidates:
+    for _, cand, dist, _ in candidates:
         assert abs(dist - trace_distance(cand.mat, rho.mat)) <= 1e-14
 
 
