@@ -19,6 +19,8 @@ from . import _roots
 from .linalg import (
     PositiveOperator,
     ValidationError,
+    _eigh,
+    _eigvalsh,
     _sandwiched_q,
     _spectral_positive,
     as_density,
@@ -144,7 +146,7 @@ def d_max(rho, sigma) -> DivergenceValue:
         return DivergenceValue(INF, "not_contained")
     half = spectral_fn(s.eigenvalues, s.eigenvectors, -0.5, s.cutoff)
     inner = half @ r.mat @ half
-    top = float(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))[-1])
+    top = float(_eigvalsh(0.5 * (inner + inner.conj().T))[-1])
     if top <= 0.0:
         return DivergenceValue(-INF, "max")
     return DivergenceValue(math.log2(top), "max")
@@ -274,7 +276,7 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
 
     def split(x: float, mu: float, mu_err: float) -> None:
         mat = mu * r.mat - s.mat
-        evals, vecs = np.linalg.eigh(mat)
+        evals, vecs = _eigh(mat)
         weights = np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real  # rho's weight on each eigenvector
         splits[x] = (mu, mu_err, evals, vecs, weights, 128.0 * _EPS * max(1.0, float(np.max(np.abs(mat)))))
 
@@ -294,7 +296,7 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     if r.eigenvalues[0] > r.cutoff:
         half = (r.eigenvectors * r.eigenvalues**-0.5) @ r.eigenvectors.conj().T
         pencil = half @ s.mat @ half
-        jumps = np.linalg.eigvalsh(0.5 * (pencil + pencil.conj().T))
+        jumps = _eigvalsh(0.5 * (pencil + pencil.conj().T))
         pencil_err = max(r.dim, 8) * _EPS * float(jumps[-1])
         jumps = jumps[jumps > pencil_err]  # a zero is the kernel of sigma, which the leak weighs
     xs = -np.log2(jumps)
@@ -356,7 +358,7 @@ def d_tilde_max(rho, sigma, eps: float) -> DivergenceValue:
         return DivergenceValue(INF, "not_contained")
 
     def margin(lam: float) -> float:  # Tr(rho - t sigma)_+ - eps; both operands are Hermitian
-        evals = np.linalg.eigvalsh(r.mat - (2.0**lam) * s.mat)
+        evals = _eigvalsh(r.mat - (2.0**lam) * s.mat)
         return float(np.sum(evals[evals > 0.0])) - eps
 
     found = _roots.bisect_decreasing(margin, 0.0, -220.0, 220.0)

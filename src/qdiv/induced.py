@@ -42,6 +42,8 @@ from .linalg import (
     DensityOperator,
     PositiveOperator,
     ValidationError,
+    _eigh,
+    _eigvalsh,
     _q2_eigenbasis,
     as_density,
     as_matrix,
@@ -177,7 +179,7 @@ class ParentDivergence:
             ent_r = _xlogx_sum(r)
 
             def margin(lam: float) -> float:
-                evals, vecs = np.linalg.eigh(base + (2.0**lam) * s_rot)
+                evals, vecs = _eigh(base + (2.0**lam) * s_rot)
                 return ent_r - _log_cross(r @ (vecs.conj() * vecs).real, evals) - log_1me
 
             return margin
@@ -198,7 +200,7 @@ class ParentDivergence:
         else:
 
             def sandwich(t: float) -> np.ndarray:
-                evals, vecs = np.linalg.eigh(base + t * s_rot)
+                evals, vecs = _eigh(base + t * s_rot)
                 j = int(np.count_nonzero(evals <= support_cutoff(evals, evals.size)))  # the kernel of X never enters
                 g = root[:, None] * vecs[k:, j:] * evals[j:] ** (0.5 * power)  # rho^1/2 X^(p/2), X's eigenbasis
                 # g g^dag and g^dag g share their nonzero eigenvalues: the smaller one holds no rounded kernel,
@@ -206,7 +208,7 @@ class ParentDivergence:
                 return g @ g.conj().T if g.shape[0] < g.shape[1] else g.conj().T @ g
 
         def margin(lam: float) -> float:
-            mu = np.maximum(np.linalg.eigvalsh(sandwich(2.0**lam)), 0.0)
+            mu = np.maximum(_eigvalsh(sandwich(2.0**lam)), 0.0)
             return sign * (float((mu**a).sum()) - threshold)
 
         return margin
@@ -229,7 +231,7 @@ def _ratio_margin(value: float, eps: float) -> Callable[[float], float]:
 
 def _decompose(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(evals, vecs) of a positive operator; a vector is a diagonal, with vecs None."""
-    return (x, None) if x.ndim == 1 else np.linalg.eigh(x)
+    return (x, None) if x.ndim == 1 else _eigh(x)
 
 
 def _q2_decomposed(c: np.ndarray, evals: np.ndarray, vecs: np.ndarray | None) -> float:

@@ -36,6 +36,9 @@ from .linalg import (
     DensityOperator,
     PositiveOperator,
     ValidationError,
+    _eigh,
+    _eigvalsh,
+    _kron,
     as_density,
     _ptrace,
     _q2_eigenbasis,
@@ -137,7 +140,7 @@ def _product_q2(
     cand_u = ((1.0 - shift) * rho_u + c0 * np.eye(dim)).reshape(k, db, dim)
 
     def q2_and_contracted_gradient(sigma: np.ndarray, spectrum=None) -> tuple[float, np.ndarray]:
-        b, w = np.linalg.eigh(sigma) if spectrum is None else spectrum
+        b, w = _eigh(sigma) if spectrum is None else spectrum
         evals = np.outer(a_on, b).ravel()
         cut = support_cutoff(evals, da * db)  # a'_i >= a_ker: the top of the whole spectrum is here
         r_eig = (np.matmul(w.conj().T, cand_u).reshape(-1, db) @ w).reshape(dim, dim)
@@ -165,14 +168,14 @@ def _frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
     over density operators is value - gap, so value - gap bounds the
     minimum from below (Jaggi 2013).
     """
-    return float(np.trace(grad @ sigma).real) - float(np.linalg.eigvalsh(grad)[0])
+    return float(np.trace(grad @ sigma).real) - float(_eigvalsh(grad)[0])
 
 
 _ITERATE_FLOOR = 1e-8
 
 
 def _expm_density(l_mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(l_mat)
+    evals, vecs = _eigh(l_mat)
     e = np.exp(evals - evals[-1])
     mat = (vecs * e) @ vecs.conj().T
     mat = mat / np.trace(mat).real
@@ -231,7 +234,7 @@ def minimize_density(
     if sigma0 is None:
         l_mat = np.zeros((dim, dim), dtype=np.complex128)
     else:
-        evals, vecs = np.linalg.eigh(np.asarray(sigma0, dtype=np.complex128))
+        evals, vecs = _eigh(np.asarray(sigma0, dtype=np.complex128))
         logs = np.log(np.clip(evals, 1e-14, None))
         l_mat = (vecs * (logs - logs.mean())) @ vecs.conj().T
     sigma = _expm_density(l_mat)
@@ -345,7 +348,7 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
 
     if a == 1.0:
         rho_a = _ptrace(r.mat, [da, db], [0])
-        value = d_umegaki(r, PositiveOperator(np.kron(rho_a, rho_b))).value
+        value = d_umegaki(r, PositiveOperator(_kron(rho_a, rho_b))).value
         return MutualInfoResult(value, DensityOperator(rho_b), 0, 0.0, True)
 
     if a != 2.0:
@@ -359,7 +362,7 @@ def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.nda
     spectra = []  # (sigma, its eigendecomposition) of each call
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        spectra.append((sigma, np.linalg.eigh(sigma)))
+        spectra.append((sigma, _eigh(sigma)))
         q, m = q2_and_contracted_gradient(sigma, spectra[-1][1])
         grad = m / (q * _LN2)
         return math.log2(q), 0.5 * (grad + grad.conj().T)
@@ -407,7 +410,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal last
         grad = np.zeros((da, da), dtype=np.complex128)
-        tau = np.kron(sigma, rho_b)
+        tau = _kron(sigma, rho_b)
         margin, evaluated = _q2_margin([(r.mat, tau)], eps)
         if last is None:  # lambda* when rho is sigma (x) rho_B, with a unit first step
             res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, "renyi(2)")
@@ -428,7 +431,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
 
     sigma, _, iters, gap = minimize_density(value_grad, da, slack=_roots.BISECT_TOL)
     final = next(res for s, res in reversed(solves) if s is sigma)
-    optimal = _vouched(sigma, *np.linalg.eigh(sigma))
+    optimal = _vouched(sigma, *_eigh(sigma))
     return InducedMutualInfo(final.raw, optimal, final, iters, gap, gap <= _DESCENT_TOL, final.raw - gap)
 
 
@@ -454,12 +457,13 @@ _PRUNE_MARGIN = 1e-12  # a pruned candidate's lower bound exceeds the incumbent 
 
 def _smoothing_candidates(
     r: DensityOperator, dims: tuple[int, int], eps: float
-) -> list[tuple[str, DensityOperator, float, Callable]]:
-    """(name, state, trace distance to rho, `_product_q2` objective) of the candidates inside the eps-ball, rho first.
+) -> list[tuple[str, np.ndarray, float, Callable]]:
+    """(name, spectrum, trace distance to rho, `_product_q2` objective) of the candidates inside the eps-ball, rho first.
 
-    ``rho`` is ``r``; the others are built on its eigenvectors by
-    `_spectral_positive` (no eigh or check), at distances read from its
-    spectrum.  A depolarized candidate (1 - s) rho + s I/d has eigenvalues
+    ``rho`` is ``r``.  Every candidate is diagonal in r's eigenvectors, so
+    it is carried as its spectrum there, at a distance read from r's
+    spectrum; no candidate's state is built (`_candidate_state` builds the
+    winner's).  A depolarized candidate (1 - s) rho + s I/d has eigenvalues
     (1 - s) lambda + s/d and lies at s times rho's distance T to I/d, which
     is the rung d itself when s = d/T < 1 (so no rounding of s enters); its
     objective is rho's with shift s, on rho's `_marginal_support`.  A
@@ -473,21 +477,26 @@ def _smoothing_candidates(
     support = _marginal_support(lam, vecs, da, db)
     td_uniform = 0.5 * float(np.sum(np.abs(lam - 1.0 / dim)))
     cum = np.cumsum(lam)
-    candidates = [("rho", r, 0.0, _product_q2(support, da, db))]
+    candidates = [("rho", lam, 0.0, _product_q2(support, da, db))]
     for d in _LADDER:
         if d > eps + 1e-12:
             continue
         if td_uniform > 1e-14:
             s = min(1.0, d / td_uniform)
-            depolarized = _spectral_positive((1.0 - s) * lam + s / dim, vecs)
+            depolarized = (1.0 - s) * lam + s / dim
             candidates.append((f"depolarized@{d:g}", depolarized, min(d, td_uniform), _product_q2(support, da, db, s)))
         drop = min(int(np.searchsorted(cum, d + 1e-15, side="right")), dim - 1)
         if np.any(lam[:drop] > r.cutoff):
             kept = np.where(np.arange(dim) < drop, 0.0, lam)
             kept /= kept.sum()
             objective = _product_q2(_marginal_support(kept, vecs, da, db), da, db)
-            candidates.append((f"truncated@{d:g}", _spectral_positive(kept, vecs), float(cum[drop - 1]), objective))
+            candidates.append((f"truncated@{d:g}", kept, float(cum[drop - 1]), objective))
     return [cand for cand in candidates if cand[2] <= eps + 1e-10]
+
+
+def _candidate_state(r: DensityOperator, name: str, spectrum: np.ndarray) -> DensityOperator:
+    """A `_smoothing_candidates` entry's state: ``r`` for rho, else built on r's eigenvectors by `_spectral_positive`."""
+    return r if name == "rho" else _spectral_positive(spectrum, r.eigenvectors)
 
 
 def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedResult:
@@ -521,20 +530,21 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     da, db = _split_dims(r, dims)
 
     warm = None  # the rho candidate's optimum, where every other candidate starts
-    best: tuple[str, DensityOperator, float, MutualInfoResult] | None = None
-    for name, cand, dist, objective in _smoothing_candidates(r, (da, db), eps):
+    best: tuple[str, np.ndarray, float, MutualInfoResult] | None = None
+    for name, spectrum, dist, objective in _smoothing_candidates(r, (da, db), eps):
         if warm is not None:
             q, m = objective(warm)
             lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
             if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
                 continue
-        mi = _mutual_info_2(objective, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
+        mi = _mutual_info_2(objective, db, _ptrace(r.mat, [da, db], [1]) if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if best is None or mi.value < best[3].value:
-            best = (name, cand, dist, mi)
-    name, cand, dist, mi = best
-    return SmoothedResult(mi.value, cand, dist, True, name, mi.iterations, mi.gradient_residual, mi.converged)
+            best = (name, spectrum, dist, mi)
+    name, spectrum, dist, mi = best
+    state = _candidate_state(r, name, spectrum)
+    return SmoothedResult(mi.value, state, dist, True, name, mi.iterations, mi.gradient_residual, mi.converged)
 
 
 # ---------------------------------------------------------------------------

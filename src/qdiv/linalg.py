@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -28,6 +29,62 @@ _EPS = np.finfo(np.float64).eps
 
 class ValidationError(ValueError):
     """An operator or argument failed a structural invariant."""
+
+
+KERNEL_CALLS: dict = {}
+"""Every Hermitian decomposition qdiv makes: calls by (kind, dimension).
+
+The kinds are ``eigh`` and ``eigvalsh``.  The counts only grow; read the
+difference of two snapshots.  No report reads them.
+"""
+
+
+def _count(kind: str, dim: int) -> None:
+    KERNEL_CALLS[kind, dim] = KERNEL_CALLS.get((kind, dim), 0) + 1
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(mat)`` for one complex128 or float64 matrix, without numpy's per-call wrapper.
+
+    It calls the LAPACK gufunc that ``np.linalg.eigh`` calls once its wrapper
+    has coerced and checked the input (lower triangle, signature ``D->dD`` or
+    ``d->dd``), so the output is bitwise numpy's.  The wrapper's coercion,
+    type dispatch and error-state context cost more than LAPACK itself at
+    d <= 4.  A LAPACK failure (an infinite entry, or a NaN one at most
+    dimensions) fills the output with NaN and sets the invalid flag, which
+    the caller's error state reports: under numpy's default a RuntimeWarning
+    is printed, under a raising state the gufunc raises.  Either way (a NaN
+    first eigenvalue, or the raised error) the kernel then calls
+    ``np.linalg.eigh``, which raises `numpy.linalg.LinAlgError` on a failure
+    and otherwise returns the same NaNs.
+    """
+    _count("eigh", len(mat))
+    try:
+        evals, vecs = _umath_linalg.eigh_lo(mat, signature="D->dD" if mat.dtype.kind == "c" else "d->dd")
+    except (FloatingPointError, RuntimeWarning):
+        return np.linalg.eigh(mat)
+    if evals.size and math.isnan(evals[0]):
+        return np.linalg.eigh(mat)
+    return evals, vecs
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(mat)`` without numpy's per-call wrapper, as `_eigh` takes ``eigh``."""
+    _count("eigvalsh", len(mat))
+    try:
+        evals = _umath_linalg.eigvalsh_lo(mat, signature="D->d" if mat.dtype.kind == "c" else "d->d")
+    except (FloatingPointError, RuntimeWarning):
+        return np.linalg.eigvalsh(mat)
+    if evals.size and math.isnan(evals[0]):
+        return np.linalg.eigvalsh(mat)
+    return evals
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two vectors or two matrices as one broadcast product, bitwise np.kron's without its generic reshaping."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def as_matrix(op) -> np.ndarray:
@@ -86,7 +143,7 @@ class PositiveOperator(HermitianOperator):
 
     def __init__(self, mat):
         super().__init__(mat)
-        evals, evecs = np.linalg.eigh(self.mat)
+        evals, evecs = _eigh(self.mat)
         scale = max(1.0, float(evals[-1]) if evals.size else 1.0)
         if evals.size and evals[0] < -PSD_TOL * scale:
             raise ValidationError(
@@ -245,14 +302,14 @@ def _sandwiched_q(
     h = vecs[:, on] * evals[on] ** ((1.0 - alpha) / (2.0 * alpha))
     k = 0
     if alpha <= 0.5:
-        r_vals, r_vecs = np.linalg.eigh(r_mat) if r_eig is None else r_eig
+        r_vals, r_vecs = _eigh(r_mat) if r_eig is None else r_eig
         k = int(np.count_nonzero(r_vals <= support_cutoff(r_vals, r_vals.size)))  # supp rho is the block from k on
     if k:
         g = np.sqrt(r_vals[k:])[:, None] * (r_vecs[:, k:].conj().T @ h)
         inner = g @ g.conj().T if g.shape[0] < g.shape[1] else g.conj().T @ g
     else:
         inner = h.conj().T @ r_mat @ h
-    ev = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
+    ev = np.clip(_eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     return float(np.sum(ev**alpha))
 
 
@@ -290,7 +347,7 @@ def tensor(*ops) -> HermitianOperator:
         raise ValidationError("tensor() needs at least one operator")
     out = as_herm(ops[0]).mat
     for op in ops[1:]:
-        out = np.kron(out, as_herm(op).mat)
+        out = _kron(out, as_herm(op).mat)
     return HermitianOperator(out)
 
 
@@ -337,7 +394,7 @@ def trace_distance(rho, sigma) -> float:
     a, b = as_matrix(rho), as_matrix(sigma)
     if a.shape != b.shape:
         raise ValidationError("trace_distance needs equal dimensions")
-    evals = np.linalg.eigvalsh(a - b)
+    evals = _eigvalsh(a - b)
     return 0.5 * float(np.sum(np.abs(evals)))
 
 
@@ -359,7 +416,7 @@ def _fidelity_and_purified(q_half: float) -> tuple[float, float]:
 
 def positive_part_trace(op) -> float:
     """Sum of the positive eigenvalues, i.e. Tr of the positive part."""
-    evals = np.linalg.eigvalsh(as_herm(op).mat)
+    evals = _eigvalsh(as_herm(op).mat)
     return float(np.sum(evals[evals > 0.0]))
 
 
@@ -370,6 +427,6 @@ def op_meet(rho, sigma) -> HermitianOperator:
     if a.shape != b.shape:
         raise ValidationError("op_meet needs equal dimensions")
     diff = a - b
-    evals, evecs = np.linalg.eigh(diff)
+    evals, evecs = _eigh(diff)
     absdiff = (evecs * np.abs(evals)) @ evecs.conj().T
     return HermitianOperator(0.5 * (a + b - absdiff))

@@ -30,6 +30,8 @@ from .linalg import (
     DensityOperator,
     RECON_TOL,
     ValidationError,
+    _eigh,
+    _kron,
     as_density,
     support_cutoff,
     _EPS,
@@ -130,15 +132,15 @@ def _pbd_block_success(rho: DensityOperator, sigma_a: DensityOperator, d_r: int,
     one eigendecomposition of eta would take it.
     """
     b, w = sigma_a.eigenvalues, sigma_a.eigenvectors
-    v = np.kron(np.eye(d_r), w)
+    v = _kron(np.eye(d_r), w)
     rho_w = v.conj().T @ rho.mat @ v
     blocks = []
     for mult, dj, f in _spin_blocks(b, n - 1):
         size = 2 * d_r * dj.size
-        tau0 = np.kron(rho_w, np.diag(dj))
+        tau0 = _kron(rho_w, np.diag(dj))
         t = np.einsum("aix,clx->acil", f, f)
         cross = np.einsum("paqc,ef,acil->peiqfl", rho_w.reshape(d_r, 2, d_r, 2), np.diag(b), t)
-        evals, vecs = np.linalg.eigh(tau0 + cross.reshape(size, size))
+        evals, vecs = _eigh(tau0 + cross.reshape(size, size))
         blocks.append((mult, evals, vecs.conj().T @ tau0 @ vecs))
     cut = support_cutoff(np.concatenate([evals for _, evals, _ in blocks]), d_r * 2**n)
     return sum(mult * _q2_rotated(r_eig, evals, cut)[0] for mult, evals, r_eig in blocks)
@@ -167,7 +169,7 @@ def pbd_simulate(rho_ra, sigma_ra, dims: tuple[int, int], eps: float) -> Decodin
         raise ValidationError("induced divergence is infinite; no finite family size")
     n = _ceil_guarded(res.t_star)
     sigma_a = _ptrace(sigma.mat, [d_r, d_a], [1])
-    dev = float(np.max(np.abs(np.kron(_ptrace(rho.mat, [d_r, d_a], [0]), sigma_a) - sigma.mat)))
+    dev = float(np.max(np.abs(_kron(_ptrace(rho.mat, [d_r, d_a], [0]), sigma_a) - sigma.mat)))
     if n >= 2 and dev > RECON_TOL:
         raise ValidationError(f"sigma_RA deviates from rho_R (x) sigma_A by {dev:.3e}")
     dh, _ = d_hypothesis(rho, sigma, eps)
@@ -185,14 +187,14 @@ def pbd_simulate(rho_ra, sigma_ra, dims: tuple[int, int], eps: float) -> Decodin
     # tau_0 to tau_x, fixes every other tau_y (sigma_A sits in both slots), so fixes
     # eta, and Q_2 is unitarily invariant
     # sigma_A = Tr_R sigma_RA of a validated state: one eigh, its rounding clipped, no re-check
-    evals, vecs = np.linalg.eigh(sigma_a)
+    evals, vecs = _eigh(sigma_a)
     sigma_a = _vouched(sigma_a, np.clip(evals, 0.0, None), vecs)
     if d_a == 2:
         q = _pbd_block_success(rho, sigma_a, d_r, n)
     else:
         products = _slot_products(rho.mat, sigma_a.mat, d_r, d_a, n)
         tau0 = next(products)
-        q = _sandwiched_q(tau0, *np.linalg.eigh(sum(products, tau0)), 2.0)
+        q = _sandwiched_q(tau0, *_eigh(sum(products, tau0)), 2.0)
     return DecodingReport(n, (q,) * n, q, q, res, n_old, dh.value)
 
 
@@ -390,16 +392,16 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     if _power_exceeds(d_rb, d_bp, n, dim_cap()):
         raise ValidationError(f"composite dimension {d_rb}*{d_bp}^{n} exceeds cap {dim_cap()}")
 
-    a, u = np.linalg.eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
+    a, u = _eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
     b, w = sigma.eigenvalues, sigma.eigenvectors
-    mu = max(_sandwiched_q(rho.mat, np.kron(a, b), np.kron(u, w), 2.0) - 1.0, 0.0)
+    mu = max(_sandwiched_q(rho.mat, _kron(a, b), _kron(u, w), 2.0) - 1.0, 0.0)
 
     # X = M M^dag, M = r (x) s^(x n) with r = u a^(1/2), s = w b^(1/2) on the supports; M
     # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) = y y^dag
     # with beta = b^2 on the n slots, and F = Tr sqrt of that mixture = sum sigma(Z) / sqrt(n)
     # over factors Z with Z Z^dag = n mixture (on each spin block when sigma has rank 2)
     on_a, on_b = a > support_cutoff(a, d_rb), b > sigma.cutoff
-    h = np.kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
+    h = _kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
     on = rho.eigenvalues > rho.cutoff
     y = h.conj().T @ (rho.eigenvectors[:, on] * np.sqrt(rho.eigenvalues[on]))
     r_a, r_b = int(on_a.sum()), int(on_b.sum())

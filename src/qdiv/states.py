@@ -23,6 +23,7 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     ValidationError,
+    _kron,
     as_density,
     as_matrix,
     partial_trace,
@@ -242,7 +243,7 @@ def _slot_products(first: np.ndarray, other: np.ndarray, d_first: int, d_slot: i
     """Yield first (x) other^(x)(n-1) on F A^n with first's A factor moved to slot x = 0..n-1."""
     base = first
     for _ in range(n - 1):
-        base = np.kron(base, other)
+        base = _kron(base, other)
     sys_dims = [d_first] + [d_slot] * n
     for x in range(n):
         order = list(range(n + 1))
@@ -299,7 +300,7 @@ def pairwise_tensor_family(rho_ra, dims: tuple[int, int], sigma_a, n: int) -> Pa
         raise ValidationError(f"composite dimension {d_r}*{d_a}^{n} exceeds cap {dim_cap()}")
     members = tuple(_exact_herm(m) for m in _slot_products(rho.mat, sigma.mat, d_r, d_a, n))
     rho_r = partial_trace(rho, [d_r, d_a], [0]).mat
-    sigma_ra = DensityOperator(np.kron(rho_r, sigma.mat))
+    sigma_ra = DensityOperator(_kron(rho_r, sigma.mat))
     return PairwiseFamily(rho, sigma_ra, (d_r, d_a), n, members)
 
 

@@ -28,7 +28,7 @@ from .divergences import (
     q_alpha,
 )
 from .induced import ParentDivergence, induced, induced_block_property, induced_renyi
-from .linalg import DensityOperator, HermitianOperator, PositiveOperator, op_meet, spectral_fn
+from .linalg import DensityOperator, HermitianOperator, PositiveOperator, _eigvalsh, _kron, op_meet, spectral_fn
 from .protocols import (
     brute_force_tc,
     convex_split_check,
@@ -146,7 +146,7 @@ def _suite_lemma2(instance: int, base_seed: int) -> list[Row]:
     sigma = _random_positive(dim, rank_s, seed + 1, 0.2 + 2.0 * rng.random())
     total = PositiveOperator(rho.mat + sigma.mat)
     ptp = float(
-        np.sum(np.clip(np.linalg.eigvalsh(rho.mat - sigma.mat), 0.0, None))
+        np.sum(np.clip(_eigvalsh(rho.mat - sigma.mat), 0.0, None))
     )
     rows = []
     for alpha in (0.0, 0.5, 0.999, 1.5, 2.0):
@@ -375,8 +375,8 @@ def _suite_induced_web(instance: int, base_seed: int) -> list[Row]:
     sigma_n = sigma_c.copy()
     for n in range(1, 7):
         if n > 1:
-            rho_n = np.kron(rho_n, rho_c)
-            sigma_n = np.kron(sigma_n, sigma_c)
+            rho_n = _kron(rho_n, rho_c)
+            sigma_n = _kron(sigma_n, sigma_c)
         res = induced_renyi(DensityOperator(rho_n), PositiveOperator(sigma_n), 2.0, 0.3)
         gaps.append(abs(res.raw / n - dvg))
     rows.append(_row("induced-web", "aep_endpoint", instance, s, gaps[-1], gaps[0] + 1e-12))
@@ -406,7 +406,7 @@ def _pbd_instance(seed: int, eps: float, max_n: int = 8):
         res = induced_renyi(
             rho,
             PositiveOperator(
-                np.kron(
+                _kron(
                     np.asarray(
                         _rho_marginal(rho), dtype=np.complex128
                     ),
@@ -432,7 +432,7 @@ def _suite_pbd(instance: int, base_seed: int) -> list[Row]:
     eps = (0.3, 0.5)[instance % 2]
     rho, sigma_a, s = _pbd_instance(seed, eps)
     rho_r = _rho_marginal(rho)
-    sigma_ra = DensityOperator(np.kron(rho_r, sigma_a.mat))
+    sigma_ra = DensityOperator(_kron(rho_r, sigma_a.mat))
     report = pbd_simulate(rho, sigma_ra, (2, 2), eps)
     rows = [
         _row("pbd", "decoding_guarantee", instance, s, 1.0 - eps - 1e-8, report.min_success),

@@ -231,41 +231,35 @@ def test_hypothesis_equal_states_stops_at_float_resolution(monkeypatch):
     assert 0 < len(calls) <= 60
 
 
-def _count_solver_calls(monkeypatch) -> dict:
-    """Count eigendecompositions (eigh and eigvalsh) and root-finder calls from here on."""
-    counts = {"eigh": 0, "searches": 0}
-    for name in ("eigh", "eigvalsh"):
-
-        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
-            counts["eigh"] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def _count_searches(monkeypatch) -> list:
+    """Record every root-finder call from here on."""
+    searches = []
     search = _roots.bisect_decreasing
 
     def searched(*args):
-        counts["searches"] += 1
+        searches.append(1)
         return search(*args)
 
     monkeypatch.setattr(_roots, "bisect_decreasing", searched)
-    return counts
+    return searches
 
 
-def test_hypothesis_equal_states_jump_at_one(monkeypatch):
+def test_hypothesis_equal_states_jump_at_one(monkeypatch, count_kernel_calls):
     # every eigenvalue of the pencil rho^(-1/2) rho rho^(-1/2) is 1: the whole
     # space is the kernel of mu rho - rho there, and no search runs
     rho = random_density(4, 4, 8)
-    counts = _count_solver_calls(monkeypatch)
+    searches, kernel_calls = _count_searches(monkeypatch), count_kernel_calls()
     for eps in (0.1, 0.3, 0.7):
         dv, test = d_hypothesis(rho, rho, eps)
         assert abs(test.mu - 1.0) <= 1e-14
         assert abs(dv.value + math.log2(1.0 - eps)) <= 1e-12
         assert abs(test.alpha_err - (1.0 - eps)) <= 1e-14
-    assert counts["searches"] == 0
+    assert not searches
+    assert kernel_calls()  # the pencil is decomposed
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_hypothesis_classical_multiplier_is_a_likelihood_ratio(seed, monkeypatch):
+def test_hypothesis_classical_multiplier_is_a_likelihood_ratio(seed, monkeypatch, count_kernel_calls):
     # on commuting pairs the pass probability is a step function, so the
     # multiplier is a jump q_i / p_i, read from the pencil without a search
     rng = rng_from_seed(seed)
@@ -275,10 +269,10 @@ def test_hypothesis_classical_multiplier_is_a_likelihood_ratio(seed, monkeypatch
     q = rng.random(d) + 1e-3
     eps = 0.05 + 0.9 * rng.random()
     rho, sigma = diag_density(*p), PositiveOperator(np.diag(q).astype(complex))
-    counts = _count_solver_calls(monkeypatch)
+    searches, kernel_calls = _count_searches(monkeypatch), count_kernel_calls()
     dv, test = d_hypothesis(rho, sigma, eps)
-    assert counts["searches"] == 0
-    assert counts["eigh"] <= math.ceil(math.log2(d)) + 2
+    assert not searches
+    assert 1 <= len(kernel_calls()) <= math.ceil(math.log2(d)) + 2
     assert np.min(np.abs(test.mu / (q / p) - 1.0)) <= 1e-14
     assert abs(dv.value + math.log2(classical_np_beta(p, q, eps))) < 1e-9
 
@@ -374,36 +368,29 @@ def test_hypothesis_optimality_certificate_on_noncommuting_pairs():
     assert checked >= 200
 
 
-def test_hypothesis_takes_few_eigendecompositions(monkeypatch):
+def test_hypothesis_takes_few_eigendecompositions(count_kernel_calls):
     pairs = list(_hypothesis_pairs())
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    kernel_calls = count_kernel_calls()
     solves = 0
     for rho, sigma in pairs:
         for eps in HYPOTHESIS_EPS:
             solves += math.isfinite(d_hypothesis(rho, sigma, eps)[1].mu)
     # a jump takes about log2(d) + 1, a search between two jumps about 12
-    assert len(calls) <= 12 * solves
+    assert 1 <= len(kernel_calls("eigh")) <= 12 * solves
 
 
-def test_hypothesis_jump_solves_take_log_d_eigendecompositions(monkeypatch):
+def test_hypothesis_jump_solves_take_log_d_eigendecompositions(monkeypatch, count_kernel_calls):
     pairs = list(_hypothesis_pairs())
-    counts = _count_solver_calls(monkeypatch)
+    searches, kernel_calls = _count_searches(monkeypatch), count_kernel_calls()
     jumps = 0
     for rho, sigma in pairs:
         for eps in HYPOTHESIS_EPS:
-            eighs, searches = counts["eigh"], counts["searches"]
+            eighs, searched = len(kernel_calls()), len(searches)
             _, test = d_hypothesis(rho, sigma, eps)
-            if math.isfinite(test.mu) and counts["searches"] == searches:
+            if math.isfinite(test.mu) and len(searches) == searched:
                 jumps += 1
                 # one eigvalsh of the pencil, then a binary search over its d eigenvalues
-                assert counts["eigh"] - eighs <= math.ceil(math.log2(rho.dim)) + 2
+                assert 1 <= len(kernel_calls()) - eighs <= math.ceil(math.log2(rho.dim)) + 2
     assert jumps >= 80
 
 

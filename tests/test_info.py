@@ -17,7 +17,7 @@ from qdiv import (
     smoothed_mutual_info_2,
     trace_distance,
 )
-from qdiv import _roots, info
+from qdiv import _roots, info, linalg
 from qdiv.divergences import q_alpha
 from qdiv.induced import induced_renyi
 from qdiv.info import minimize_density
@@ -269,8 +269,9 @@ def test_restricted_objective_matches_q_alpha_and_finite_differences(rho, dims):
     assert rank == (4 if da == 16 else da)  # ker rho_A is empty at dims (4, 2, 1)
     assert info._marginal_support(rho.eigenvalues, rho.eigenvectors, da, db)[0].size == rank
     kinds = set()
-    for name, cand, _, objective in info._smoothing_candidates(rho, dims, 0.5):
+    for name, spectrum, _, objective in info._smoothing_candidates(rho, dims, 0.5):
         kinds.add(name.split("@")[0])
+        cand = info._candidate_state(rho, name, spectrum)
         cand_a = _ptrace(cand.mat, [da, db], [0])
         for seed in (5, 6):
             sigma = random_density(db, db, seed).mat
@@ -284,34 +285,33 @@ def test_restricted_objective_matches_q_alpha_and_finite_differences(rho, dims):
     assert kinds == {"rho", "depolarized", "truncated"}
 
 
-def test_mutual_info_objective_decomposes_only_sigma(monkeypatch):
+def test_mutual_info_objective_decomposes_only_sigma(monkeypatch, count_kernel_calls):
     rho, dims = _eqsr_smoothing_input(0)
     assert dims == (16, 2)
     inside, eigh_dims, kron_calls = [False], [], []
-    eigh, kron, md = np.linalg.eigh, np.kron, info.minimize_density
+    md = info.minimize_density
 
-    def recording_eigh(a, *args, **kwargs):
-        if inside[0]:
-            eigh_dims.append(np.shape(a)[-1])
-        return eigh(a, *args, **kwargs)
+    def recording_kron(kron):
+        def recorded(*args, **kwargs):
+            if inside[0]:
+                kron_calls.append(1)
+            return kron(*args, **kwargs)
 
-    def recording_kron(*args, **kwargs):
-        if inside[0]:
-            kron_calls.append(1)
-        return kron(*args, **kwargs)
+        return recorded
 
     def flagging_md(value_and_grad, *args, **kwargs):
         def flagged(sigma):
-            inside[0] = True
+            inside[0], kernel_calls = True, count_kernel_calls()
             try:
                 return value_and_grad(sigma)
             finally:
                 inside[0] = False
+                eigh_dims.extend(kernel_calls("eigh"))
 
         return md(flagged, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    monkeypatch.setattr(np, "kron", recording_kron)
+    for module in (linalg, info):  # every Kronecker product in qdiv goes through linalg._kron
+        monkeypatch.setattr(module, "_kron", recording_kron(module._kron))
     monkeypatch.setattr(info, "minimize_density", flagging_md)
     out = mutual_info(rho, dims, 2.0)
     assert out.converged
@@ -482,9 +482,10 @@ def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps
     runs = {"warm": [], "cold": []}
     states = {}  # each candidate's state, by its objective
 
-    def listing(*args):
-        out = candidates(*args)
-        states.update((id(objective), cand) for _, cand, _, objective in out)
+    def listing(r, *args):
+        out = candidates(r, *args)
+        for name, spectrum, _, objective in out:
+            states[id(objective)] = info._candidate_state(r, name, spectrum)
         return out
 
     def recording(kind, from_rho_b):
@@ -519,7 +520,8 @@ def _unpruned_smoothed(rho, dims, eps):
     """
     da, db = dims
     warm = best = None
-    for name, cand, dist, objective in info._smoothing_candidates(rho, dims, eps):
+    for name, spectrum, dist, objective in info._smoothing_candidates(rho, dims, eps):
+        cand = info._candidate_state(rho, name, spectrum)
         mi = info._mutual_info_2(objective, db, _ptrace(cand.mat, [da, db], [1]) if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
@@ -554,7 +556,8 @@ def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
 def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
     rho, (da, db) = _eqsr_smoothing_input(seed)
     sigma_star = None
-    for _, cand, _, q2_and_contracted_gradient in info._smoothing_candidates(rho, (da, db), 0.2):
+    for name, spectrum, _, q2_and_contracted_gradient in info._smoothing_candidates(rho, (da, db), 0.2):
+        cand = info._candidate_state(rho, name, spectrum)
         mi = info._mutual_info_2(q2_and_contracted_gradient, db, _ptrace(cand.mat, [da, db], [1]))
         assert mi.converged
         if sigma_star is None:  # rho's optimum, where the pruning reads the bound
@@ -573,8 +576,8 @@ def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
 def test_smoothing_candidate_distances_are_read_from_the_spectrum(rho, dims):
     candidates = info._smoothing_candidates(rho, dims, 0.5)
     assert len(candidates) > 10
-    for _, cand, dist, _ in candidates:
-        assert abs(dist - trace_distance(cand.mat, rho.mat)) <= 1e-14
+    for name, spectrum, dist, _ in candidates:
+        assert abs(dist - trace_distance(info._candidate_state(rho, name, spectrum).mat, rho.mat)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +23,15 @@ from qdiv import (
     tensor,
     trace_distance,
 )
-from qdiv.linalg import RECON_TOL, _sandwiched_q, support_cutoff
+from qdiv.linalg import (
+    KERNEL_CALLS,
+    RECON_TOL,
+    _eigh,
+    _eigvalsh,
+    _kron,
+    _sandwiched_q,
+    support_cutoff,
+)
 from qdiv.states import (
     basis_state,
     maximally_entangled,
@@ -386,3 +396,81 @@ def test_operators_reject_non_finite_entries(cls, bad):
         cls(mat)
     with pytest.raises(ValidationError, match="non-finite"):
         cls(np.array([[0.5, complex(0.0, bad)], [complex(0.0, -bad), 0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# the decomposition kernel
+# ---------------------------------------------------------------------------
+
+
+def _kernel_inputs(dtype, d):
+    """Full-rank, rank-deficient and zero Hermitian matrices of one dtype and dimension, and a transposed view."""
+    rng = np.random.default_rng(100 + d)
+    g = rng.standard_normal((d, d))
+    if dtype == np.complex128:
+        g = g + 1j * rng.standard_normal((d, d))
+    full = g @ g.conj().T
+    low = g[:, : max(1, d // 2)]
+    yield "full", full
+    yield "rank_deficient", low @ low.conj().T
+    yield "zero", np.zeros((d, d), dtype=dtype)
+    yield "transposed", full.T  # an F-ordered view, Hermitian as full is
+    nan = full.copy()
+    nan[-1, 0] = math.nan  # in the lower triangle, which LAPACK reads
+    yield "nan", nan
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 64])
+def test_kernel_is_bitwise_numpy(dtype, d):
+    for name, mat in _kernel_inputs(dtype, d):
+        for kernel, reference in ((_eigh, np.linalg.eigh), (_eigvalsh, np.linalg.eigvalsh)):
+            try:
+                ref = reference(mat)
+            except np.linalg.LinAlgError:
+                # LAPACK fails on a NaN at some dimensions (d >= 3 here), and the kernel raises numpy's
+                # error, also where the suite turns the gufunc's RuntimeWarning into an error
+                assert name == "nan"
+                with pytest.raises(np.linalg.LinAlgError):
+                    kernel(mat)
+                continue
+            out = kernel(mat)  # no warning either: the suite turns a RuntimeWarning into an error
+            for got, want in zip(out, ref) if kernel is _eigh else [(out, ref)]:
+                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+
+
+def test_kernel_counts_each_call_by_kind_and_dimension():
+    mat = random_density(3, 3, 4).mat
+    before = Counter(KERNEL_CALLS)
+    _eigh(mat)
+    assert Counter(KERNEL_CALLS) - before == Counter({("eigh", 3): 1})
+    _eigvalsh(mat)
+    _eigvalsh(mat[:2, :2])
+    assert Counter(KERNEL_CALLS) - before == Counter({("eigh", 3): 1, ("eigvalsh", 3): 1, ("eigvalsh", 2): 1})
+
+
+@pytest.mark.parametrize("kernel", [_eigh, _eigvalsh])
+def test_kernel_failure_raises_linalg_error_in_every_error_state(kernel):
+    mat = np.eye(3, dtype=np.complex128)
+    mat[2, 0] = math.inf  # LAPACK does not converge
+    with pytest.raises(np.linalg.LinAlgError):  # the suite's RuntimeWarning-as-error filter
+        kernel(mat)
+    with np.errstate(invalid="raise"), pytest.raises(np.linalg.LinAlgError):
+        kernel(mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for state in ("ignore", "warn"):
+            with np.errstate(invalid=state), pytest.raises(np.linalg.LinAlgError):
+                kernel(mat)
+    # unlike np.linalg, the kernel leaves the invalid flag to the caller's state: numpy's default warns first
+    with np.errstate(invalid="warn"), pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError):
+        kernel(mat)
+
+
+def test_kron_is_bitwise_numpy():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    for x, y in [(a, b), (b, a), (np.eye(3), b), (a.real, b), (a[0], b[:, 0]), (a[0].real, b[1])]:
+        out = _kron(x, y)
+        assert out.dtype == np.kron(x, y).dtype and np.array_equal(out, np.kron(x, y))

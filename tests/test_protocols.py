@@ -208,26 +208,21 @@ def test_pbd_success_is_pgm_success(kind, seed, eps, n):
         assert abs(rep.success_probs[x] - direct) <= 1e-11
 
 
-def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch):
+def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch, count_kernel_calls):
     # with d_A = 2, Q_2(tau_x || eta) is read from eta's spin-j blocks: no eigh
     # or eigvalsh runs at the family dimension, and no member of the family is
     # built; on any slot dimension its marginals are never re-checked, and
     # sigma_A = Tr_R sigma_RA of a validated sigma_RA is not validated again
-    dims = {"eigh": [], "eigvalsh": []}
     calls = {"permute_systems": 0, "verify_marginals": 0, "validated": 0}
 
     def counting(name, fn):
-        def counted(a, *args, **kwargs):
-            if name in dims:
-                dims[name].append(np.shape(a)[-1])
-            else:
-                calls[name] += 1
-            return fn(a, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
         return counted
 
-    for name in dims:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    kernel_calls = count_kernel_calls()
     monkeypatch.setattr(qdiv_states, "permute_systems", counting("permute_systems", permute_systems))
     monkeypatch.setattr(
         PairwiseFamily, "verify_marginals", counting("verify_marginals", PairwiseFamily.verify_marginals)
@@ -237,8 +232,8 @@ def test_pbd_makes_no_eigh_at_family_dimension(monkeypatch):
     monkeypatch.setattr(HermitianOperator, "__init__", counting("validated", HermitianOperator.__init__))
     rep = pbd_simulate(rho, sigma_ra, (2, 2), eps)
     assert rep.n == n
-    assert dims["eigh"].count(2 * 2**n) == 0
-    assert dims["eigvalsh"].count(2 * 2**n) == 0
+    assert kernel_calls("eigh") and kernel_calls("eigh").count(2 * 2**n) == 0
+    assert kernel_calls("eigvalsh").count(2 * 2**n) == 0
     assert calls == {"permute_systems": 0, "verify_marginals": 0, "validated": 0}
 
     assert pbd_simulate(rho3, sigma3, (2, 3), eps3).n == n3
@@ -591,20 +586,11 @@ def test_spin_block_factor_reproduces_t(b, slots):
             assert rank == f.shape[2]
 
 
-def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch):
+def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch, count_kernel_calls):
     n, total = 5, 4 * 2**5
     ext, sigma = _split_inputs("random8")
-    dims = {"eigh": [], "eigvalsh": [], "validated": []}
-
-    def counting(name, fn):
-        def counted(a, *args, **kwargs):
-            dims[name].append(np.shape(a)[-1])
-            return fn(a, *args, **kwargs)
-
-        return counted
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    dims = {"validated": []}
+    kernel_calls = count_kernel_calls()
     init = HermitianOperator.__init__
 
     def validating(self, mat):
@@ -613,12 +599,12 @@ def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch)
 
     monkeypatch.setattr(HermitianOperator, "__init__", validating)
     convex_split_check(ext, (4, 2), sigma, n)
-    assert dims["eigh"].count(total) == 0
-    assert dims["eigvalsh"].count(total) == 0
+    assert kernel_calls("eigh").count(total) == 0
+    assert kernel_calls("eigvalsh").count(total) == 0
     assert dims["validated"].count(total) == 0
     # at sigma of rank 2 the fidelity is read from singular values of the spin
     # blocks' factors: rho^RB's eigh is the split's only eigendecomposition
-    assert dims["eigh"] == [4] and dims["eigvalsh"] == []
+    assert kernel_calls("eigh") == [4] and kernel_calls("eigvalsh") == []
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -706,29 +692,16 @@ def test_eqsr_random_state_assembly():
     assert bound.delta_prime > 0
 
 
-def _recording_decompositions(monkeypatch):
-    """The dimension of every eigh and eigvalsh made from here on."""
-    dims = []
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-
-        def recorded(a, *args, _fn=fn, **kwargs):
-            dims.append(a.shape[-1])
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return dims
-
-
-def test_eqsr_checks_the_cap_on_the_marginal_it_builds(monkeypatch):
+def test_eqsr_checks_the_cap_on_the_marginal_it_builds(monkeypatch, count_kernel_calls):
     # a full-rank 8 x 8 source has its R A' B marginal at 8 * 4 = 32, the largest thing
     # the bound builds: a cap of 31 refuses it before any decomposition at 32, a cap of 32 runs it
     rho = random_density(8, 8, 53)
-    dims = _recording_decompositions(monkeypatch)
+    kernel_calls, svd_shapes, svd = count_kernel_calls(), [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svd_shapes.append(a.shape) or svd(a, *args, **kwargs))
     monkeypatch.setenv("QDIV_DIM_CAP", "31")
     with pytest.raises(ValidationError, match="exceeds cap 31"):
         eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
-    assert all(d < 32 for d in dims)
+    assert all(d < 32 for d in kernel_calls()) and svd_shapes == []
     monkeypatch.setenv("QDIV_DIM_CAP", "32")
     assert math.isfinite(eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005).q_bound)
 
@@ -752,11 +725,11 @@ def test_eqsr_marginal_is_that_of_the_purification(monkeypatch, rank, seed):
     assert np.max(np.abs((vecs * evals) @ vecs.conj().T - reference)) <= 1e-15
 
 
-def test_eqsr_decomposes_nothing_at_the_purification_dimension(monkeypatch):
+def test_eqsr_decomposes_nothing_at_the_purification_dimension(count_kernel_calls):
     # the purification of a full-rank 8 x 8 source lives at 64 and its R A' B marginal at 32; the
     # marginal's spectrum comes from an SVD of its 32 x 2 factor, and the smoothed term works on
     # supp rho_RB (x) A', so nothing is decomposed at 64, 32 or 16
     rho = random_density(8, 8, 11)
-    dims = _recording_decompositions(monkeypatch)
+    kernel_calls = count_kernel_calls()
     eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
-    assert max(dims) <= 4
+    assert max(kernel_calls()) <= 4
