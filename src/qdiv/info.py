@@ -10,10 +10,10 @@ I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors, on
 supp rho_A (x) B only (`_product_q2`): rho_A's eigenvalues and rho there come
 from one SVD of a factor of rho, the kernel of rho_A enters in closed form,
 and each objective call decomposes only sigma.  The smoothed I_2 descends
-rho's candidate, then every other candidate from rho's optimum, unless its
-Frank-Wolfe lower bound there shows it cannot win; rho and its depolarized
-candidates share one SVD, and the result reports the winning descent's
-convergence.  The channel
+its top depolarized candidate, then every other candidate from that
+optimum, unless its Frank-Wolfe lower bound there shows it cannot win; rho
+and its depolarized candidates share one SVD, and the result reports the
+winning descent's convergence.  The channel
 quantity, the raw induced D_2 of the cq state, is maximized over input
 distributions with multi-start projected gradient ascent; the reported value
 is attained by a feasible point, hence a certified lower bound on the
@@ -455,26 +455,38 @@ _LADDER = tuple(0.5**j for j in range(1, 11))
 _PRUNE_MARGIN = 1e-12  # a pruned candidate's lower bound exceeds the incumbent by more than rounding
 
 
-def _smoothing_candidates(
-    r: DensityOperator, dims: tuple[int, int], eps: float
-) -> list[tuple[str, np.ndarray, float, Callable]]:
-    """(name, spectrum, trace distance to rho, `_product_q2` objective) of the candidates inside the eps-ball, rho first.
+class _Spectrum(NamedTuple):
+    """A state V diag(eigenvalues) V^dag that its caller vouches for, carried without its matrix."""
 
-    ``rho`` is ``r``.  Every candidate is diagonal in r's eigenvectors, so
-    it is carried as its spectrum there, at a distance read from r's
-    spectrum; no candidate's state is built (`_candidate_state` builds the
-    winner's).  A depolarized candidate (1 - s) rho + s I/d has eigenvalues
-    (1 - s) lambda + s/d and lies at s times rho's distance T to I/d, which
-    is the rung d itself when s = d/T < 1 (so no rounding of s enters); its
-    objective is rho's with shift s, on rho's `_marginal_support`.  A
-    truncation drops the lowest eigenvalues (mass at most d), renormalizes
-    and lies at the dropped mass; its objective reads its own marginal from
-    one SVD of its support factor.  It is left out when it drops nothing above rho's
-    support cutoff, as it is then rho renormalized by rounding.
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def _smoothing_candidates(
+    r: DensityOperator | _Spectrum, dims: tuple[int, int], eps: float
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray, float, Callable]]]:
+    """rho_B, and (name, spectrum, trace distance to rho, `_product_q2` objective) of the candidates inside the eps-ball, rho first.
+
+    ``rho`` is ``r``, of which only the eigenpairs are read; rho_B is the
+    partial trace of rho's `_marginal_support` state rho_u.  Every
+    candidate is diagonal in r's eigenvectors, so it is carried as its
+    spectrum there, at a distance read from r's spectrum; no candidate's
+    state is built (`_candidate_state` builds the winner's).  A depolarized
+    candidate (1 - s) rho + s I/d has eigenvalues (1 - s) lambda + s/d and
+    lies at s times rho's distance T to I/d, which is the rung d itself when
+    s = d/T < 1 (so no rounding of s enters); its objective is rho's with
+    shift s, on rho's `_marginal_support`.  A truncation drops the lowest
+    eigenvalues (mass at most d), renormalizes and lies at the dropped mass;
+    its objective reads its own marginal from one SVD of its support factor.
+    It is left out when it drops nothing above rho's support cutoff, as it
+    is then rho renormalized by rounding.
     """
     da, db = dims
-    lam, vecs, dim = r.eigenvalues, r.eigenvectors, r.dim
+    lam, vecs = r.eigenvalues, r.eigenvectors
+    dim, cutoff = lam.size, support_cutoff(lam, lam.size)
     support = _marginal_support(lam, vecs, da, db)
+    k = support[0].size
+    rho_b = np.trace(support[1].reshape(k, db, k, db), axis1=0, axis2=2)
     td_uniform = 0.5 * float(np.sum(np.abs(lam - 1.0 / dim)))
     cum = np.cumsum(lam)
     candidates = [("rho", lam, 0.0, _product_q2(support, da, db))]
@@ -486,17 +498,19 @@ def _smoothing_candidates(
             depolarized = (1.0 - s) * lam + s / dim
             candidates.append((f"depolarized@{d:g}", depolarized, min(d, td_uniform), _product_q2(support, da, db, s)))
         drop = min(int(np.searchsorted(cum, d + 1e-15, side="right")), dim - 1)
-        if np.any(lam[:drop] > r.cutoff):
+        if np.any(lam[:drop] > cutoff):
             kept = np.where(np.arange(dim) < drop, 0.0, lam)
             kept /= kept.sum()
             objective = _product_q2(_marginal_support(kept, vecs, da, db), da, db)
             candidates.append((f"truncated@{d:g}", kept, float(cum[drop - 1]), objective))
-    return [cand for cand in candidates if cand[2] <= eps + 1e-10]
+    return rho_b, [cand for cand in candidates if cand[2] <= eps + 1e-10]
 
 
-def _candidate_state(r: DensityOperator, name: str, spectrum: np.ndarray) -> DensityOperator:
-    """A `_smoothing_candidates` entry's state: ``r`` for rho, else built on r's eigenvectors by `_spectral_positive`."""
-    return r if name == "rho" else _spectral_positive(spectrum, r.eigenvectors)
+def _candidate_state(r: DensityOperator | _Spectrum, name: str, spectrum: np.ndarray) -> DensityOperator:
+    """A `_smoothing_candidates` entry's state: ``r`` for rho when it is an operator, else built on r's eigenvectors by `_spectral_positive`."""
+    if name == "rho" and isinstance(r, DensityOperator):
+        return r
+    return _spectral_positive(spectrum, r.eigenvectors)
 
 
 def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedResult:
@@ -513,35 +527,61 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     rho_A (x) sigma restricted to supp rho_A (x) B (`_product_q2`), at
     dimension rank(rho_A) d_B: rho and its depolarized candidates share one
     SVD of rho's support factor, and the kernel of rho_A enters in closed
-    form.  The rho candidate starts at rho_B and every other candidate at
-    rho's optimum sigma*: each objective is convex in sigma (Frank & Lieb
-    2013), so the start changes the length of a descent, not the minimum it
-    certifies.  By the same convexity, the Frank-Wolfe bound Q - (Tr[G
-    sigma*] - lambda_min(G)) at sigma* is below a candidate's minimum Q_2; a
-    candidate whose bound lies above the best value so far (by more than
-    rounding) cannot win and is not descended.  The winner, its value and
-    every reported field are those of a run that descends every candidate;
-    the result carries the winning descent's iterations, Frank-Wolfe gap and
-    converged flag.
+    form.  The top depolarized candidate (the largest rung inside the ball)
+    is descended first, from rho_B, as it usually wins and its bounds then
+    prune the rest; then rho and the other candidates, in
+    `_smoothing_candidates` order, start at its optimum sigma*.  Each
+    objective is convex in sigma (Frank & Lieb 2013), so the start changes
+    the length of a descent, not the minimum it certifies.  By the same
+    convexity, the Frank-Wolfe bound
+    Q - (Tr[G sigma*] - lambda_min(G)) at sigma* is below a candidate's
+    minimum Q_2; a candidate whose bound lies above the best value so far
+    (by more than rounding) cannot win and is not descended.  With no
+    depolarized candidate in the ball (rho is I/d), rho goes first.  The
+    winner is the first of the lowest values in that order, except that rho
+    (distance 0) is kept when no other candidate is lower by more than
+    rounding; it, its value and every reported field are those of a run
+    that descends every candidate in that order.  The result carries the
+    winning descent's iterations, Frank-Wolfe gap and converged flag.
+
+    The order is tuned for small eps (the state-redistribution bound's
+    0.005), where the top rung's bounds prune every other candidate.  At
+    eps near 0.2 they can prune less than bounds at rho's optimum, and a
+    source may then take more descents than in a rho-first order.
+    """
+    r = as_density(rho)
+    return _smoothed_mutual_info_2(r, _split_dims(r, dims), eps)
+
+
+def _smoothed_mutual_info_2(r: DensityOperator | _Spectrum, dims: tuple[int, int], eps: float) -> SmoothedResult:
+    """`smoothed_mutual_info_2` of rho = ``r`` on checked ``dims``, from r's eigenpairs only.
+
+    rho_B, the first descent's start, comes with the candidates, and a
+    `_Spectrum`'s state is built only when rho wins (`_candidate_state`).
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
-    r = as_density(rho)
-    da, db = _split_dims(r, dims)
-
-    warm = None  # the rho candidate's optimum, where every other candidate starts
+    db = dims[1]
+    warm, candidates = _smoothing_candidates(r, dims, eps)  # rho_B, then the first descent's optimum
+    top = next((i for i, cand in enumerate(candidates) if cand[0].startswith("depolarized@")), 0)
+    candidates.insert(0, candidates.pop(top))
     best: tuple[str, np.ndarray, float, MutualInfoResult] | None = None
-    for name, spectrum, dist, objective in _smoothing_candidates(r, (da, db), eps):
-        if warm is not None:
+    unsmoothed = None  # rho's entry, when it is descended
+    for name, spectrum, dist, objective in candidates:
+        if best is not None:
             q, m = objective(warm)
             lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
             if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
                 continue
-        mi = _mutual_info_2(objective, db, _ptrace(r.mat, [da, db], [1]) if warm is None else warm)
-        if warm is None:
+        mi = _mutual_info_2(objective, db, warm)
+        if best is None:
             warm = mi.optimal_sigma.mat
+        if name == "rho":
+            unsmoothed = (name, spectrum, dist, mi)
         if best is None or mi.value < best[3].value:
             best = (name, spectrum, dist, mi)
+    if unsmoothed is not None and unsmoothed[3].value <= best[3].value + _PRUNE_MARGIN:
+        best = unsmoothed
     name, spectrum, dist, mi = best
     state = _candidate_state(r, name, spectrum)
     return SmoothedResult(mi.value, state, dist, True, name, mi.iterations, mi.gradient_residual, mi.converged)
@@ -656,15 +696,16 @@ def cond_mutual_info(
 
     A `DensityOperator` is taken as it is: `eqsr_cost_bound` hands over its
     marginal with a spectrum it vouches for.  Reordering R A B to R B A
-    permutes the rows of rho's eigenvectors, so the smoothed term's state is
-    `_spectral_positive` of them and rho's spectrum.
+    permutes the rows of rho's eigenvectors, so the smoothed term reads
+    rho's spectrum and those rows (`_Spectrum`), and the reordered rho is
+    built only when it is the reported smoothing state.
     """
     r = as_density(rho_rab)
     dr, da, db = (int(d) for d in dims)
     if dr * da * db != r.dim:
         raise ValidationError(f"tripartition {dims} does not match dim {r.dim}")
     vecs_rba = r.eigenvectors.reshape(dr, da, db, -1).transpose(0, 2, 1, 3).reshape(r.dim, -1)
-    smoothed = smoothed_mutual_info_2(_spectral_positive(r.eigenvalues, vecs_rba), (dr * db, da), delta0)
+    smoothed = _smoothed_mutual_info_2(_Spectrum(r.eigenvalues, vecs_rba), (dr * db, da), delta0)
     ind = induced_mutual_info_2(_ptrace(r.mat, [dr, da, db], [1, 2]), (da, db), delta1)
     return CondMutualInfo(
         delta0, delta1, smoothed, ind.certified_lower, smoothed.value - ind.certified_lower, ind

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qdiv._roots import BISECT_TOL, BracketError, bisect_decreasing
+from qdiv._roots import BISECT_TOL, RESIDUAL_TOL, BracketError, bisect_decreasing
 
 
 class Recorder:
@@ -121,3 +121,60 @@ def test_stress_functions_stay_within_bisection_budget(name):
     assert hi - x <= BISECT_TOL
     assert len(f.points) <= bisection_evals + 2
     assert len(f.points) == len(set(f.points))
+
+
+def plain_bisection_evaluations(fn, good, bad):
+    """Evaluations plain bisection of the bracket [good, bad] makes under `bisect_decreasing`'s stopping rules."""
+    evaluations = 0
+    while True:
+        left, right = min(good, bad), max(good, bad)
+        mid = 0.5 * (left + right)
+        if not left < mid < right or right - left <= 2.0**-52 * max(1.0, abs(left), abs(right)):
+            return evaluations
+        f_mid = fn(mid)
+        evaluations += 1
+        if f_mid >= 0.0:
+            good = mid
+        else:
+            bad = mid
+        if abs(bad - good) <= BISECT_TOL and abs(f_mid) <= RESIDUAL_TOL:
+            return evaluations
+
+
+# nonincreasing functions of (root, x) with f >= 0 exactly where x <= root; all but the jump are continuous
+FAMILIES = {
+    "affine": (lambda r, x: r - x, True),
+    "cube": (lambda r, x: (r - x) ** 3, True),
+    "kink, flat above": (lambda r, x: (r - x) * (1.0 if x < r else 1e-6), True),
+    "kink, flat below": (lambda r, x: (r - x) * (1e-6 if x < r else 1.0), True),
+    "unit jump": (lambda r, x: 0.5 if x <= r else -0.5, False),
+}
+
+
+def test_drawn_roots_keep_the_bisection_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+    @hypothesis.given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        root=st.floats(-50.0, 50.0),
+        start=st.floats(-60.0, 60.0),
+        first_step=st.floats(1e-9, 1.0),
+    )
+    def check(family, root, start, first_step):
+        fn, continuous = FAMILIES[family]
+        f = Recorder(lambda x: fn(root, x))
+        x, fx = bisect_decreasing(f, start, -200.0, 200.0, first_step)
+        assert fx >= 0.0 and fx == f.fn(x)
+        assert len(f.points) == len(set(f.points))
+        if continuous:
+            assert root - BISECT_TOL <= x <= root
+        # the walk ends at its first point of the other sign, and its last two points are the bracket
+        first = f.fn(start) >= 0.0
+        walk = next(i for i, p in enumerate(f.points) if (f.fn(p) >= 0.0) != first) + 1
+        last, other = f.points[walk - 2], f.points[walk - 1]
+        good, bad = (last, other) if first else (other, last)
+        assert len(f.points) <= walk + plain_bisection_evaluations(f.fn, good, bad) + 2
+
+    check()
