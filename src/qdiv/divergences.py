@@ -19,6 +19,7 @@ from . import _roots
 from .linalg import (
     PositiveOperator,
     ValidationError,
+    _ascending_support,
     _eigh,
     _eigvalsh,
     _sandwiched_q,
@@ -27,7 +28,6 @@ from .linalg import (
     as_matrix,
     as_positive,
     spectral_fn,
-    support_cutoff,
 )
 
 INF = math.inf
@@ -80,10 +80,10 @@ def _is_orthogonal(rho: PositiveOperator, sigma: PositiveOperator) -> bool:
 
 def _support_leak(rho: PositiveOperator, sigma: PositiveOperator) -> float:
     """Weight of rho outside the support of sigma."""
-    mask = sigma.eigenvalues <= sigma.cutoff
-    if not np.any(mask):
+    cut, k = _ascending_support(sigma.eigenvalues)
+    if not k:
         return 0.0
-    v = sigma.eigenvectors[:, mask]
+    v = sigma.eigenvectors[:, sigma.eigenvalues <= cut]  # a mask's copy: einsum's summation order follows its layout
     return float(np.einsum("ij,jk,ki->", v.conj().T, rho.mat, v).real)
 
 
@@ -92,15 +92,17 @@ def _is_contained(rho: PositiveOperator, sigma: PositiveOperator) -> bool:
 
 
 def _xlogx_sum(evals: np.ndarray) -> float:
-    """Tr[X log X] over the support of X (minus the entropy of a state)."""
-    cut = support_cutoff(evals, evals.size)
-    return float(sum(x * math.log2(x) for x in evals if x > cut))
+    """Tr[X log X] over the support of X (minus the entropy of a state), from its ascending eigenvalues."""
+    return float(sum(x * math.log2(x) for x in evals[_ascending_support(evals)[1] :]))
 
 
 def _log_cross(weights: np.ndarray, evals: np.ndarray) -> float:
-    """Tr[rho log X] over the support of X, from X's eigenvalues and rho's weight on each eigenvector."""
-    mask = evals > support_cutoff(evals, evals.size)
-    return float(np.dot(weights[mask], np.log2(evals[mask])))
+    """Tr[rho log X] over the support of X, from X's ascending eigenvalues and rho's weight on each eigenvector.
+
+    ``weights`` is contiguous: np.dot sums a strided vector in another order.
+    """
+    k = _ascending_support(evals)[1]
+    return float(np.dot(weights[k:], np.log2(evals[k:])))
 
 
 def q_alpha(rho, sigma, alpha) -> float:
@@ -118,10 +120,10 @@ def q_alpha(rho, sigma, alpha) -> float:
     s = as_positive(sigma)
     _check_dims(r, s)
     if a == 0.0:
-        mask = r.eigenvalues > r.cutoff
-        if mask.all():  # Pi_rho = I
+        cut, k = _ascending_support(r.eigenvalues)
+        if not k:  # Pi_rho = I
             return s.trace
-        v = r.eigenvectors[:, mask]
+        v = r.eigenvectors[:, r.eigenvalues > cut]  # a mask's copy, as in `_support_leak`
         return float(np.einsum("ij,jk,ki->", v.conj().T, s.mat, v).real)
     return _sandwiched_q(r.mat, s.eigenvalues, s.eigenvectors, a, (r.eigenvalues, r.eigenvectors))
 
@@ -161,7 +163,7 @@ def d_umegaki(rho, sigma) -> DivergenceValue:
         return DivergenceValue(INF, "not_contained")
     ent = _xlogx_sum(r.eigenvalues)
     vecs = s.eigenvectors
-    cross = _log_cross(np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real, s.eigenvalues)
+    cross = _log_cross(np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real.copy(), s.eigenvalues)
     return DivergenceValue(ent - cross, "umegaki")
 
 
@@ -252,8 +254,7 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     _check_dims(r, s)
 
     if eps == 0.0:
-        mask = r.eigenvalues > r.cutoff
-        v = r.eigenvectors[:, mask]
+        v = r.eigenvectors[:, _ascending_support(r.eigenvalues)[1] :]
         proj = v @ v.conj().T
         beta = float(np.trace(s.mat @ proj).real)
         alpha_pass = float(np.trace(r.mat @ proj).real)
@@ -265,7 +266,7 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     target = 1.0 - eps
     leak = _support_leak(r, s)
     if leak >= target:  # a test on the kernel of sigma passes rho at zero cost
-        ker = s.eigenvectors[:, s.eigenvalues <= s.cutoff]
+        ker = s.eigenvectors[:, : _ascending_support(s.eigenvalues)[1]]
         effect = PositiveOperator((target / leak) * (ker @ ker.conj().T))
         alpha_pass = float(np.trace(r.mat @ effect.mat).real)
         beta = float(np.trace(s.mat @ effect.mat).real)

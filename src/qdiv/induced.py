@@ -42,13 +42,14 @@ from .linalg import (
     DensityOperator,
     PositiveOperator,
     ValidationError,
+    _ascending_support,
     _eigh,
     _eigvalsh,
+    _positive_sum,
     _q2_eigenbasis,
     as_density,
     as_matrix,
     as_positive,
-    support_cutoff,
 )
 
 
@@ -150,7 +151,9 @@ class ParentDivergence:
         Tr[rho log X] = sum_i w_i log2 lambda_i, w = r |V|^2; Renyi sums mu^alpha
         over the eigenvalues mu of rho^1/2 X^p rho^1/2 on supp rho, p = (1-alpha)/alpha.
         At alpha = 1/2 that sandwich is diag(r^2) + t diag(r^1/2) S diag(r^1/2):
-        one eigvalsh per evaluation and no eigh.  alpha = 2 is `_q2_margin`.
+        one eigvalsh per evaluation and no eigh.  alpha = 2 is `_q2_margin`.  A
+        custom parent gets X as a `PositiveOperator` from one eigh and no
+        check (`linalg._positive_sum`), as rho and sigma were checked.
         """
         r_mat = rho.mat
         s_mat = sigma.mat
@@ -160,7 +163,7 @@ class ParentDivergence:
             fn = self.fn
 
             def margin(lam: float) -> float:
-                x = PositiveOperator(r_mat + (2.0**lam) * s_mat)
+                x = _positive_sum(r_mat + (2.0**lam) * s_mat)
                 return float(fn(rho, x)) - log_1me
 
             return margin
@@ -187,7 +190,7 @@ class ParentDivergence:
         a = self.alpha  # renyi
         threshold = (1.0 - eps) ** (a - 1.0)
         sign = 1.0 if a > 1.0 else -1.0  # the condition is Q_alpha >= threshold above order 1, <= below
-        k = int(np.count_nonzero(r <= rho.cutoff))  # r ascends: supp rho is the block from k on
+        k = _ascending_support(r)[1]  # supp rho is the block from k on
         root = np.sqrt(r[k:])
         power = (1.0 - a) / a
         if power == 1.0:  # alpha = 1/2: diag(r^2) + t C is affine in t, so X needs no decomposition
@@ -201,7 +204,7 @@ class ParentDivergence:
 
             def sandwich(t: float) -> np.ndarray:
                 evals, vecs = _eigh(base + t * s_rot)
-                j = int(np.count_nonzero(evals <= support_cutoff(evals, evals.size)))  # the kernel of X never enters
+                j = _ascending_support(evals)[1]  # the kernel of X never enters
                 g = root[:, None] * vecs[k:, j:] * evals[j:] ** (0.5 * power)  # rho^1/2 X^(p/2), X's eigenbasis
                 # g g^dag and g^dag g share their nonzero eigenvalues: the smaller one holds no rounded kernel,
                 # and g^dag g is graded by X's spectrum, so its small eigenvalues keep their relative accuracy
@@ -253,18 +256,27 @@ def _q2_margin(blocks: list, eps: float) -> tuple[Callable[[float], float], dict
     direct sum cancels against 1 - eps as eps -> 0.  Beyond, where that form
     cancels in turn, it is the direct sum minus 1 - eps.  Returns the margin
     and the decompositions (`_decompose`) of each X_x it made, keyed by lam.
+    A single matrix block, as in every `induced` solve and the induced
+    mirror descent, takes its one `_eigh` and `_q2_eigenbasis` directly.
     """
     target = 1.0 - eps
     diagonals = [(m if m.ndim == 1 else np.diagonal(m).real).tolist() for pair in blocks for m in pair]
     deficit = math.fsum([1.0, *(-x for a in diagonals[::2] for x in a)])  # 1 - sum Tr a_x
     mass = math.fsum(x for b in diagonals[1::2] for x in b)
     evaluated: dict = {}
+    single = len(blocks) == 1 and blocks[0][0].ndim == 2
+    a1, b1 = blocks[0] if single else (None, None)
 
     def margin(lam: float) -> float:
         t = 2.0**lam
         small = t * mass <= target
-        evaluated[lam] = decomposed = [_decompose(a + t * b) for a, b in blocks]
-        total = sum(_q2_decomposed(b if small else a, *dec) for (a, b), dec in zip(blocks, decomposed))
+        if single:
+            dec = _eigh(a1 + t * b1)
+            evaluated[lam] = [dec]
+            total = _q2_eigenbasis(b1 if small else a1, *dec)[0]
+        else:
+            evaluated[lam] = decomposed = [_decompose(a + t * b) for a, b in blocks]
+            total = sum(_q2_decomposed(b if small else a, *dec) for (a, b), dec in zip(blocks, decomposed))
         if small:
             return eps - deficit - t * (mass - t * total)
         return total - target
@@ -277,8 +289,15 @@ class InducedResult:
     """Threshold of the induced divergence and the derived values.
 
     ``raw`` is the optimizer lambda* itself and ``normalized`` adds
-    log((1-eps)/eps); ``residual`` is the defining condition's deviation
-    from its target at return, in the dispatched condition's own scale.
+    log((1-eps)/eps).  ``residual`` is |margin| at the returned lambda*, in
+    the margin's own scale: Q_alpha for the Renyi orders, bits for the
+    others and the parent's own value for a custom one.  It can exceed the
+    root-finder's ``RESIDUAL_TOL`` (1e-10) when the search stops on float
+    resolution instead: at rank-1 sigma with d = 2, the Umegaki parent and
+    eps = 0.5, a threshold near lambda* = 29 leaves about 1e-9, as the
+    margin's rounding at t = 2^29 is larger than that tolerance.  It does
+    not bound the error in lambda*, which also depends on the margin's
+    slope there.
     At alpha = 2 the margin keeps its relative accuracy at every eps, so
     lambda* is a lower bound to rounding; other orders lose it as eps -> 0.
     """
@@ -319,7 +338,10 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     probe at lambda = 45, the largest point within double-precision
     eigenvalue resolution.  A condition still holding at the search ceiling
     t = 2^60 also reads as +inf.  ``residual`` is |margin| at the returned
-    lambda*, the certified lower end of the final bracket.
+    lambda*, the certified lower end of the final bracket, in the margin's
+    own scale.  It can exceed ``_roots.RESIDUAL_TOL`` when the search stops
+    on float resolution (see `InducedResult`), and it does not bound the
+    error in lambda*.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")

@@ -36,6 +36,7 @@ from .linalg import (
     DensityOperator,
     PositiveOperator,
     ValidationError,
+    _ascending_support,
     _eigh,
     _eigvalsh,
     _kron,
@@ -58,7 +59,9 @@ _LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _q2_gradient_eigenbasis(evals: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
+def _q2_gradient_eigenbasis(
+    evals: np.ndarray, r_eig: np.ndarray, k_vals: np.ndarray, full: bool = False
+) -> np.ndarray:
     """V^dag G V: the gradient of Q_2(rho || X) in X's eigenbasis.
 
     dQ_2 = Tr[M dK] with K = X^(-1/2) on the support of X = V diag(evals) V^dag
@@ -67,10 +70,12 @@ def _q2_gradient_eigenbasis(evals: np.ndarray, r_eig: np.ndarray, k_vals: np.nda
     matrix of first divided differences of x^(-1/2).  With s = sqrt(x) it is
     -1/(s_i s_j (s_i + s_j)) in closed form; s = inf on the kernel makes its
     rows and columns zero.  The kernel is where ``k_vals`` (from `_q2_rotated`)
-    is zero, so the gradient keeps the support cut its Q_2 was taken with.
+    is zero, so the gradient keeps the support cut its Q_2 was taken with;
+    a caller that knows X has full support (``full``) skips that mask.
     """
-    s = np.sqrt(np.where(k_vals > 0.0, evals, np.inf))
-    loewner = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :]))
+    s = np.sqrt(evals) if full else np.sqrt(np.where(k_vals > 0.0, evals, np.inf))
+    col = s[:, None]
+    loewner = -1.0 / (col * s * (col + s))
     return loewner * (2.0 * ((r_eig * k_vals) @ r_eig))
 
 
@@ -79,7 +84,8 @@ def _q2_and_gradient(a: np.ndarray, evals: np.ndarray, vecs: np.ndarray | None) 
     if vecs is None:  # -(a / x)^2 on the support of x
         return _q2_decomposed(a, evals, vecs), -np.divide(a, evals, out=np.zeros_like(evals), where=evals > 0.0) ** 2
     q, r_eig, k_vals = _q2_eigenbasis(a, evals, vecs)
-    g = vecs @ _q2_gradient_eigenbasis(evals, r_eig, k_vals) @ vecs.conj().T
+    # evals ascend, so a kernel is a prefix where k_vals is 0: X has full support when k_vals[0] is not
+    g = vecs @ _q2_gradient_eigenbasis(evals, r_eig, k_vals, k_vals[0] > 0.0) @ vecs.conj().T
     return q, 0.5 * (g + g.conj().T)
 
 
@@ -98,8 +104,8 @@ def _marginal_support(
     without U.  rho vanishes on ker rho_A (x) B, so rho_u is all of rho in
     that basis.
     """
-    on = evals > support_cutoff(evals, evals.size)
-    factor = vecs[:, on] * np.sqrt(evals[on])
+    j = _ascending_support(evals)[1]
+    factor = vecs[:, j:] * np.sqrt(evals[j:])
     _, sv, vh = np.linalg.svd(factor.reshape(da, -1), full_matrices=False)
     a = sv**2
     k = int(np.count_nonzero(a > support_cutoff(a, da)))
@@ -141,7 +147,7 @@ def _product_q2(
 
     def q2_and_contracted_gradient(sigma: np.ndarray, spectrum=None) -> tuple[float, np.ndarray]:
         b, w = _eigh(sigma) if spectrum is None else spectrum
-        evals = np.outer(a_on, b).ravel()
+        evals = (a_on[:, None] * b).ravel()  # the eigenvalues a'_i b_j, as np.outer(a_on, b)
         cut = support_cutoff(evals, da * db)  # a'_i >= a_ker: the top of the whole spectrum is here
         r_eig = (np.matmul(w.conj().T, cand_u).reshape(-1, db) @ w).reshape(dim, dim)
         q, k_vals = _q2_rotated(r_eig, evals, cut)
@@ -149,7 +155,7 @@ def _product_q2(
         m = np.einsum("i,ijik->jk", a_on, g)
         if kernel > 0.0:
             inv = spectral_fn(a_ker * b, None, -1.0, cut)  # 1 / (a_ker b_j) above the cut
-            q += kernel * float(np.sum(inv))
+            q += kernel * float(inv.sum())
             m -= np.diag(kernel * a_ker * inv * inv)
         return q, w @ m @ w.conj().T
 
@@ -168,7 +174,7 @@ def _frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
     over density operators is value - gap, so value - gap bounds the
     minimum from below (Jaggi 2013).
     """
-    return float(np.trace(grad @ sigma).real) - float(_eigvalsh(grad)[0])
+    return float((grad @ sigma).trace().real) - float(_eigvalsh(grad)[0])
 
 
 _ITERATE_FLOOR = 1e-8
@@ -178,11 +184,12 @@ def _expm_density(l_mat: np.ndarray) -> np.ndarray:
     evals, vecs = _eigh(l_mat)
     e = np.exp(evals - evals[-1])
     mat = (vecs * e) @ vecs.conj().T
-    mat = mat / np.trace(mat).real
     # keep iterates strictly inside the state space: objectives built on
-    # support-projected inverse powers lose accuracy at singular arguments
-    dim = mat.shape[0]
-    return (1.0 - _ITERATE_FLOOR) * mat + _ITERATE_FLOOR * np.eye(dim) / dim
+    # support-projected inverse powers lose accuracy at singular arguments;
+    # the floor's I/d is added on the diagonal of the new array in place
+    mat = (1.0 - _ITERATE_FLOOR) * (mat / mat.trace().real)
+    mat.reshape(-1)[:: len(mat) + 1] += _ITERATE_FLOOR / len(mat)
+    return mat
 
 
 _DESCENT_TOL = 1e-7  # Frank-Wolfe gap at which minimize_density stops: a convex minimum is at most this below
@@ -192,10 +199,9 @@ _SLACK = 1e-12  # a trial may raise the value by this much and still be accepted
 
 
 def _mirror_step(l_mat: np.ndarray, grad: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The log-iterate L - eta G (trace-centred) and its density operator."""
-    dim = l_mat.shape[0]
+    """The log-iterate L - eta G (trace-centred on the diagonal of the new array, in place) and its density operator."""
     l_new = l_mat - eta * grad
-    l_new = l_new - (np.trace(l_new).real / dim) * np.eye(dim)
+    l_new.reshape(-1)[:: len(l_new) + 1] -= l_new.trace().real / len(l_new)
     return l_new, _expm_density(l_new)
 
 
@@ -420,7 +426,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
         if res.is_finite:
             t = res.t_star
             _, g = _q2_and_gradient(r.mat, *evaluated[res.lambda_star][0])  # the margin was evaluated at lambda*
-            df_dlam = _LN2 * t * float(np.trace(g @ tau).real)
+            df_dlam = _LN2 * t * float((g @ tau).trace().real)
             if abs(df_dlam) >= 1e-300:
                 # M with Tr[G (H (x) rho_B)] = Tr[M H] for every H on A
                 grad = -(t * np.einsum("abcd,db->ac", g.reshape(da, db, da, db), rho_b)) / df_dlam
@@ -483,10 +489,10 @@ def _smoothing_candidates(
     """
     da, db = dims
     lam, vecs = r.eigenvalues, r.eigenvectors
-    dim, cutoff = lam.size, support_cutoff(lam, lam.size)
+    dim, start = lam.size, _ascending_support(lam)[1]  # lam ascends: rho's support is lam[start:]
     support = _marginal_support(lam, vecs, da, db)
     k = support[0].size
-    rho_b = np.trace(support[1].reshape(k, db, k, db), axis1=0, axis2=2)
+    rho_b = support[1].reshape(k, db, k, db).trace(axis1=0, axis2=2)
     td_uniform = 0.5 * float(np.sum(np.abs(lam - 1.0 / dim)))
     cum = np.cumsum(lam)
     candidates = [("rho", lam, 0.0, _product_q2(support, da, db))]
@@ -498,7 +504,7 @@ def _smoothing_candidates(
             depolarized = (1.0 - s) * lam + s / dim
             candidates.append((f"depolarized@{d:g}", depolarized, min(d, td_uniform), _product_q2(support, da, db, s)))
         drop = min(int(np.searchsorted(cum, d + 1e-15, side="right")), dim - 1)
-        if np.any(lam[:drop] > cutoff):
+        if drop > start:  # it drops an eigenvalue above the cut
             kept = np.where(np.arange(dim) < drop, 0.0, lam)
             kept /= kept.sum()
             objective = _product_q2(_marginal_support(kept, vecs, da, db), da, db)

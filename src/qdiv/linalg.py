@@ -101,6 +101,17 @@ def support_cutoff(eigenvalues: np.ndarray, dim: int) -> float:
     return max(dim, 8) * _EPS * max(top, _EPS)
 
 
+def _ascending_support(evals: np.ndarray, dim: int | None = None) -> tuple[float, int]:
+    """(cut, start) of an ascending spectrum, such as `_eigh` returns: its support is ``evals[start:]``.
+
+    The cut is `support_cutoff` at ``dim`` (default: the spectrum's size),
+    read from the last eigenvalue, which is the maximum, so it is the same
+    float; start is the index of the first eigenvalue above it.
+    """
+    cut = max(evals.size if dim is None else dim, 8) * _EPS * max(float(evals[-1]) if evals.size else 0.0, _EPS)
+    return cut, int(evals.searchsorted(cut, side="right"))
+
+
 class HermitianOperator:
     """A validated dense Hermitian matrix.
 
@@ -136,7 +147,10 @@ class PositiveOperator(HermitianOperator):
 
     Eigenvalues in [-PSD_TOL, 0) come from round-off (tensor products,
     partial traces) and are clamped to zero; anything lower is an error.
-    The spectral decomposition is computed once and cached.
+    The spectral decomposition is computed once and cached.  Its
+    eigenvalues always ascend, as `_eigh` returns them, also when a caller
+    hands them over (`_vouched`, `_spectral_positive`): the cut and the
+    support are read from the spectrum's ends (`_ascending_support`).
     """
 
     __slots__ = ("eigenvalues", "eigenvectors")
@@ -149,6 +163,10 @@ class PositiveOperator(HermitianOperator):
             raise ValidationError(
                 f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
             )
+        self._keep_spectrum(evals, evecs)
+
+    def _keep_spectrum(self, evals: np.ndarray, evecs: np.ndarray) -> None:
+        """Cache the eigendecomposition of ``self.mat``; a negative eigenvalue is clipped to 0 and the matrix rebuilt."""
         if evals.size and evals[0] < 0.0:
             evals = np.clip(evals, 0.0, None)
             rebuilt = (evecs * evals) @ evecs.conj().T
@@ -162,11 +180,11 @@ class PositiveOperator(HermitianOperator):
 
     @property
     def cutoff(self) -> float:
-        return support_cutoff(self.eigenvalues, self.dim)
+        return _ascending_support(self.eigenvalues, self.dim)[0]
 
     @property
     def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > self.cutoff))
+        return self.dim - _ascending_support(self.eigenvalues, self.dim)[1]
 
 
 class DensityOperator(PositiveOperator):
@@ -209,7 +227,7 @@ def _vouched(mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> PositiveOp
     as the constructors store it.  The operator is a `DensityOperator` when
     ``evals`` sum to 1 within ``TRACE_TOL``, the constructor's own test.
     """
-    unit = abs(float(np.sum(evals)) - 1.0) <= TRACE_TOL
+    unit = abs(float(evals.sum()) - 1.0) <= TRACE_TOL
     op = object.__new__(DensityOperator if unit else PositiveOperator)
     mat = 0.5 * (mat + mat.conj().T)
     for arr in (mat, evals, vecs):
@@ -221,6 +239,20 @@ def _vouched(mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> PositiveOp
 def _spectral_positive(evals: np.ndarray, vecs: np.ndarray) -> PositiveOperator:
     """V diag(evals) V^dag from an eigendecomposition the caller vouches for (`_vouched`)."""
     return _vouched((vecs * evals) @ vecs.conj().T, evals, vecs)
+
+
+def _positive_sum(mat: np.ndarray) -> PositiveOperator:
+    """``PositiveOperator(mat)`` for a complex ``mat`` that the caller vouches is a sum of positive operators.
+
+    The constructor's symmetrization, one `_eigh` and its clip of negative
+    eigenvalues, without its checks.
+    """
+    op = object.__new__(PositiveOperator)
+    herm = 0.5 * (mat + mat.conj().T)
+    herm.setflags(write=False)
+    op.mat, op.dim = herm, herm.shape[0]
+    op._keep_spectrum(*_eigh(herm))
+    return op
 
 
 @dataclass(frozen=True)
@@ -254,7 +286,7 @@ def _q2_eigenbasis(
     r_eig = V^dag rho V is rho in the eigenbasis of X, and k_vals are the
     eigenvalues of K = X^(-1/2) on the support of X.  Q_2 = Tr[(rho K)^2] =
     sum_ij k_i k_j |r_eig_ij|^2: a sum of nonnegative terms, with no
-    eigendecomposition beyond X's.
+    eigendecomposition beyond X's.  ``evals`` ascend, as `_eigh` returns them.
     """
     r_eig = vecs.conj().T @ r_mat @ vecs
     q, k_vals = _q2_rotated(r_eig, evals)
@@ -266,19 +298,24 @@ def _q2_rotated(
 ) -> tuple[float, np.ndarray]:
     """(Q_2, k_vals) from rho already rotated into the eigenbasis of X, whose eigenvalues are ``evals``.
 
-    The support cut defaults to `support_cutoff` of ``evals``; a block of a
-    block-diagonal X passes the cut of the whole spectrum.
+    Without a ``cut``, ``evals`` ascend and the support is read from their
+    ends (`_ascending_support`): on full support k_vals = evals^(-1/2), with
+    no mask.  A block of a block-diagonal X, or a spectrum in no order,
+    passes the cut of the whole spectrum.  Such a spectrum, or one with a
+    kernel, takes the masked `spectral_fn`, whose floats on the support
+    are the same.
     """
+    start = None
     if cut is None:
-        cut = support_cutoff(evals, evals.size)
-    k_vals = spectral_fn(evals, None, -0.5, cut)
+        cut, start = _ascending_support(evals)
+    k_vals = evals**-0.5 if start == 0 else spectral_fn(evals, None, -0.5, cut)
     return float(k_vals @ (r_eig.real**2 + r_eig.imag**2) @ k_vals), k_vals
 
 
 def _sandwiched_q(
     r_mat: np.ndarray, evals: np.ndarray, vecs: np.ndarray, alpha: float, r_eig: tuple | None = None
 ) -> float:
-    """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X.
+    """Q_alpha(rho || X) for finite alpha > 0, from the eigendecomposition of X, its eigenvalues ascending.
 
     The evaluator of `q_alpha` and the fidelity; the induced margins read
     Q_alpha in rho's eigenbasis (`ParentDivergence.margin_factory`).  alpha = 2
@@ -298,12 +335,12 @@ def _sandwiched_q(
     """
     if alpha == 2.0:
         return _q2_eigenbasis(r_mat, evals, vecs)[0]
-    on = evals > support_cutoff(evals, evals.size)
-    h = vecs[:, on] * evals[on] ** ((1.0 - alpha) / (2.0 * alpha))
+    j = _ascending_support(evals)[1]
+    h = vecs[:, j:] * evals[j:] ** ((1.0 - alpha) / (2.0 * alpha))
     k = 0
     if alpha <= 0.5:
         r_vals, r_vecs = _eigh(r_mat) if r_eig is None else r_eig
-        k = int(np.count_nonzero(r_vals <= support_cutoff(r_vals, r_vals.size)))  # supp rho is the block from k on
+        k = _ascending_support(r_vals)[1]  # supp rho is the block from k on
     if k:
         g = np.sqrt(r_vals[k:])[:, None] * (r_vecs[:, k:].conj().T @ h)
         inner = g @ g.conj().T if g.shape[0] < g.shape[1] else g.conj().T @ g

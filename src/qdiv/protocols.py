@@ -30,6 +30,7 @@ from .linalg import (
     DensityOperator,
     RECON_TOL,
     ValidationError,
+    _ascending_support,
     _eigh,
     _kron,
     as_density,
@@ -394,24 +395,25 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
 
     a, u = _eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
     b, w = sigma.eigenvalues, sigma.eigenvectors
-    mu = max(_sandwiched_q(rho.mat, _kron(a, b), _kron(u, w), 2.0) - 1.0, 0.0)
+    # X = rho_RB (x) sigma has the eigenpairs of its factors, in no order, so its cut comes from the whole spectrum
+    x_evals, x_vecs = _kron(a, b), _kron(u, w)
+    mu = max(_q2_rotated(x_vecs.conj().T @ rho.mat @ x_vecs, x_evals, support_cutoff(x_evals, x_evals.size))[0] - 1.0, 0.0)
 
     # X = M M^dag, M = r (x) s^(x n) with r = u a^(1/2), s = w b^(1/2) on the supports; M
     # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) = y y^dag
     # with beta = b^2 on the n slots, and F = Tr sqrt of that mixture = sum sigma(Z) / sqrt(n)
     # over factors Z with Z Z^dag = n mixture (on each spin block when sigma has rank 2)
-    on_a, on_b = a > support_cutoff(a, d_rb), b > sigma.cutoff
-    h = _kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
-    on = rho.eigenvalues > rho.cutoff
-    y = h.conj().T @ (rho.eigenvectors[:, on] * np.sqrt(rho.eigenvalues[on]))
-    r_a, r_b = int(on_a.sum()), int(on_b.sum())
+    ja, jb, j = _ascending_support(a, d_rb)[1], _ascending_support(b)[1], _ascending_support(rho.eigenvalues)[1]
+    h = _kron(u[:, ja:] * np.sqrt(a[ja:]), w[:, jb:] * np.sqrt(b[jb:]))
+    y = h.conj().T @ (rho.eigenvectors[:, j:] * np.sqrt(rho.eigenvalues[j:]))
+    r_a, r_b = a.size - ja, b.size - jb
     if r_b == 2:
         # the mixture is (1/n) sum_ac G_ac (x) T_ac^j on each spin block, G_ac = y_a y_c^dag and
         # T_ac^j = F_j[a] F_j[c]^T (`_spin_blocks` at weights beta), so Z_j = sum_a y_a (x) F_j[a]
         y3 = y.reshape(r_a, 2, -1)
         factors = [
             (mult, np.einsum("par,aix->pirx", y3, f).reshape(r_a * dj.size, -1))
-            for mult, dj, f in _spin_blocks(b[on_b] ** 2, n)
+            for mult, dj, f in _spin_blocks(b[jb:] ** 2, n)
         ]
     else:
         # slot x's term P_x (G (x) diag(beta)^(x (n-1))) P_x^T is A_x A_x^dag with A_x =
@@ -421,7 +423,7 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
         if y.shape[1] > y.shape[0]:
             y = np.linalg.qr(y.conj().T, mode="r").conj().T
         y = np.pad(y, ((0, 0), (0, y.shape[0] - y.shape[1])))
-        factors = [(1, np.hstack(list(_slot_products(y, np.diag(b[on_b]), r_a, r_b, n))))]
+        factors = [(1, np.hstack(list(_slot_products(y, np.diag(b[jb:]), r_a, r_b, n))))]
     fid = fid_error = 0.0
     for mult, z in factors:
         part = mult * float(np.sum(np.linalg.svd(z, compute_uv=False))) / math.sqrt(n)
@@ -487,10 +489,10 @@ def eqsr_cost_bound(
     d_a, d_ap, d_b = dims
     if rho.dim != d_a * d_ap * d_b:
         raise ValidationError(f"state does not match tripartition {dims}")
-    on = rho.eigenvalues > rho.cutoff
-    lam, d_r = rho.eigenvalues[on], rho.rank
+    j = _ascending_support(rho.eigenvalues)[1]
+    lam, d_r = rho.eigenvalues[j:], rho.dim - j
     check_dim_cap(d_r * d_ap * d_b)  # the marginal on R A' B is the largest thing built
-    psi = (rho.eigenvectors[:, on] * np.sqrt(lam / lam.sum())).T.reshape(d_r, d_a, d_ap * d_b)
+    psi = (rho.eigenvectors[:, j:] * np.sqrt(lam / lam.sum())).T.reshape(d_r, d_a, d_ap * d_b)
     phi = psi.transpose(0, 2, 1).reshape(d_r * d_ap * d_b, d_a)  # phi[(i, k), a] = psi[i, a, k]
     u, sv, _ = np.linalg.svd(phi)
     evals = np.zeros(phi.shape[0])

@@ -23,6 +23,7 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     ValidationError,
+    _ascending_support,
     _kron,
     as_density,
     as_matrix,
@@ -227,9 +228,9 @@ class Purification(NamedTuple):
 def purify(rho) -> Purification:
     """Rank-1 dilation on R (x) A with |R| = rank(rho)."""
     dens = as_density(rho)
-    mask = dens.eigenvalues > dens.cutoff
-    evals = dens.eigenvalues[mask]
-    evecs = dens.eigenvectors[:, mask]
+    j = _ascending_support(dens.eigenvalues)[1]
+    evals = dens.eigenvalues[j:]
+    evecs = dens.eigenvectors[:, j:]
     r = evals.size
     d = dens.dim
     vec = np.zeros(r * d, dtype=np.complex128)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from qdiv import (
     q_alpha,
 )
 from qdiv import _roots
+from qdiv.induced import _q2_margin
 from qdiv.states import basis_state, maximally_mixed, random_density, rng_from_seed
 
 
@@ -323,6 +325,44 @@ def test_named_custom_parent_orthogonal_is_inf_after_one_probe():
     res = induced(parent, basis_state(0, 2), basis_state(1, 2), 0.3)
     assert res.raw == math.inf
     assert len(fn.seen) == 1
+
+
+def test_custom_parent_sees_the_validating_constructors_operator(monkeypatch):
+    # the custom margin wraps X = rho + t sigma from one eigh, without the constructor's checks; at every
+    # evaluation it is PositiveOperator(X) byte for byte, clip and rebuild included (rank 2 in d = 4)
+    module = importlib.import_module("qdiv.induced")
+    wrap, wrapped, clipped = module._positive_sum, [], []
+
+    def checked(mat):
+        got, ref = wrap(mat), PositiveOperator(mat)
+        assert type(got) is PositiveOperator
+        assert got.mat.tobytes() == ref.mat.tobytes() and got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        wrapped.append(got.mat.tobytes())
+        clipped.append(not np.array_equal(got.mat, 0.5 * (mat + mat.conj().T)))
+        return got
+
+    monkeypatch.setattr(module, "_positive_sum", checked)
+    fn = CountingParent()
+    # the last pair's X has rank 2 in d = 4, and its one probe (lambda = 45) clips its rounded kernel
+    pairs = [(random_density(d, r, seed), random_density(d, r, seed + 1)) for d, r, seed in ((2, 2, 21), (2, 1, 20), (4, 1, 20))]
+    for rho, sigma in pairs:
+        induced(ParentDivergence.custom(fn), rho, sigma, 0.3)
+    assert fn.seen == wrapped and len(wrapped) > 10 and any(clipped)
+
+
+@pytest.mark.parametrize("dim, rank", [(d, r) for d in (2, 4, 8, 16) for r in (d, max(1, d // 2))])
+def test_collision_margin_single_block_is_the_block_sum(dim, rank):
+    # one matrix block takes its eigh and Q_2 directly; a zero second block sends the same pair through the
+    # block sum, which adds 0.0 to it, so margins and decompositions agree bitwise
+    a, b = random_density(dim, dim, 50 + dim).mat, random_density(dim, rank, 60 + dim).mat
+    zero = np.zeros_like(a)
+    for eps in (1e-9, 0.3, 0.999999):
+        single, by_lam = _q2_margin([(a, b)], eps)
+        summed, by_lam_sum = _q2_margin([(a, b), (zero, zero)], eps)
+        for lam in (-30.0, -4.0, -0.5, 0.0, 3.0, 20.0):
+            assert single(lam) == summed(lam)
+            (evals, vecs), = by_lam[lam]
+            assert np.array_equal(evals, by_lam_sum[lam][0][0]) and np.array_equal(vecs, by_lam_sum[lam][0][1])
 
 
 def test_induced_evaluates_each_lambda_once():

@@ -108,6 +108,28 @@ def test_q2_gradient_matches_mpmath_oracle(gap, seed):
     assert abs(analytic - oracle) <= 1e-12 * abs(oracle)
 
 
+@pytest.mark.parametrize("dim", (2, 4, 8, 16))
+def test_mirror_step_adds_the_identity_in_place_bitwise(dim):
+    # the trace-centring and the iterate floor add a multiple of I on the diagonal in place; compared with
+    # ==, they give the floats of the np.eye forms they replaced
+    rng = np.random.default_rng(dim)
+
+    def hermitian():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return 0.5 * (a + a.conj().T)
+
+    l_mat, grad = hermitian(), hermitian()
+    l_new, sigma = info._mirror_step(l_mat, grad, 0.3)
+    expected = l_mat - 0.3 * grad
+    expected = expected - (np.trace(expected).real / dim) * np.eye(dim)
+    assert np.array_equal(l_new, expected)
+    evals, vecs = np.linalg.eigh(expected)
+    mat = (vecs * np.exp(evals - evals[-1])) @ vecs.conj().T
+    mat = mat / np.trace(mat).real
+    floor = info._ITERATE_FLOOR
+    assert np.array_equal(sigma, (1.0 - floor) * mat + floor * np.eye(dim) / dim)
+
+
 def test_minimize_density_quadratic():
     # minimize Tr[sigma^2] over density operators: optimum is maximally mixed; the residual is the
     # Frank-Wolfe gap at the returned iterate, and Tr[sigma^2] is convex, so value minus it is below 1/3

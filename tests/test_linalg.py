@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 from collections import Counter
@@ -23,15 +24,22 @@ from qdiv import (
     tensor,
     trace_distance,
 )
+from qdiv import _roots, divergences, info, linalg, protocols, states
+from qdiv.divergences import _log_cross, _xlogx_sum, d_hypothesis
+from qdiv.info import smoothed_mutual_info_2
 from qdiv.linalg import (
     KERNEL_CALLS,
     RECON_TOL,
+    _ascending_support,
     _eigh,
     _eigvalsh,
     _kron,
+    _positive_sum,
+    _q2_rotated,
     _sandwiched_q,
     support_cutoff,
 )
+from qdiv.protocols import eqsr_cost_bound, pbd_simulate
 from qdiv.states import (
     basis_state,
     maximally_entangled,
@@ -293,6 +301,18 @@ def _weak_overlap_pair(delta, seed):
     return rho, _spectral(_unitary(4, seed), [1.0, 0.6, 1e-9, 1e-9])
 
 
+def _random_pair(dim, rank, seed):
+    # the dimensions of the benchmark's induced solves; X of rank < dim has a rounded kernel of either sign
+    return random_density(dim, dim, seed + 20).mat, random_density(dim, rank, seed + 30).mat
+
+
+def _at_cut_pair(above):
+    # X = diag(c, 0.3, 0.7), whose eigh is exact: c is the spectrum's support cut 8 eps_mach 0.7, which is
+    # kernel, or the next float above it, which is support
+    cut = support_cutoff(np.array([0.3, 0.7]), 3)
+    return random_density(3, 3, 40).mat, np.diag([np.nextafter(cut, 1.0) if above else cut, 0.3, 0.7]).astype(complex)
+
+
 Q2_FORM_CASES = (
     [
         pytest.param(_conditioned_pair, (c, s), id=f"cond={c:g},seed={s}")
@@ -311,6 +331,13 @@ Q2_FORM_CASES = (
         for d in (1e-3, 1e-6, 1e-9)
         for s in range(2)
     ]
+    + [
+        pytest.param(_random_pair, (d, r, s), id=f"d={d},rank={r},seed={s}")
+        for d in (2, 4, 8, 16)
+        for r in (d, d // 2)
+        for s in range(2)
+    ]
+    + [pytest.param(_at_cut_pair, (above,), id=f"at_cut,above={above}") for above in (False, True)]
 )
 
 
@@ -322,6 +349,130 @@ def test_q2_eigenbasis_form_matches_eigvalsh_form(make, args):
     evals, vecs = np.linalg.eigh(x)
     expected = _eigvalsh_q2(rho, evals, vecs)
     assert abs(_sandwiched_q(rho, evals, vecs, 2.0) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("make, args", Q2_FORM_CASES)
+def test_support_read_from_the_spectrum_ends_is_bitwise_the_masked_form(make, args):
+    # every site that reads an ascending spectrum's support from its ends (`_ascending_support`) gives the
+    # floats, compared with ==, of the support_cutoff and spectral_fn masks, np.outer and the masked
+    # sqrt it replaced
+    rho, x = make(*args)
+    evals, vecs = _eigh(x)
+    cut = support_cutoff(evals, evals.size)
+    on = evals > cut
+    assert _ascending_support(evals) == (cut, int(np.count_nonzero(~on)))
+    pos = PositiveOperator(x)
+    assert pos.cutoff == support_cutoff(pos.eigenvalues, pos.dim)
+    assert pos.rank == int(np.count_nonzero(pos.eigenvalues > support_cutoff(pos.eigenvalues, pos.dim)))
+    r_eig = vecs.conj().T @ rho @ vecs
+    k_masked = spectral_fn(evals, None, -0.5, cut)
+    q, k_vals = _q2_rotated(r_eig, evals)
+    assert np.array_equal(k_vals, k_masked)
+    assert q == float(k_masked @ (r_eig.real**2 + r_eig.imag**2) @ k_masked)
+    s = np.sqrt(np.where(k_masked > 0.0, evals, np.inf))
+    masked_grad = -1.0 / (np.outer(s, s) * (s[:, None] + s[None, :])) * (2.0 * ((r_eig * k_masked) @ r_eig))
+    assert np.array_equal(info._q2_gradient_eigenbasis(evals, r_eig, k_vals, bool(on.all())), masked_grad)
+    assert np.array_equal(info._q2_gradient_eigenbasis(evals, r_eig, k_vals), masked_grad)
+    weights = np.einsum("ji,jk,ki->i", vecs.conj(), rho, vecs).real.copy()  # contiguous, as both callers pass it
+    assert _log_cross(weights, evals) == float(np.dot(weights[on], np.log2(evals[on])))
+    assert _xlogx_sum(evals) == float(sum(v * math.log2(v) for v in evals if v > cut))
+    for alpha in (0.5, 1.5):
+        h = vecs[:, on] * evals[on] ** ((1.0 - alpha) / (2.0 * alpha))
+        r_vals, r_vecs = _eigh(rho)
+        k = int(np.count_nonzero(r_vals <= support_cutoff(r_vals, r_vals.size)))
+        if alpha <= 0.5 and k:
+            g = np.sqrt(r_vals[k:])[:, None] * (r_vecs[:, k:].conj().T @ h)
+            inner = g @ g.conj().T if g.shape[0] < g.shape[1] else g.conj().T @ g
+        else:
+            inner = h.conj().T @ rho @ h
+        masked_q = float(np.sum(np.clip(_eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None) ** alpha))
+        assert _sandwiched_q(rho, evals, vecs, alpha) == masked_q
+
+
+@pytest.mark.parametrize("above", (False, True))
+def test_an_eigenvalue_at_the_cut_is_kernel_and_the_next_float_support(above):
+    _, x = _at_cut_pair(above)
+    evals, _ = _eigh(x)
+    assert np.array_equal(evals, np.diag(x).real)
+    cut, start = _ascending_support(evals)
+    assert (evals[0] > cut, start) == (above, 0 if above else 1)
+
+
+@pytest.mark.parametrize("make, args", Q2_FORM_CASES)
+def test_positive_sum_is_the_constructor_without_its_checks(make, args):
+    rho, x = make(*args)
+    for mat in (x, rho + 1e3 * x):
+        got, ref = _positive_sum(mat), PositiveOperator(mat)
+        assert type(got) is PositiveOperator
+        for a, b in ((got.mat, ref.mat), (got.eigenvalues, ref.eigenvalues), (got.eigenvectors, ref.eigenvectors)):
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+
+
+def test_positive_sum_clips_and_rebuilds_as_the_constructor():
+    # rank 2 in d = 4: the rounded kernel of rho + t sigma comes out negative at some t, and both clip it
+    rho, sigma = random_density(4, 1, 23).mat, random_density(4, 1, 24).mat
+    clipped = 0
+    for lam in np.linspace(-8.0, 8.0, 33):
+        mat = rho + 2.0**lam * sigma
+        clipped += _eigh(0.5 * (mat + mat.conj().T))[0][0] < 0.0
+        got, ref = _positive_sum(mat), PositiveOperator(mat)
+        assert got.mat.tobytes() == ref.mat.tobytes() and got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert clipped
+
+
+def _local_rotation(diag, seed):
+    """diag on A B (d_A = d_B = 2) in the product basis of two seeded unitaries."""
+    u = np.kron(_unitary(2, seed), _unitary(2, seed + 1))
+    return DensityOperator(_spectral(u, diag))
+
+
+ASCENDING_PATHS = {
+    "eqsr_full_rank": lambda: eqsr_cost_bound(random_density(8, 8, 11), (2, 2, 2), 0.5, 0.005, 0.005),
+    "eqsr_rank3": lambda: eqsr_cost_bound(random_density(8, 3, 12), (2, 2, 2), 0.5, 0.005, 0.005),
+    "smoothed_truncated_winner": lambda: smoothed_mutual_info_2(
+        _local_rotation([0.985, 0.003, 0.002, 0.01], 3), (2, 2), 0.05
+    ),
+    "hypothesis_at_jump": lambda: d_hypothesis(random_density(2, 2, 3), random_density(2, 2, 3), 0.3),
+    "hypothesis_searched": lambda: d_hypothesis(random_density(2, 1, 5), random_density(2, 2, 4), 0.3),
+    "pbd": lambda: pbd_simulate(
+        random_density(4, 4, 0),
+        DensityOperator(np.kron(partial_trace(random_density(4, 4, 0), [2, 2], [0]).mat, random_density(2, 2, 1).mat)),
+        (2, 2),
+        0.414234375,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", ASCENDING_PATHS)
+def test_every_vouched_or_cut_spectrum_ascends(monkeypatch, path):
+    # the support is read from the ends of a spectrum (`_ascending_support`), so every spectrum handed to it,
+    # or to the constructors that cache a spectrum without an eigh, must ascend
+    seen = Counter()
+
+    def ascending(name, fn, at):  # fn, checking that its argument at position ``at`` ascends
+        def checked(*args):
+            assert np.all(np.diff(args[at]) >= 0.0), f"{name} got {args[at]}"
+            seen[name] += 1
+            return fn(*args)
+
+        return checked
+
+    checks = {"_ascending_support": 0, "_spectral_positive": 0, "_vouched": 1}  # where the spectrum is passed
+    originals = {name: getattr(linalg, name) for name in checks}
+    for module in (linalg, divergences, importlib.import_module("qdiv.induced"), info, protocols, states):
+        for name, at in checks.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, ascending(name, originals[name], at))
+    search = _roots.bisect_decreasing
+    monkeypatch.setattr(_roots, "bisect_decreasing", lambda *args: seen.update(["search"]) or search(*args))
+    out = ASCENDING_PATHS[path]()
+    assert seen["_ascending_support"]
+    if path == "smoothed_truncated_winner":
+        assert out.candidate.startswith("truncated@")
+    if path.startswith("hypothesis"):  # equal states stop at the pencil's jump mu = 1; a rank-1 rho is searched
+        assert out[1].alpha_err >= 0.7 - 1e-8 and seen["search"] == (path == "hypothesis_searched")
+    if path.startswith("eqsr") or path == "pbd":
+        assert seen["_vouched"]
 
 
 def test_q2_eigenbasis_form_on_ill_conditioned_pbd_family():
