@@ -18,11 +18,18 @@ quantity, the raw induced D_2 of the cq state, is maximized over input
 distributions with multi-start projected gradient ascent; the reported value
 is attained by a feasible point, hence a certified lower bound on the
 supremum.  Both induced thresholds solve `induced._q2_margin` and read their
-gradients from its decompositions.
+gradients from its decompositions.  The induced I_2 descent starts at the
+closed-form minimizer of the collision margin's small-eps model, a
+quadratic form in sigma (`_collision_start`), and its first threshold solve
+at that model's root; where the model does not apply (rho with a kernel, a
+minimizer that is not positive definite, no model root), at I/d_A and
+log2(eps / (1 - eps)).  The start changes the descent's length, not its
+certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -45,6 +52,7 @@ from .linalg import (
     _q2_eigenbasis,
     _q2_rotated,
     _spectral_positive,
+    _svd,
     _vouched,
     spectral_fn,
     support_cutoff,
@@ -106,7 +114,7 @@ def _marginal_support(
     """
     j = _ascending_support(evals)[1]
     factor = vecs[:, j:] * np.sqrt(evals[j:])
-    _, sv, vh = np.linalg.svd(factor.reshape(da, -1), full_matrices=False)
+    _, sv, vh = _svd(factor.reshape(da, -1), full_matrices=False)
     a = sv**2
     k = int(np.count_nonzero(a > support_cutoff(a, da)))
     g = (sv[:k, None] * vh[:k]).reshape(k * db, -1)
@@ -388,6 +396,82 @@ class InducedMutualInfo(NamedTuple):
     certified_lower: float  # value minus the gap: a lower bound on the minimum (lambda* is convex)
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Rows vec(E_i) of an orthonormal basis of the d x d Hermitian matrices, the d diagonal units first.
+
+    Then (e_ab + e_ba)/sqrt 2 and i (e_ab - e_ba)/sqrt 2 for a < b: real
+    coefficients c give the Hermitian c @ basis, of trace c[:d].sum().
+    """
+    basis = np.zeros((d * d, d, d), dtype=np.complex128)
+    for a in range(d):
+        basis[a, a, a] = 1.0
+    for i, (a, b) in enumerate((a, b) for a in range(d) for b in range(a + 1, d)):
+        basis[d + 2 * i, a, b] = basis[d + 2 * i, b, a] = math.sqrt(0.5)
+        basis[d + 2 * i + 1, a, b], basis[d + 2 * i + 1, b, a] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    basis = basis.reshape(d * d, d * d)
+    basis.setflags(write=False)
+    return basis
+
+
+def _collision_model_step(
+    r_mat: np.ndarray, rho_b: np.ndarray, sigma: np.ndarray, t_hat: float, da: int, db: int
+) -> tuple[np.ndarray, float] | None:
+    """(sigma', q): the minimum over trace-one Hermitian sigma' of Q_2(sigma' (x) rho_B || X), X = rho + t_hat sigma (x) rho_B.
+
+    With X frozen, the model ||X^(-1/4) (sigma' (x) rho_B) X^(-1/4)||_F^2 is
+    a quadratic form c^T M c in sigma''s real coefficients c on
+    `_hermitian_basis`: M is the Gram matrix of the basis' images, read in
+    X's eigenbasis from one `_eigh` of X.  The trace constraint w^T c = 1
+    (w marks the diagonal units) gives the KKT point c = M^-1 w / (w^T
+    M^-1 w) and the value q = 1 / (w^T M^-1 w), from one `_eigh` of M.
+    None when X has a kernel (the model is not finite) or sigma' is not
+    positive definite.
+    """
+    evals, vecs = _eigh(r_mat + t_hat * _kron(sigma, rho_b))
+    if _ascending_support(evals)[1]:
+        return None
+    w = vecs.reshape(da, db, -1) * evals**-0.25  # X's eigenvectors scaled by x^(-1/4): X^(-1/2) = W W^dag
+    # the image of the matrix unit e_ac, W^dag (e_ac (x) rho_B) W, as row (a, c)
+    units = np.einsum("abm,bd,cdn->acmn", w.conj(), rho_b, w).reshape(da * da, -1)
+    images = _hermitian_basis(da) @ units
+    gram = (images @ images.conj().T).real
+    g_vals, g_vecs = _eigh(gram)
+    if not g_vals[0] > 0.0:
+        return None
+    y = g_vecs @ (g_vecs[:da].sum(axis=0) / g_vals)  # M^-1 w
+    mass = float(y[:da].sum())  # w^T M^-1 w
+    sigma_new = ((y / mass) @ _hermitian_basis(da)).reshape(da, da)
+    if not _eigvalsh(sigma_new)[0] > 0.0:
+        return None
+    return sigma_new, 1.0 / mass
+
+
+_START_STEPS = 2  # frozen-model steps from I/d_A
+
+
+def _collision_start(r: DensityOperator, rho_b: np.ndarray, da: int, db: int, eps: float) -> tuple[np.ndarray, float] | None:
+    """(sigma_0, lambda_0): the induced descent's start and its first threshold guess, or None for I/d_A.
+
+    `_START_STEPS` model steps (`_collision_model_step`) from I/d_A with
+    t_hat = eps / (1 - eps); lambda_0 is log2 of the model root 2 eps / (1 +
+    sqrt(1 - 4 eps q)) at the last one.  None when rho has a kernel, a step
+    fails or 4 eps q >= 1 (`induced_mutual_info_2`).
+    """
+    if r.rank < r.dim:
+        return None
+    t_hat = eps / (1.0 - eps)
+    sigma = np.eye(da, dtype=np.complex128) / da
+    for _ in range(_START_STEPS):
+        step = _collision_model_step(r.mat, rho_b, sigma, t_hat, da, db)
+        if step is None:
+            return None
+        sigma, q = step
+    if 4.0 * eps * q >= 1.0:
+        return None
+    return sigma, math.log2(2.0 * eps / (1.0 + math.sqrt(1.0 - 4.0 * eps * q)))
+
+
 def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutualInfo:
     """min over sigma on A of the raw induced D_2(rho^AB || sigma^A (x) rho^B).
 
@@ -404,6 +488,23 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     result is the solve made at the returned iterate, and value minus that
     gap is a lower bound on the minimum (``certified_lower``; Jaggi 2013).
     A margin still >= 0 at the search ceiling gives +inf (`_threshold`).
+
+    The descent starts at the minimizer of the margin's small-eps model
+    (`_collision_start`): with tau = sigma (x) rho_B the margin is eps - t +
+    t^2 Q_2(tau || rho + t tau), so t* = eps + eps^2 Q_2(tau || rho) +
+    O(eps^3), and to first order the best sigma minimizes Q_2(tau || X), a
+    convex quadratic form in sigma for a frozen X, solved in closed form.
+    X is frozen at rho + t_hat tau, t_hat = eps / (1 - eps), which keeps the
+    start near I/d_A at large eps; two such steps go from I/d_A.  The first
+    solve starts at that model's root 2 eps / (1 + sqrt(1 - 4 eps q)), q the
+    model's value there, and its first step is a tenth of the move the
+    model predicts from log2(eps / (1 - eps)).  Where the model does not
+    apply, the descent starts at I/d_A and the first solve at log2(eps / (1
+    - eps)) with a unit step: rho has a kernel (the margin then has a 1/t
+    term from it, and the start lengthened such descents), X has one, the
+    model's minimizer is not positive definite, or 4 eps q >= 1.  lambda*
+    is convex and the descent still stops on its Frank-Wolfe gap, so the
+    start changes how long the descent runs, not what it certifies.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -412,14 +513,21 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     rho_b = _ptrace(r.mat, [da, db], [1])
     solves: list[tuple[np.ndarray, InducedResult]] = []  # (sigma, result) of each call
     last = None  # the latest finite solve and its gradient, whose tangent predicts the next
+    guess = math.log2(eps / (1.0 - eps))  # lambda* when rho is sigma (x) rho_B
+    start = _collision_start(r, rho_b, da, db, eps)
+    if start is None:  # from I/d_A, the first solve at the guess with a unit step
+        sigma0, lam0, step0 = None, guess, 1.0
+    else:  # at the model's root, with a tenth of its move from the guess
+        sigma0, lam0 = start
+        step0 = min(1.0, max(0.1 * abs(lam0 - guess), 1e-9))
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal last
         grad = np.zeros((da, da), dtype=np.complex128)
         tau = _kron(sigma, rho_b)
         margin, evaluated = _q2_margin([(r.mat, tau)], eps)
-        if last is None:  # lambda* when rho is sigma (x) rho_B, with a unit first step
-            res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, "renyi(2)")
+        if last is None:
+            res = _threshold(margin, lam0, eps, "renyi(2)", step0)
         else:
             move = float(np.vdot(sigma - last[0], last[2]).real)  # Tr[G_k (sigma - sigma_k)]
             res = _threshold(margin, last[1].lambda_star + move, eps, "renyi(2)", min(1.0, max(abs(move), 1e-9)))
@@ -435,7 +543,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
         solves.append((sigma, res))
         return res.raw, grad
 
-    sigma, _, iters, gap = minimize_density(value_grad, da, slack=_roots.BISECT_TOL)
+    sigma, _, iters, gap = minimize_density(value_grad, da, sigma0=sigma0, slack=_roots.BISECT_TOL)
     final = next(res for s, res in reversed(solves) if s is sigma)
     optimal = _vouched(sigma, *_eigh(sigma))
     return InducedMutualInfo(final.raw, optimal, final, iters, gap, gap <= _DESCENT_TOL, final.raw - gap)

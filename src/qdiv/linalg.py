@@ -32,14 +32,15 @@ class ValidationError(ValueError):
 
 
 KERNEL_CALLS: dict = {}
-"""Every Hermitian decomposition qdiv makes: calls by (kind, dimension).
+"""Every matrix decomposition qdiv makes: calls by (kind, dimension).
 
-The kinds are ``eigh`` and ``eigvalsh``.  The counts only grow; read the
-difference of two snapshots.  No report reads them.
+The kinds are ``eigh`` and ``eigvalsh``, keyed by the dimension, and
+``svd`` and ``svdvals``, keyed by the shape (m, n).  The counts only grow;
+read the difference of two snapshots.  No report reads them.
 """
 
 
-def _count(kind: str, dim: int) -> None:
+def _count(kind: str, dim: int | tuple[int, int]) -> None:
     KERNEL_CALLS[kind, dim] = KERNEL_CALLS.get((kind, dim), 0) + 1
 
 
@@ -78,6 +79,51 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     if evals.size and math.isnan(evals[0]):
         return np.linalg.eigvalsh(mat)
     return evals
+
+
+def _svd_gufunc(name: str, m: int, n: int):
+    """numpy's LAPACK SVD gufunc ``name`` (``svd``, ``svd_s`` or ``svd_f``) for an m x n matrix.
+
+    numpy 1.x keeps one per orientation: ``svd_m...`` for m < n and
+    ``svd_n...`` otherwise, as its ``np.linalg.svd`` picks them.
+    """
+    gufunc = getattr(_umath_linalg, name, None)
+    if gufunc is None:
+        gufunc = getattr(_umath_linalg, name.replace("svd", "svd_m" if m < n else "svd_n", 1))
+    return gufunc
+
+
+def _svd(mat: np.ndarray, full_matrices: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(mat, full_matrices)`` for one complex128 or float64 matrix, without numpy's per-call wrapper.
+
+    (U, S, V^dag) from the gufunc ``np.linalg.svd`` calls (``svd_f`` or
+    ``svd_s``), bitwise numpy's; a failure falls back to ``np.linalg.svd``
+    as `_eigh` does, which raises `numpy.linalg.LinAlgError`.  Counted in
+    `KERNEL_CALLS` as ``svd`` by shape (m, n).
+    """
+    m, n = mat.shape
+    _count("svd", (m, n))
+    gufunc = _svd_gufunc("svd_f" if full_matrices else "svd_s", m, n)
+    try:
+        u, sv, vh = gufunc(mat, signature="D->DdD" if mat.dtype.kind == "c" else "d->ddd")
+    except (FloatingPointError, RuntimeWarning):
+        return np.linalg.svd(mat, full_matrices=full_matrices)
+    if sv.size and math.isnan(sv[0]):
+        return np.linalg.svd(mat, full_matrices=full_matrices)
+    return u, sv, vh
+
+
+def _svdvals(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(mat, compute_uv=False)`` without numpy's per-call wrapper, as `_svd`; counted as ``svdvals``."""
+    m, n = mat.shape
+    _count("svdvals", (m, n))
+    try:
+        sv = _svd_gufunc("svd", m, n)(mat, signature="D->d" if mat.dtype.kind == "c" else "d->d")
+    except (FloatingPointError, RuntimeWarning):
+        return np.linalg.svd(mat, compute_uv=False)
+    if sv.size and math.isnan(sv[0]):
+        return np.linalg.svd(mat, compute_uv=False)
+    return sv
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -391,7 +437,7 @@ def tensor(*ops) -> HermitianOperator:
 def _ptrace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     dims = list(dims)
     n = len(dims)
-    if int(np.prod(dims)) != mat.shape[0]:
+    if math.prod(dims) != mat.shape[0]:
         raise ValidationError(f"dims {dims} do not multiply to {mat.shape[0]}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
@@ -399,7 +445,7 @@ def _ptrace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.nda
     # a traced system carries the same label on both sides, so einsum sums a diagonal view
     cols = [n + i if i in keep else i for i in range(n)]
     t = np.einsum(mat.reshape(dims + dims), list(range(n)) + cols, keep + [n + k for k in keep])
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    d_keep = math.prod(dims[k] for k in keep)
     return t.reshape(d_keep, d_keep)
 
 

@@ -40,6 +40,8 @@ from .linalg import (
     _ptrace,
     _q2_rotated,
     _sandwiched_q,
+    _svd,
+    _svdvals,
     _vouched,
 )
 from .states import Channel, _power_exceeds, _slot_products, check_dim_cap, dim_cap
@@ -426,7 +428,7 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
         factors = [(1, np.hstack(list(_slot_products(y, np.diag(b[jb:]), r_a, r_b, n))))]
     fid = fid_error = 0.0
     for mult, z in factors:
-        part = mult * float(np.sum(np.linalg.svd(z, compute_uv=False))) / math.sqrt(n)
+        part = mult * float(np.sum(_svdvals(z))) / math.sqrt(n)
         fid += part
         fid_error += z.shape[0] ** 2 * _EPS * part
     _, pd = _fidelity_and_purified(fid)
@@ -494,7 +496,7 @@ def eqsr_cost_bound(
     check_dim_cap(d_r * d_ap * d_b)  # the marginal on R A' B is the largest thing built
     psi = (rho.eigenvectors[:, j:] * np.sqrt(lam / lam.sum())).T.reshape(d_r, d_a, d_ap * d_b)
     phi = psi.transpose(0, 2, 1).reshape(d_r * d_ap * d_b, d_a)  # phi[(i, k), a] = psi[i, a, k]
-    u, sv, _ = np.linalg.svd(phi)
+    u, sv, _ = _svd(phi)
     evals = np.zeros(phi.shape[0])
     evals[: sv.size] = sv**2
     marginal = _vouched(phi @ phi.conj().T, evals[::-1].copy(), u[:, ::-1].copy())

@@ -12,7 +12,8 @@ def count_kernel_calls():
     """start() -> dims: counts the `qdiv.linalg` kernel calls made after start(), read from `KERNEL_CALLS`.
 
     dims(*kinds) lists the dimension of each call of those kinds (both,
-    ``eigh`` and ``eigvalsh``, by default), ascending, once per call.
+    ``eigh`` and ``eigvalsh``, by default), ascending, once per call; the
+    ``svd`` and ``svdvals`` kinds list shapes (m, n).
     """
 
     def start():

@@ -37,6 +37,8 @@ from qdiv.linalg import (
     _positive_sum,
     _q2_rotated,
     _sandwiched_q,
+    _svd,
+    _svdvals,
     support_cutoff,
 )
 from qdiv.protocols import eqsr_cost_bound, pbd_simulate
@@ -616,6 +618,39 @@ def test_kernel_failure_raises_linalg_error_in_every_error_state(kernel):
     # unlike np.linalg, the kernel leaves the invalid flag to the caller's state: numpy's default warns first
     with np.errstate(invalid="warn"), pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError):
         kernel(mat)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize("shape", [(8, 8), (4, 16), (16, 4), (32, 2), (2, 32), (28, 80), (1, 3)])
+def test_svd_kernels_are_bitwise_numpy_and_counted(dtype, shape):
+    # the shapes of qdiv's factors: the qsr-bound marginal (32 x 2, 16 x 4), the convex split's (up to 28 x 80)
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    mat = rng.standard_normal(shape)
+    if dtype == np.complex128:
+        mat = mat + 1j * rng.standard_normal(shape)
+    low = mat[:, :1] @ mat[:1, :]  # rank 1
+    for name, m in (("full", mat), ("rank1", low), ("zero", np.zeros(shape, dtype=dtype)), ("f_ordered", np.asfortranarray(mat))):
+        before = Counter(KERNEL_CALLS)
+        for full in (True, False):
+            got, want = _svd(m, full_matrices=full), np.linalg.svd(m, full_matrices=full)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (name, full)
+        got, want = _svdvals(m), np.linalg.svd(m, compute_uv=False)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert Counter(KERNEL_CALLS) - before == Counter({("svd", shape): 2, ("svdvals", shape): 1})
+
+
+@pytest.mark.parametrize("kernel", [_svd, _svdvals])
+def test_svd_kernel_failure_raises_linalg_error_in_every_error_state(kernel):
+    mat = np.ones((3, 4), dtype=np.complex128)
+    mat[2, 0] = math.nan  # LAPACK does not converge
+    with pytest.raises(np.linalg.LinAlgError):  # the suite's RuntimeWarning-as-error filter
+        kernel(mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for state in ("ignore", "warn", "raise"):
+            with np.errstate(invalid=state), pytest.raises(np.linalg.LinAlgError):
+                kernel(mat)
 
 
 def test_kron_is_bitwise_numpy():

@@ -598,7 +598,9 @@ def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch,
         init(self, mat)
 
     monkeypatch.setattr(HermitianOperator, "__init__", validating)
+    monkeypatch.setattr(np.linalg, "svd", None)  # every SVD goes through the linalg kernels
     convex_split_check(ext, (4, 2), sigma, n)
+    assert kernel_calls("svdvals") and kernel_calls("svd") == []
     assert kernel_calls("eigh").count(total) == 0
     assert kernel_calls("eigvalsh").count(total) == 0
     assert dims["validated"].count(total) == 0
@@ -696,12 +698,11 @@ def test_eqsr_checks_the_cap_on_the_marginal_it_builds(monkeypatch, count_kernel
     # a full-rank 8 x 8 source has its R A' B marginal at 8 * 4 = 32, the largest thing
     # the bound builds: a cap of 31 refuses it before any decomposition at 32, a cap of 32 runs it
     rho = random_density(8, 8, 53)
-    kernel_calls, svd_shapes, svd = count_kernel_calls(), [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svd_shapes.append(a.shape) or svd(a, *args, **kwargs))
+    kernel_calls = count_kernel_calls()
     monkeypatch.setenv("QDIV_DIM_CAP", "31")
     with pytest.raises(ValidationError, match="exceeds cap 31"):
         eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
-    assert all(d < 32 for d in kernel_calls()) and svd_shapes == []
+    assert all(d < 32 for d in kernel_calls()) and kernel_calls("svd", "svdvals") == []
     monkeypatch.setenv("QDIV_DIM_CAP", "32")
     assert math.isfinite(eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005).q_bound)
 
@@ -725,11 +726,14 @@ def test_eqsr_marginal_is_that_of_the_purification(monkeypatch, rank, seed):
     assert np.max(np.abs((vecs * evals) @ vecs.conj().T - reference)) <= 1e-15
 
 
-def test_eqsr_decomposes_nothing_at_the_purification_dimension(count_kernel_calls):
+def test_eqsr_decomposes_nothing_at_the_purification_dimension(monkeypatch, count_kernel_calls):
     # the purification of a full-rank 8 x 8 source lives at 64 and its R A' B marginal at 32; the
     # marginal's spectrum comes from an SVD of its 32 x 2 factor, and the smoothed term works on
     # supp rho_RB (x) A', so nothing is decomposed at 64, 32 or 16
     rho = random_density(8, 8, 11)
     kernel_calls = count_kernel_calls()
+    monkeypatch.setattr(np.linalg, "svd", None)  # every SVD goes through the linalg kernels
     eqsr_cost_bound(rho, (2, 2, 2), 0.5, 0.005, 0.005)
     assert max(kernel_calls()) <= 4
+    # the marginal's factor, and rho_RB's factor regrouped for the smoothed term's rho_RB
+    assert kernel_calls("svd") == [(16, 4), (32, 2)] and kernel_calls("svdvals") == []
