@@ -232,20 +232,22 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     positive part and its kernel.  If 1 - eps falls inside that jump, mu is
     mu_k exactly.  Otherwise f is continuous between the two neighbouring
     probes, and one ``bisect_decreasing`` search over x = -log2 mu runs
-    between them.  When f already reaches 1 - eps just below the first
-    (smallest) jump mu_0 (sigma is rank-deficient, as f(0+) is rho's weight
-    on ker sigma, the leak), the search walks up from x_0 = -log2 mu_0,
-    where the margin is >= 0; above it the margin tends to the leak minus
-    1 - eps < 0.  For rank-deficient rho the pencil is singular and the jump
-    list is empty; then the search runs over the full range.  Eigenvalues
-    within 128 eps_mach |mu*rho - sigma| + delta lambda_max(rho) of zero are
-    kernel, where delta is mu's uncertainty: 0 at a search's probe, its
-    bracket at the searched mu, and at a jump the pencil eigenvalue's own
-    error, or the bracket if that is smaller.  The searched margin is f just
-    above mu, rho's weight on the eigenvalues at or above -band, so a jump
-    the search meets ends inside the final kernel.  If rho puts weight
-    1 - eps or more on the kernel of sigma, the value is +inf and the effect
-    is a multiple of that kernel's projector.
+    between them, starting at the upper probe from f's limit from below
+    there (the positive part alone, without the jump).  When f already
+    reaches 1 - eps just below the first (smallest) jump mu_0 (sigma is
+    rank-deficient, as f(0+) is rho's weight on ker sigma, the leak), the
+    search walks up from x_0 = -log2 mu_0, where the margin is >= 0; above
+    it the margin tends to the leak minus 1 - eps < 0.  For rank-deficient
+    rho the pencil is singular and the jump list is empty; then the search
+    runs over the full range.  Eigenvalues within 128 eps_mach
+    |mu*rho - sigma| + delta lambda_max(rho) of zero are kernel, where delta
+    is mu's uncertainty: 0 at a search's probe, its bracket at the searched
+    mu, and at a jump the pencil eigenvalue's own error, or the bracket if
+    that is smaller.  The searched margin is f just above mu, rho's weight
+    on the eigenvalues at or above -band, so a jump the search meets ends
+    inside the final kernel.  If rho puts weight 1 - eps or more on the
+    kernel of sigma, the value is +inf and the effect is a multiple of that
+    kernel's projector.
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError(f"eps must be in [0, 1), got {eps}")
@@ -319,7 +321,10 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
         mu_err = splits[x][1]
     else:  # f is continuous between the probes, or they do not bracket 1 - eps
         if hi < jumps.size and lo >= 0:
-            found = _roots.bisect_decreasing(margin, x, x, float(xs[lo]))
+            # at x = -log2 mu_hi the margin holds the jump's kernel; inside (mu_lo, mu_hi) f tends to the
+            # positive part alone, so the search starts from that one-sided limit and sees no kink there
+            x_hi, limit = x, float(np.sum(weights[pos])) - target
+            found = _roots.bisect_decreasing(lambda y: limit if y == x_hi else margin(y), x, x, float(xs[lo]))
         elif hi == 0 < jumps.size:  # below the first jump; the margin tends to the leak - (1 - eps) < 0 as mu -> 0
             found = _roots.bisect_decreasing(margin, x, x, 120.0)
         else:  # at mu = 2^-120 the margin is about the leak minus 1 - eps, so the walk up stops

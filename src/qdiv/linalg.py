@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:  # numpy's private LAPACK gufuncs; without them every kernel calls the public np.linalg function
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -57,9 +61,13 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is printed, under a raising state the gufunc raises.  Either way (a NaN
     first eigenvalue, or the raised error) the kernel then calls
     ``np.linalg.eigh``, which raises `numpy.linalg.LinAlgError` on a failure
-    and otherwise returns the same NaNs.
+    and otherwise returns the same NaNs.  A numpy without the private
+    module ``numpy.linalg._umath_linalg`` gets ``np.linalg.eigh`` on every
+    call, still counted.
     """
     _count("eigh", len(mat))
+    if _umath_linalg is None:
+        return np.linalg.eigh(mat)
     try:
         evals, vecs = _umath_linalg.eigh_lo(mat, signature="D->dD" if mat.dtype.kind == "c" else "d->dd")
     except (FloatingPointError, RuntimeWarning):
@@ -72,6 +80,8 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(mat)`` without numpy's per-call wrapper, as `_eigh` takes ``eigh``."""
     _count("eigvalsh", len(mat))
+    if _umath_linalg is None:
+        return np.linalg.eigvalsh(mat)
     try:
         evals = _umath_linalg.eigvalsh_lo(mat, signature="D->d" if mat.dtype.kind == "c" else "d->d")
     except (FloatingPointError, RuntimeWarning):
@@ -103,6 +113,8 @@ def _svd(mat: np.ndarray, full_matrices: bool = True) -> tuple[np.ndarray, np.nd
     """
     m, n = mat.shape
     _count("svd", (m, n))
+    if _umath_linalg is None:
+        return np.linalg.svd(mat, full_matrices=full_matrices)
     gufunc = _svd_gufunc("svd_f" if full_matrices else "svd_s", m, n)
     try:
         u, sv, vh = gufunc(mat, signature="D->DdD" if mat.dtype.kind == "c" else "d->ddd")
@@ -117,6 +129,8 @@ def _svdvals(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.svd(mat, compute_uv=False)`` without numpy's per-call wrapper, as `_svd`; counted as ``svdvals``."""
     m, n = mat.shape
     _count("svdvals", (m, n))
+    if _umath_linalg is None:
+        return np.linalg.svd(mat, compute_uv=False)
     try:
         sv = _svd_gufunc("svd", m, n)(mat, signature="D->d" if mat.dtype.kind == "c" else "d->d")
     except (FloatingPointError, RuntimeWarning):

@@ -16,6 +16,7 @@ computation per block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -77,6 +78,51 @@ def _ceil_guarded(x: float) -> int:
     return max(1, int(math.ceil(x - _t_bracket(x))))
 
 
+@functools.lru_cache(maxsize=None)
+def _spin_table(slots: int) -> tuple[tuple, ...]:
+    """Everything of `_spin_blocks` at N = slots that does not depend on the weights, one entry per block.
+
+    Each entry is (m_j, k_min, k_max, shape of F_j, pattern, singletons).
+    The pattern holds read-only arrays over F_j's paired entries: their
+    flat positions, the integer-derived factors num and den (sqrt(k+1) and
+    1 in F_j[0]; r_k and sqrt(k_min (N+1-k_min)) over sqrt(k+1) in F_j[1])
+    and the index k of the weight w_k that each entry scales, so that an
+    entry is (sqrt(w_k) num) / den.  The singletons are (flat position,
+    index of w) for (0, k_min) and (1, k_max), empty at k_min = 0.
+    """
+    table = []
+    for k_min in range(slots // 2 + 1):
+        k_max = slots - k_min
+        size = k_max - k_min + 1
+        shape = (2, size, 2 * size if k_min else size - 1)
+        mult = math.comb(slots, k_min) - (math.comb(slots, k_min - 1) if k_min else 0)
+        pair = np.arange(size - 1)
+        k = k_min + pair
+        root_p = np.sqrt(k + 1.0)
+        index = [(0, pair + 1, pair), (1, pair, pair)]
+        num = [root_p, np.sqrt((k_max - k) * (k - k_min + 1.0))]
+        den = [np.ones(size - 1), root_p]
+        singletons = ()
+        if k_min:
+            index.append((1, pair, size - 1 + pair))
+            num.append(np.full(size - 1, np.sqrt(k_min * (slots + 1.0 - k_min))))
+            den.append(root_p)
+            singletons = (
+                (np.ravel_multi_index((0, 0, shape[2] - 2), shape), k_min - 1),
+                (np.ravel_multi_index((1, size - 1, shape[2] - 1), shape), k_max),
+            )
+        pattern = (
+            np.concatenate([np.ravel_multi_index(i, shape) for i in index]),
+            np.concatenate(num),
+            np.concatenate(den),
+            np.tile(k, len(index)),
+        )
+        for arr in pattern:
+            arr.flags.writeable = False
+        table.append((mult, k_min, k_max, shape, pattern, singletons))
+    return tuple(table)
+
+
 def _spin_blocks(b: np.ndarray, slots: int):
     """Spin-j blocks of diag(b)^(x N) and a factor of T_ac = sum_x |a><c|_x (x) diag(b)^(x rest), N = slots.
 
@@ -100,25 +146,20 @@ def _spin_blocks(b: np.ndarray, slots: int):
     their columns are dropped, which leaves 2j columns, the rank of T^j;
     otherwise F_j has 2(2j+1).  Yields (m_j, D_j, F_j), F_j[a] of shape
     (2j+1, columns), for j = N/2, N/2 - 1, ..., down to 0 or 1/2, every block
-    a slice of one weight table.
+    a slice of one weight table.  Everything but the weights is cached per
+    N (`_spin_table`), so a call forms the weights once and fills each F_j
+    from that cache.
     """
     b0, b1 = b
     p0, p1 = b0 ** np.arange(slots + 1), b1 ** np.arange(slots + 1)
     weights, w = p0 * p1[::-1], p0[:-1] * p1[-2::-1]  # b0^k b1^(N-k) and w_k = b0^k b1^(N-k-1)
-    for k_min in range(slots // 2 + 1):
-        k_max = slots - k_min
-        size = k_max - k_min + 1
-        mult = math.comb(slots, k_min) - (math.comb(slots, k_min - 1) if k_min else 0)
-        pair = np.arange(size - 1)
-        k = k_min + pair
-        root_w, root_p = np.sqrt(w[k_min:k_max]), np.sqrt(k + 1.0)
-        f = np.zeros((2, size, 2 * size if k_min else size - 1))
-        f[0, pair + 1, pair] = root_w * root_p
-        f[1, pair, pair] = root_w * np.sqrt((k_max - k) * (k - k_min + 1.0)) / root_p
-        if k_min:
-            f[1, pair, size - 1 + pair] = root_w * np.sqrt(k_min * (slots + 1.0 - k_min)) / root_p
-            f[0, 0, -2] = math.sqrt(k_min * w[k_min - 1])
-            f[1, -1, -1] = math.sqrt(k_min * w[k_max])
+    root_w = np.sqrt(w)
+    for mult, k_min, k_max, shape, (pos, num, den, k), singletons in _spin_table(slots):
+        f = np.zeros(shape)
+        flat = f.reshape(-1)
+        flat[pos] = root_w[k] * num / den
+        for at, i in singletons:
+            flat[at] = math.sqrt(k_min * w[i])
         yield mult, weights[k_min : k_max + 1], f
 
 

@@ -414,6 +414,32 @@ def test_hypothesis_below_the_first_jump_walks_up_from_it(monkeypatch):
     assert all(start == floor for start, floor, _ in below)
 
 
+def test_hypothesis_between_two_jumps_starts_from_the_upper_jumps_limit(monkeypatch):
+    # 1 - eps lies between two jumps mu_lo < mu_hi; at x = -log2 mu_hi the margin holds the jump's
+    # kernel, which f inside (mu_lo, mu_hi) does not. Started from that kinked value, this search
+    # took 17 evaluations and gave 1.555447450721051; from the one-sided limit it takes 10
+    searches = []
+    bisect = _roots.bisect_decreasing
+
+    def counted(f, start, floor, ceiling, *args, **kwargs):
+        searches.append([start, floor, ceiling, 0])
+
+        def g(x):
+            searches[-1][3] += 1
+            return f(x)
+
+        return bisect(g, start, floor, ceiling, *args, **kwargs)
+
+    monkeypatch.setattr(_roots, "bisect_decreasing", counted)
+    eps = 0.1
+    value, test = d_hypothesis(random_density(4, 4, 1), random_density(4, 4, 101), eps)
+    [(start, floor, ceiling, evals)] = searches
+    assert start == floor and ceiling < 120.0  # between two jumps of the pencil
+    assert evals < 17
+    assert test.alpha_err >= 1.0 - eps - 1e-8
+    assert abs(value.value - 1.555447450721051) <= 1e-11
+
+
 def _full_range_hypothesis(rho, sigma, eps) -> float:
     """D_H from one search over the whole multiplier range, with no pencil."""
     target = 1.0 - eps

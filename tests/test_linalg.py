@@ -640,6 +640,29 @@ def test_svd_kernels_are_bitwise_numpy_and_counted(dtype, shape):
         assert Counter(KERNEL_CALLS) - before == Counter({("svd", shape): 2, ("svdvals", shape): 1})
 
 
+def test_kernels_without_the_private_module_call_numpy_and_count(monkeypatch):
+    # a numpy without numpy.linalg._umath_linalg: every kernel takes the public np.linalg call
+    monkeypatch.setattr(linalg, "_umath_linalg", None)
+    rng = np.random.default_rng(31)
+    herm = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    herm = herm + herm.conj().T
+    rect = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    before = Counter(KERNEL_CALLS)
+    for m in (herm, herm.real.copy()):
+        for got, want in zip(_eigh(m), np.linalg.eigh(m)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got, want = _eigvalsh(m), np.linalg.eigvalsh(m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for full in (True, False):
+        for got, want in zip(_svd(rect, full_matrices=full), np.linalg.svd(rect, full_matrices=full)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, want = _svdvals(rect), np.linalg.svd(rect, compute_uv=False)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert Counter(KERNEL_CALLS) - before == Counter(
+        {("eigh", 4): 2, ("eigvalsh", 4): 2, ("svd", (3, 5)): 2, ("svdvals", (3, 5)): 1}
+    )
+
+
 @pytest.mark.parametrize("kernel", [_svd, _svdvals])
 def test_svd_kernel_failure_raises_linalg_error_in_every_error_state(kernel):
     mat = np.ones((3, 4), dtype=np.complex128)

@@ -24,7 +24,7 @@ from qdiv import (
 )
 from qdiv.induced import induced_renyi
 from qdiv.linalg import _ptrace, _sandwiched_q
-from qdiv.protocols import ConvexSplitReport, _pbd_block_success, _spin_blocks
+from qdiv.protocols import ConvexSplitReport, _pbd_block_success, _spin_blocks, _spin_table
 import qdiv.protocols as qdiv_protocols
 import qdiv.states as qdiv_states
 from qdiv.states import (
@@ -565,8 +565,8 @@ def _spin_block_t(b, slots, k_min):
     return t
 
 
-@pytest.mark.parametrize("b", [(0.5, 0.5), (0.35, 0.65), (0.9, 0.1), (1e-3, 1.0 - 1e-3), (0.0, 1.0)])
-@pytest.mark.parametrize("slots", range(1, 11))
+@pytest.mark.parametrize("b", [(0.5, 0.5), (0.35, 0.65), (0.9, 0.1), (1e-3, 1.0 - 1e-3), (0.0, 1.0), (1.0 - 1e-9, 1e-9)])
+@pytest.mark.parametrize("slots", range(1, 13))
 def test_spin_block_factor_reproduces_t(b, slots):
     # T_ac^j = F_j[a] F_j[c]^T entry by entry; F_j has 2j columns, the rank of
     # T^j at positive weights, at k_min = 0 (every 2x2 pair has determinant
@@ -584,6 +584,49 @@ def test_spin_block_factor_reproduces_t(b, slots):
         if b[0] == b[1]:  # equal weights keep the rank test well conditioned
             rank = np.linalg.matrix_rank(t.transpose(0, 2, 1, 3).reshape(2 * size, -1))
             assert rank == f.shape[2]
+
+
+def _spin_blocks_direct(b, slots):
+    """(m_j, D_j, F_j) built block by block from N and the weights alone, with no table."""
+    b0, b1 = b
+    p0, p1 = b0 ** np.arange(slots + 1), b1 ** np.arange(slots + 1)
+    weights, w = p0 * p1[::-1], p0[:-1] * p1[-2::-1]
+    for k_min in range(slots // 2 + 1):
+        k_max = slots - k_min
+        size = k_max - k_min + 1
+        mult = math.comb(slots, k_min) - (math.comb(slots, k_min - 1) if k_min else 0)
+        pair = np.arange(size - 1)
+        k = k_min + pair
+        root_w, root_p = np.sqrt(w[k_min:k_max]), np.sqrt(k + 1.0)
+        f = np.zeros((2, size, 2 * size if k_min else size - 1))
+        f[0, pair + 1, pair] = root_w * root_p
+        f[1, pair, pair] = root_w * np.sqrt((k_max - k) * (k - k_min + 1.0)) / root_p
+        if k_min:
+            f[1, pair, size - 1 + pair] = root_w * np.sqrt(k_min * (slots + 1.0 - k_min)) / root_p
+            f[0, 0, -2] = math.sqrt(k_min * w[k_min - 1])
+            f[1, -1, -1] = math.sqrt(k_min * w[k_max])
+        yield mult, weights[k_min : k_max + 1], f
+
+
+@pytest.mark.parametrize("b", [(0.5, 0.5), (0.35, 0.65), (1.0 - 1e-9, 1e-9), (0.0, 1.0)])
+@pytest.mark.parametrize("slots", range(1, 13))
+def test_spin_blocks_from_the_table_are_bitwise_the_direct_construction(b, slots):
+    blocks, direct = list(_spin_blocks(np.array(b), slots)), list(_spin_blocks_direct(np.array(b), slots))
+    assert len(blocks) == len(direct)
+    for (mult, dj, f), (mult_d, dj_d, f_d) in zip(blocks, direct):
+        assert mult == mult_d
+        assert dj.shape == dj_d.shape and dj.tobytes() == dj_d.tobytes()
+        assert f.shape == f_d.shape and f.tobytes() == f_d.tobytes()
+
+
+def test_spin_table_is_cached_per_slot_count_and_read_only():
+    table = _spin_table(5)
+    assert _spin_table(5) is table and _spin_table(6) is not table
+    for *_, pattern, _singletons in table:
+        for arr in pattern:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch, count_kernel_calls):
