@@ -122,10 +122,11 @@ class ParentDivergence:
         the induced divergence is +inf.  Evaluated in closed form per parent
         (a direct probe at huge t is outside double-precision eigenvalue
         resolution): for Renyi orders above 1 the limit of Q_alpha is the
-        weight of rho outside the support of sigma.
+        weight of rho outside the support of sigma.  A custom parent has no
+        closed form and reads -inf: its search alone finds a +inf threshold.
         """
         if self.fn is not None:
-            return -math.inf  # custom parents fall back to the numeric probe
+            return -math.inf
         log_1me = math.log2(1.0 - eps)
         if self.kind == "min":
             on_support = sigma.trace - _support_leak(sigma, rho)  # Tr[sigma Pi_rho]
@@ -334,14 +335,14 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
     The result is +inf (a value, not an error) when the defining condition
     holds for every t, which happens when sigma misses too much of rho's
     support.  A built-in parent detects this from the closed-form limit of
-    its margin as t -> infinity (``margin_limit``); a custom parent from one
-    probe at lambda = 45, the largest point within double-precision
-    eigenvalue resolution.  A condition still holding at the search ceiling
-    t = 2^60 also reads as +inf.  ``residual`` is |margin| at the returned
-    lambda*, the certified lower end of the final bracket, in the margin's
-    own scale.  It can exceed ``_roots.RESIDUAL_TOL`` when the search stops
-    on float resolution (see `InducedResult`), and it does not bound the
-    error in lambda*.
+    its margin as t -> infinity (``margin_limit``).  A custom parent is
+    searched as the built-in ones are, from the D_min guess; a condition
+    still holding at the search ceiling t = 2^60 reads as +inf, which is
+    how a custom parent's +inf is found.  ``residual`` is |margin| at the
+    returned lambda*, the certified lower end of the final bracket, in the
+    margin's own scale.  It can exceed ``_roots.RESIDUAL_TOL`` when the
+    search stops on float resolution (see `InducedResult`), and it does not
+    bound the error in lambda*.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
@@ -357,9 +358,6 @@ def induced(parent: ParentDivergence, rho, sigma, eps: float) -> InducedResult:
             value = parent.evaluate(r, s)
             return _closed_threshold(_ratio_margin(value, eps), value + math.log2(eps / (1.0 - eps)), eps, tag)
     margin = parent.margin_factory(r, s, eps)
-    if parent.fn is not None and margin(45.0) >= 0.0:
-        return _infinite_result(eps, tag)
-
     dm = d_min(r, s).value
     guess = dm + math.log2(eps / (1.0 - eps)) if math.isfinite(dm) else 0.0
     return _threshold(margin, guess, eps, tag)

@@ -36,108 +36,73 @@ class ValidationError(ValueError):
 
 
 KERNEL_CALLS: dict = {}
-"""Every matrix decomposition qdiv makes: calls by (kind, dimension).
+"""Every matrix decomposition qdiv makes through `_lapack`: calls by (kind, key).
 
 The kinds are ``eigh`` and ``eigvalsh``, keyed by the dimension, and
 ``svd`` and ``svdvals``, keyed by the shape (m, n).  The counts only grow;
-read the difference of two snapshots.  No report reads them.
+read the difference of two snapshots.  No report reads them.  The QR
+decompositions are not counted: the convex split's ``np.linalg.qr`` of a
+wide factor and the one in each seeded generator of `qdiv.states`.
 """
 
 
-def _count(kind: str, dim: int | tuple[int, int]) -> None:
-    KERNEL_CALLS[kind, dim] = KERNEL_CALLS.get((kind, dim), 0) + 1
+def _lapack(kind: str, key, mat: np.ndarray, name: str, complex_sig: str, real_sig: str, spectrum=None, options=None):
+    """The one LAPACK call behind `_eigh`, `_eigvalsh`, `_svd` and `_svdvals`, counted in `KERNEL_CALLS` as (kind, key).
+
+    It calls numpy's gufunc ``name`` with signature ``complex_sig`` on a
+    complex128 ``mat`` and ``real_sig`` on a float64 one: the call that the
+    public ``np.linalg`` function named by the prefix of ``name`` (``eigh``,
+    ``eigvalsh`` or ``svd``) makes once its wrapper has coerced and checked
+    the input, so the output is bitwise numpy's.  The wrapper's coercion,
+    type dispatch and error-state context cost more than LAPACK itself at
+    d <= 4.  numpy 1.x keeps one SVD gufunc per orientation: ``svd_m...``
+    for m < n and ``svd_n...`` otherwise, as its ``np.linalg.svd`` picks them.
+
+    A LAPACK failure (an infinite entry, or a NaN one at most dimensions)
+    fills the output with NaN and sets the invalid flag, which the caller's
+    error state reports: under numpy's default a RuntimeWarning is printed,
+    under a raising state the gufunc raises.  Either way (a NaN first value
+    of the output, or of its entry ``spectrum`` when it is a tuple, or the
+    raised error) the public function is called with the keyword ``options``;
+    it raises `numpy.linalg.LinAlgError` on a failure and otherwise returns
+    the same NaNs.  A numpy without the private module
+    ``numpy.linalg._umath_linalg`` gets the public function on every call,
+    still counted.
+    """
+    KERNEL_CALLS[kind, key] = KERNEL_CALLS.get((kind, key), 0) + 1
+    if _umath_linalg is not None:
+        gufunc = getattr(_umath_linalg, name, None)
+        if gufunc is None:
+            gufunc = getattr(_umath_linalg, name.replace("svd", "svd_m" if key[0] < key[1] else "svd_n", 1))
+        try:
+            out = gufunc(mat, signature=complex_sig if mat.dtype.kind == "c" else real_sig)
+            vals = out if spectrum is None else out[spectrum]
+            if not (vals.size and math.isnan(vals[0])):
+                return out
+        except (FloatingPointError, RuntimeWarning):
+            pass
+    return getattr(np.linalg, name.partition("_")[0])(mat, **(options or {}))
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(mat)`` for one complex128 or float64 matrix, without numpy's per-call wrapper.
-
-    It calls the LAPACK gufunc that ``np.linalg.eigh`` calls once its wrapper
-    has coerced and checked the input (lower triangle, signature ``D->dD`` or
-    ``d->dd``), so the output is bitwise numpy's.  The wrapper's coercion,
-    type dispatch and error-state context cost more than LAPACK itself at
-    d <= 4.  A LAPACK failure (an infinite entry, or a NaN one at most
-    dimensions) fills the output with NaN and sets the invalid flag, which
-    the caller's error state reports: under numpy's default a RuntimeWarning
-    is printed, under a raising state the gufunc raises.  Either way (a NaN
-    first eigenvalue, or the raised error) the kernel then calls
-    ``np.linalg.eigh``, which raises `numpy.linalg.LinAlgError` on a failure
-    and otherwise returns the same NaNs.  A numpy without the private
-    module ``numpy.linalg._umath_linalg`` gets ``np.linalg.eigh`` on every
-    call, still counted.
-    """
-    _count("eigh", len(mat))
-    if _umath_linalg is None:
-        return np.linalg.eigh(mat)
-    try:
-        evals, vecs = _umath_linalg.eigh_lo(mat, signature="D->dD" if mat.dtype.kind == "c" else "d->dd")
-    except (FloatingPointError, RuntimeWarning):
-        return np.linalg.eigh(mat)
-    if evals.size and math.isnan(evals[0]):
-        return np.linalg.eigh(mat)
-    return evals, vecs
+    """``np.linalg.eigh(mat)`` for one complex128 or float64 matrix (lower triangle), through `_lapack`."""
+    return _lapack("eigh", len(mat), mat, "eigh_lo", "D->dD", "d->dd", 0)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(mat)`` without numpy's per-call wrapper, as `_eigh` takes ``eigh``."""
-    _count("eigvalsh", len(mat))
-    if _umath_linalg is None:
-        return np.linalg.eigvalsh(mat)
-    try:
-        evals = _umath_linalg.eigvalsh_lo(mat, signature="D->d" if mat.dtype.kind == "c" else "d->d")
-    except (FloatingPointError, RuntimeWarning):
-        return np.linalg.eigvalsh(mat)
-    if evals.size and math.isnan(evals[0]):
-        return np.linalg.eigvalsh(mat)
-    return evals
-
-
-def _svd_gufunc(name: str, m: int, n: int):
-    """numpy's LAPACK SVD gufunc ``name`` (``svd``, ``svd_s`` or ``svd_f``) for an m x n matrix.
-
-    numpy 1.x keeps one per orientation: ``svd_m...`` for m < n and
-    ``svd_n...`` otherwise, as its ``np.linalg.svd`` picks them.
-    """
-    gufunc = getattr(_umath_linalg, name, None)
-    if gufunc is None:
-        gufunc = getattr(_umath_linalg, name.replace("svd", "svd_m" if m < n else "svd_n", 1))
-    return gufunc
+    """``np.linalg.eigvalsh(mat)`` for one complex128 or float64 matrix, through `_lapack`."""
+    return _lapack("eigvalsh", len(mat), mat, "eigvalsh_lo", "D->d", "d->d")
 
 
 def _svd(mat: np.ndarray, full_matrices: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.linalg.svd(mat, full_matrices)`` for one complex128 or float64 matrix, without numpy's per-call wrapper.
-
-    (U, S, V^dag) from the gufunc ``np.linalg.svd`` calls (``svd_f`` or
-    ``svd_s``), bitwise numpy's; a failure falls back to ``np.linalg.svd``
-    as `_eigh` does, which raises `numpy.linalg.LinAlgError`.  Counted in
-    `KERNEL_CALLS` as ``svd`` by shape (m, n).
-    """
-    m, n = mat.shape
-    _count("svd", (m, n))
-    if _umath_linalg is None:
-        return np.linalg.svd(mat, full_matrices=full_matrices)
-    gufunc = _svd_gufunc("svd_f" if full_matrices else "svd_s", m, n)
-    try:
-        u, sv, vh = gufunc(mat, signature="D->DdD" if mat.dtype.kind == "c" else "d->ddd")
-    except (FloatingPointError, RuntimeWarning):
-        return np.linalg.svd(mat, full_matrices=full_matrices)
-    if sv.size and math.isnan(sv[0]):
-        return np.linalg.svd(mat, full_matrices=full_matrices)
-    return u, sv, vh
+    """``np.linalg.svd(mat, full_matrices)``, (U, S, V^dag), for one complex128 or float64 matrix, through `_lapack`."""
+    name = "svd_f" if full_matrices else "svd_s"
+    return _lapack("svd", mat.shape, mat, name, "D->DdD", "d->ddd", 1, {"full_matrices": full_matrices})
 
 
 def _svdvals(mat: np.ndarray) -> np.ndarray:
-    """``np.linalg.svd(mat, compute_uv=False)`` without numpy's per-call wrapper, as `_svd`; counted as ``svdvals``."""
-    m, n = mat.shape
-    _count("svdvals", (m, n))
-    if _umath_linalg is None:
-        return np.linalg.svd(mat, compute_uv=False)
-    try:
-        sv = _svd_gufunc("svd", m, n)(mat, signature="D->d" if mat.dtype.kind == "c" else "d->d")
-    except (FloatingPointError, RuntimeWarning):
-        return np.linalg.svd(mat, compute_uv=False)
-    if sv.size and math.isnan(sv[0]):
-        return np.linalg.svd(mat, compute_uv=False)
-    return sv
+    """``np.linalg.svd(mat, compute_uv=False)`` for one complex128 or float64 matrix, through `_lapack`."""
+    return _lapack("svdvals", mat.shape, mat, "svd", "D->d", "d->d", options={"compute_uv": False})
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,14 +126,14 @@ def support_cutoff(eigenvalues: np.ndarray, dim: int) -> float:
     return max(dim, 8) * _EPS * max(top, _EPS)
 
 
-def _ascending_support(evals: np.ndarray, dim: int | None = None) -> tuple[float, int]:
+def _ascending_support(evals: np.ndarray) -> tuple[float, int]:
     """(cut, start) of an ascending spectrum, such as `_eigh` returns: its support is ``evals[start:]``.
 
-    The cut is `support_cutoff` at ``dim`` (default: the spectrum's size),
-    read from the last eigenvalue, which is the maximum, so it is the same
-    float; start is the index of the first eigenvalue above it.
+    The cut is `support_cutoff` at the spectrum's size, read from the last
+    eigenvalue, which is the maximum, so it is the same float; start is the
+    index of the first eigenvalue above it.
     """
-    cut = max(evals.size if dim is None else dim, 8) * _EPS * max(float(evals[-1]) if evals.size else 0.0, _EPS)
+    cut = max(evals.size, 8) * _EPS * max(float(evals[-1]) if evals.size else 0.0, _EPS)
     return cut, int(evals.searchsorted(cut, side="right"))
 
 
@@ -240,11 +205,11 @@ class PositiveOperator(HermitianOperator):
 
     @property
     def cutoff(self) -> float:
-        return _ascending_support(self.eigenvalues, self.dim)[0]
+        return _ascending_support(self.eigenvalues)[0]
 
     @property
     def rank(self) -> int:
-        return self.dim - _ascending_support(self.eigenvalues, self.dim)[1]
+        return self.dim - _ascending_support(self.eigenvalues)[1]
 
 
 class DensityOperator(PositiveOperator):

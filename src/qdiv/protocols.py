@@ -446,7 +446,7 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) = y y^dag
     # with beta = b^2 on the n slots, and F = Tr sqrt of that mixture = sum sigma(Z) / sqrt(n)
     # over factors Z with Z Z^dag = n mixture (on each spin block when sigma has rank 2)
-    ja, jb, j = _ascending_support(a, d_rb)[1], _ascending_support(b)[1], _ascending_support(rho.eigenvalues)[1]
+    ja, jb, j = _ascending_support(a)[1], _ascending_support(b)[1], _ascending_support(rho.eigenvalues)[1]
     h = _kron(u[:, ja:] * np.sqrt(a[ja:]), w[:, jb:] * np.sqrt(b[jb:]))
     y = h.conj().T @ (rho.eigenvectors[:, j:] * np.sqrt(rho.eigenvalues[j:]))
     r_a, r_b = a.size - ja, b.size - jb

@@ -319,12 +319,39 @@ def test_custom_parent_named_like_builtin_uses_its_function():
     assert parent.evaluate(rho, sigma) == d_umegaki(rho, sigma).value
 
 
-def test_named_custom_parent_orthogonal_is_inf_after_one_probe():
+def test_named_custom_parent_orthogonal_is_inf_at_the_search_ceiling():
+    # a custom parent has no closed-form limit: its walk up from the D_min guess reaches the ceiling t = 2^60
     fn = CountingParent()
     parent = ParentDivergence.custom(fn, name="umegaki-fn")
     res = induced(parent, basis_state(0, 2), basis_state(1, 2), 0.3)
     assert res.raw == math.inf
-    assert len(fn.seen) == 1
+    assert 0 < len(fn.seen) <= 7
+
+
+def test_custom_parents_match_the_builtin_parents_on_rank_deficient_pairs():
+    # rank-deficient pairs where the built-in lambda* is below 20 or +inf; above 20 the margin is flat and
+    # its own rounding moves lambda*
+    parents = [(ParentDivergence.umegaki(), lambda r, x: d_umegaki(r, x).value)]
+    parents += [(ParentDivergence.renyi(a), lambda r, x, a=a: d_alpha(r, x, a).value) for a in (2.0, 1.5)]
+    found = {}
+    for builtin, fn in parents:
+        custom = ParentDivergence.custom(fn)
+        # rank-1 pairs whose custom margin reads +inf at lambda = 45, where the cut of X = rho + t sigma
+        # leaves part of rho outside its support
+        cases = [(random_density(d, 1, seed), random_density(d, 1, seed + 1), 0.3) for d, seed in ((4, 20), (2, 23))]
+        for d in (2, 3, 4):
+            for rank_rho in range(1, d):
+                for rank_sigma in range(1, d + 1):
+                    rho, sigma = random_density(d, rank_rho, 40), random_density(d, rank_sigma, 50)
+                    cases += [(rho, sigma, eps) for eps in (0.1, 0.5, 0.9)]
+        for rho, sigma, eps in cases:
+            want = induced(builtin, rho, sigma, eps).raw
+            if 20.0 <= want < math.inf:
+                continue
+            got = induced(custom, rho, sigma, eps).raw
+            assert got == want or abs(got - want) <= 1e-9, (builtin, rho.dim, rho.rank, sigma.rank, eps)
+            found[math.isinf(want)] = found.get(math.isinf(want), 0) + 1
+    assert found[True] and found[False] > 50
 
 
 def test_custom_parent_sees_the_validating_constructors_operator(monkeypatch):
@@ -343,7 +370,7 @@ def test_custom_parent_sees_the_validating_constructors_operator(monkeypatch):
 
     monkeypatch.setattr(module, "_positive_sum", checked)
     fn = CountingParent()
-    # the last pair's X has rank 2 in d = 4, and its one probe (lambda = 45) clips its rounded kernel
+    # the last pair's X has rank 2 in d = 4, and the search clips its rounded kernel
     pairs = [(random_density(d, r, seed), random_density(d, r, seed + 1)) for d, r, seed in ((2, 2, 21), (2, 1, 20), (4, 1, 20))]
     for rho, sigma in pairs:
         induced(ParentDivergence.custom(fn), rho, sigma, 0.3)

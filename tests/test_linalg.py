@@ -24,7 +24,7 @@ from qdiv import (
     tensor,
     trace_distance,
 )
-from qdiv import _roots, divergences, info, linalg, protocols, states
+from qdiv import _roots, divergences, info, linalg, protocols, states, suites
 from qdiv.divergences import _log_cross, _xlogx_sum, d_hypothesis
 from qdiv.info import smoothed_mutual_info_2
 from qdiv.linalg import (
@@ -661,6 +661,43 @@ def test_kernels_without_the_private_module_call_numpy_and_count(monkeypatch):
     assert Counter(KERNEL_CALLS) - before == Counter(
         {("eigh", 4): 2, ("eigvalsh", 4): 2, ("svd", (3, 5)): 2, ("svdvals", (3, 5)): 1}
     )
+
+
+def test_verify_rows_are_the_same_through_the_public_numpy_calls(monkeypatch):
+    # every suite row, bit for bit, and every kernel count, with and without the private LAPACK gufuncs
+    before = Counter(KERNEL_CALLS)
+    rows = [repr(row) for row in suites.run_suite("all", 1, 7)]
+    counted = Counter(KERNEL_CALLS) - before
+    monkeypatch.setattr(linalg, "_umath_linalg", None)
+    before = Counter(KERNEL_CALLS)
+    assert [repr(row) for row in suites.run_suite("all", 1, 7)] == rows
+    assert Counter(KERNEL_CALLS) - before == counted
+
+
+def test_svd_kernels_take_numpy_1_gufunc_names_by_orientation(monkeypatch):
+    # numpy 1.x has no orientation-free svd gufuncs: svd_m* serves m < n and svd_n* the rest
+    real, called = linalg._umath_linalg, []
+
+    def gufunc(name):
+        def call(mat, signature):
+            called.append(name)
+            target = getattr(real, name, None) or getattr(real, name.replace("_m", "").replace("_n", ""))
+            return target(mat, signature=signature)
+
+        return call
+
+    names = ["eigh_lo", "eigvalsh_lo"] + [f"svd_{o}{s}" for o in "mn" for s in ("", "_s", "_f")]
+    monkeypatch.setattr(linalg, "_umath_linalg", type("Numpy1", (), {n: staticmethod(gufunc(n)) for n in names}))
+    rng = np.random.default_rng(5)
+    for shape, orient in (((2, 3), "m"), ((3, 2), "n"), ((3, 3), "n")):
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        called.clear()
+        for got, want in zip(_svd(mat), np.linalg.svd(mat)):
+            assert np.array_equal(got, want)
+        for got, want in zip(_svd(mat, full_matrices=False), np.linalg.svd(mat, full_matrices=False)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_svdvals(mat), np.linalg.svd(mat, compute_uv=False))
+        assert called == [f"svd_{orient}_f", f"svd_{orient}_s", f"svd_{orient}"]
 
 
 @pytest.mark.parametrize("kernel", [_svd, _svdvals])
