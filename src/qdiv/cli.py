@@ -205,10 +205,54 @@ def _cmd_induced(args) -> int:
     return EXIT_OK
 
 
+def _baseline_rows(path: str) -> dict:
+    """The rows of a ``qdiv verify --format json`` report, by (suite, assertion, instance, seed).
+
+    Each is (lhs, rhs, margin, passed); a file without them is refused.
+    """
+    try:
+        rows = json.loads(_file_bytes(path))["results"]["rows"]
+        return {
+            (r["suite"], r["assertion"], r["instance"], r["seed"]): (
+                float(r["lhs"]), float(r["rhs"]), float(r["margin"]), bool(r["passed"])
+            )
+            for r in rows
+        }
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path} is not a qdiv verify JSON report: {exc!r}") from exc
+
+
+def _moved_rows(baseline: dict, rows) -> list[str]:
+    """A line per row whose lhs, rhs, margin or pass flag differs from its baseline row (popped): old -> new, |d|."""
+    lines = []
+    for row in rows:
+        name = f"{row.suite}:{row.assertion} instance={row.instance} seed={row.seed}"
+        old = baseline.pop((row.suite, row.assertion, row.instance, row.seed), None)
+        if old is None:
+            lines.append(f"{name}: not in the baseline")
+            continue
+        new = (float(row.lhs), float(row.rhs), float(row.margin), row.passed)
+        moves = [
+            f"{field} {a!r} -> {b!r}" + ("" if field == "passed" else f" |d|={abs(b - a)!r}")
+            for field, a, b in zip(("lhs", "rhs", "margin", "passed"), old, new)
+            if a != b and not (a != a and b != b)
+        ]
+        if moves:
+            lines.append(f"{name}: " + "; ".join(moves))
+    lines += [f"{s}:{a} instance={i} seed={sd}: only in the baseline" for s, a, i, sd in baseline]
+    return lines
+
+
 def _cmd_verify(args) -> int:
     if args.instances <= 0:
         raise ValidationError("instance count must be positive")
+    baseline = None if args.baseline is None else _baseline_rows(args.baseline)
     rows = suites.run_suite(args.suite, args.instances, args.seed)
+    if baseline is not None:
+        moved = _moved_rows(baseline, rows)
+        print(f"baseline {args.baseline}: {len(moved)} of {len(rows)} rows moved", file=sys.stderr)
+        for line in moved:
+            print(f"  {line}", file=sys.stderr)
     counts: dict[str, dict[str, int]] = {}
     for row in rows:
         slot = counts.setdefault(f"{row.suite}:{row.assertion}", {"pass": 0, "fail": 0})
@@ -360,6 +404,11 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--repro-out", default=None)
+    p.add_argument(
+        "--baseline",
+        default=None,
+        help="a --format json verify report: print each row whose lhs, rhs, margin or pass flag differs from it",
+    )
     common(p)
     p.set_defaults(fn=_cmd_verify)
 

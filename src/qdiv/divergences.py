@@ -280,7 +280,7 @@ def d_hypothesis(rho, sigma, eps: float) -> tuple[DivergenceValue, NeymanPearson
     def split(x: float, mu: float, mu_err: float) -> None:
         mat = mu * r.mat - s.mat
         evals, vecs = _eigh(mat)
-        weights = np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real  # rho's weight on each eigenvector
+        weights = (vecs.conj() * (r.mat @ vecs)).sum(axis=0).real  # rho's weight on each eigenvector
         splits[x] = (mu, mu_err, evals, vecs, weights, 128.0 * _EPS * max(1.0, float(np.max(np.abs(mat)))))
 
     def parts(x: float, mu_err: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,7 +39,6 @@ from .linalg import (
     _EPS,
     _fidelity_and_purified,
     _ptrace,
-    _q2_rotated,
     _sandwiched_q,
     _svd,
     _svdvals,
@@ -172,22 +171,35 @@ def _pbd_block_success(rho: DensityOperator, sigma_a: DensityOperator, d_r: int,
     `_spin_blocks`), so on each spin j, tau_0^j = rho' (x) D_j and
     eta^j = tau_0^j + sum_ac C_ac (x) diag(b) (x) T_ac^j, of dimension
     2 d_r (2j + 1), and Q_2(tau_0 || eta) = sum_j m_j Q_2(tau_0^j || eta^j).
-    The support cut is taken on the whole spectrum at dimension d_r 2^n, as
-    one eigendecomposition of eta would take it.
+    The sum over (a, c) is one matrix product: the C_ac (x) diag(b), laid
+    out once per call as columns over (a, c), times T^j = F_j F_j^T as rows
+    over (a, c).  With eta^j = V diag(lambda) V^dag and W = V lambda^(-1/4)
+    on the support, Q_2(tau_0^j || eta^j) = ||W^dag tau_0^j W||_F^2.  The
+    support cut is taken on the whole spectrum at dimension d_r 2^n, as one
+    eigendecomposition of eta would take it.
     """
     b, w = sigma_a.eigenvalues, sigma_a.eigenvectors
     v = _kron(np.eye(d_r), w)
     rho_w = v.conj().T @ rho.mat @ v
+    # [(p, e, q, f), (a, c)] = C_ac[p, q] b_e delta_ef
+    c_pq = rho_w.reshape(d_r, 2, d_r, 2).transpose(0, 2, 1, 3)
+    cross_ops = (c_pq[:, None, :, None] * np.diag(b)[:, None, :, None, None]).reshape(-1, 4)
     blocks = []
     for mult, dj, f in _spin_blocks(b, n - 1):
-        size = 2 * d_r * dj.size
+        s = dj.size
+        f2 = f.reshape(2 * s, -1)
+        t = (f2 @ f2.T).reshape(2, s, 2, s).transpose(0, 2, 1, 3).reshape(4, s * s)
+        cross = (cross_ops @ t).reshape(d_r, 2, d_r, 2, s, s).transpose(0, 1, 4, 2, 3, 5)
         tau0 = _kron(rho_w, np.diag(dj))
-        t = np.einsum("aix,clx->acil", f, f)
-        cross = np.einsum("paqc,ef,acil->peiqfl", rho_w.reshape(d_r, 2, d_r, 2), np.diag(b), t)
-        evals, vecs = _eigh(tau0 + cross.reshape(size, size))
-        blocks.append((mult, evals, vecs.conj().T @ tau0 @ vecs))
-    cut = support_cutoff(np.concatenate([evals for _, evals, _ in blocks]), d_r * 2**n)
-    return sum(mult * _q2_rotated(r_eig, evals, cut)[0] for mult, evals, r_eig in blocks)
+        blocks.append((mult, tau0, *_eigh(tau0 + cross.reshape(tau0.shape))))
+    cut = support_cutoff(np.concatenate([evals for _, _, evals, _ in blocks]), d_r * 2**n)
+    q = 0.0
+    for mult, tau0, evals, vecs in blocks:
+        j = int(evals.searchsorted(cut, side="right"))
+        root = vecs[:, j:] * evals[j:] ** -0.25
+        g = root.conj().T @ tau0 @ root
+        q += mult * np.vdot(g, g).real
+    return float(q)
 
 
 def pbd_simulate(rho_ra, sigma_ra, dims: tuple[int, int], eps: float) -> DecodingReport:
@@ -388,6 +400,9 @@ class ConvexSplitReport:
 
     On a product extension F = 1 in exact arithmetic; an error of a few
     eps_mach in F alone puts actual_p near 1e-7, above epsilon_n + 1e-8.
+    ``mu`` and F both come from the one factor y of rho_ext
+    (`convex_split_check`); ``fidelity_error`` counts each block by its
+    dimension, whichever side of its factor the SVD reads.
     """
 
     n: int
@@ -415,14 +430,19 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     Tr sqrt is the sum of Z's singular values over sqrt(n).  When sigma has
     rank 2, that is a sum over the mixture's spin-j blocks, each with
     Z_j = sum_a y_a (x) F_j[a] from the closed-form factor T^j = F_j F_j^T of
-    `_spin_blocks`, and nothing of X's dimension is built; otherwise Z sets
-    the slot products of y side by side, with the dimension of rho^RB's
-    support at rank 1 and X's at rank 3 or more.
+    `_spin_blocks`, built transposed as one product of y with
+    F_j.reshape(2, -1), and nothing of X's dimension is built; otherwise Z
+    sets the slot products of y side by side, with the dimension of rho^RB's
+    support at rank 1 and X's at rank 3 or more.  Each SVD reads the tall
+    side of its factor (Z or Z^T, which share their singular values), where
+    LAPACK is faster.  mu comes from the same y: rho^RB (x) sigma = P diag(x)
+    P^dag, so Q_2 = ||(Dy)^dag (Dy)||_F^2 with D = diag(x^(-3/4)) on the cut
+    of X's whole spectrum, and rho_ext is never rotated into X's eigenbasis.
 
     F's rounding bound (``fidelity_error``) is the sum over the blocks of
-    m^2 eps_mach Tr sqrt(block), m the number of rows of the block's Z: each
-    Tr sqrt sums at most m singular values, each accurate to about m eps_mach
-    times the largest, which is at most their sum.
+    m^2 eps_mach Tr sqrt(block), m the block's dimension: each Tr sqrt sums
+    at most m singular values, each accurate to about m eps_mach times the
+    largest, which is at most their sum.
     """
     rho = as_density(rho_ext)
     sigma = as_density(sigma_bp)
@@ -436,11 +456,8 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     if _power_exceeds(d_rb, d_bp, n, dim_cap()):
         raise ValidationError(f"composite dimension {d_rb}*{d_bp}^{n} exceeds cap {dim_cap()}")
 
-    a, u = _eigh(_ptrace(rho.mat, [d_rb, d_bp], [0]))
+    a, u = _eigh(np.trace(rho.mat.reshape(d_rb, d_bp, d_rb, d_bp), axis1=1, axis2=3))
     b, w = sigma.eigenvalues, sigma.eigenvectors
-    # X = rho_RB (x) sigma has the eigenpairs of its factors, in no order, so its cut comes from the whole spectrum
-    x_evals, x_vecs = _kron(a, b), _kron(u, w)
-    mu = max(_q2_rotated(x_vecs.conj().T @ rho.mat @ x_vecs, x_evals, support_cutoff(x_evals, x_evals.size))[0] - 1.0, 0.0)
 
     # X = M M^dag, M = r (x) s^(x n) with r = u a^(1/2), s = w b^(1/2) on the supports; M
     # commutes with slot swaps, so M^dag tau M mixes G = (r (x) s)^dag rho_ext (r (x) s) = y y^dag
@@ -449,15 +466,26 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
     ja, jb, j = _ascending_support(a)[1], _ascending_support(b)[1], _ascending_support(rho.eigenvalues)[1]
     h = _kron(u[:, ja:] * np.sqrt(a[ja:]), w[:, jb:] * np.sqrt(b[jb:]))
     y = h.conj().T @ (rho.eigenvectors[:, j:] * np.sqrt(rho.eigenvalues[j:]))
-    r_a, r_b = a.size - ja, b.size - jb
+    # rho_RB (x) sigma = P diag(x) P^dag with P = u (x) w, and rho_ext = R R^dag with P^dag R = x^(-1/2) y,
+    # so X^(-1/4) rho_ext X^(-1/4) = P (Dy)(Dy)^dag P^dag with D = x^(-3/4) on the cut of X's whole spectrum
+    x = _kron(a[ja:], b[jb:])
+    on = x > support_cutoff(x, a.size * b.size)
+    dy = y[on] * x[on, None] ** -0.75
+    gram = dy.conj().T @ dy
+    mu = max(float(np.vdot(gram, gram).real) - 1.0, 0.0)
+
+    r_a, r_b, rank = a.size - ja, b.size - jb, y.shape[1]
     if r_b == 2:
         # the mixture is (1/n) sum_ac G_ac (x) T_ac^j on each spin block, G_ac = y_a y_c^dag and
-        # T_ac^j = F_j[a] F_j[c]^T (`_spin_blocks` at weights beta), so Z_j = sum_a y_a (x) F_j[a]
-        y3 = y.reshape(r_a, 2, -1)
-        factors = [
-            (mult, np.einsum("par,aix->pirx", y3, f).reshape(r_a * dj.size, -1))
-            for mult, dj, f in _spin_blocks(b[jb:] ** 2, n)
-        ]
+        # T_ac^j = F_j[a] F_j[c]^T (`_spin_blocks` at weights beta), so Z_j = sum_a y_a (x) F_j[a];
+        # its transpose, rows over (column of y, column of F_j) and columns over (row of y_a, row of
+        # F_j), is one product over a, rearranged in memory
+        y_t = y.reshape(r_a, 2, rank).transpose(2, 0, 1).reshape(-1, 2)
+        factors = []
+        for mult, dj, f in _spin_blocks(b[jb:] ** 2, n):
+            s, cols = f.shape[1:]
+            z_t = (y_t @ f.reshape(2, -1)).reshape(rank, r_a, s, cols).transpose(0, 3, 1, 2)
+            factors.append((mult, z_t.reshape(rank * cols, r_a * s), r_a * s))
     else:
         # slot x's term P_x (G (x) diag(beta)^(x (n-1))) P_x^T is A_x A_x^dag with A_x =
         # P_x (y (x) diag(b)^(x (n-1))) P_x^T once y is square (a wide y becomes R^dag of
@@ -466,12 +494,14 @@ def convex_split_check(rho_ext, dims: tuple[int, int], sigma_bp, n: int) -> Conv
         if y.shape[1] > y.shape[0]:
             y = np.linalg.qr(y.conj().T, mode="r").conj().T
         y = np.pad(y, ((0, 0), (0, y.shape[0] - y.shape[1])))
-        factors = [(1, np.hstack(list(_slot_products(y, np.diag(b[jb:]), r_a, r_b, n))))]
+        z = np.hstack(list(_slot_products(y, np.diag(b[jb:]), r_a, r_b, n)))
+        factors = [(1, z, z.shape[0])]
     fid = fid_error = 0.0
-    for mult, z in factors:
-        part = mult * float(np.sum(_svdvals(z))) / math.sqrt(n)
+    for mult, z, dim in factors:
+        # LAPACK is faster on the tall side, and Z^T has Z's singular values
+        part = mult * float(np.sum(_svdvals(z if z.shape[0] >= z.shape[1] else z.T))) / math.sqrt(n)
         fid += part
-        fid_error += z.shape[0] ** 2 * _EPS * part
+        fid_error += dim**2 * _EPS * part
     _, pd = _fidelity_and_purified(fid)
     eps_n = math.sqrt(mu / (mu + n))
     return ConvexSplitReport(n, mu, eps_n, pd, fid_error)

@@ -181,6 +181,48 @@ def test_verify_csv_format(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_verify_baseline_names_the_moved_rows(tmp_path, capsys):
+    argv = ["verify", "--suite", "lemma2", "--instances", "2", "--seed", "9"]
+    base = tmp_path / "base.json"
+    assert run(argv + ["--format", "json", "--out", str(base)]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--baseline", str(base)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"baseline {base}: 0 of {len(json.loads(base.read_text())['results']['rows'])} rows moved"
+
+    report = json.loads(base.read_text())
+    rows = report["results"]["rows"]
+    moved, dropped = rows[0], rows[1]
+    old_lhs = moved["lhs"]
+    moved["lhs"], moved["passed"] = old_lhs + 0.5, not moved["passed"]
+    rows.remove(dropped)
+    rows.append(dict(moved, instance=99))
+    base.write_text(json.dumps(report))
+    assert run(argv + ["--baseline", str(base), "--format", "json", "--out", str(tmp_path / "new.json")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    head = f"{moved['suite']}:{moved['assertion']} instance={moved['instance']} seed={moved['seed']}: "
+    assert err[0] == f"baseline {base}: 3 of {len(rows)} rows moved"
+    assert err[1] == (
+        f"  {head}lhs {old_lhs + 0.5!r} -> {old_lhs!r} |d|={abs(old_lhs - (old_lhs + 0.5))!r}; "
+        f"passed {moved['passed']!r} -> {not moved['passed']!r}"
+    )
+    gone = f"{dropped['suite']}:{dropped['assertion']} instance={dropped['instance']} seed={dropped['seed']}"
+    assert err[2] == f"  {gone}: not in the baseline"
+    assert err[3] == f"  {moved['suite']}:{moved['assertion']} instance=99 seed={moved['seed']}: only in the baseline"
+    # the report itself does not change
+    assert json.loads((tmp_path / "new.json").read_text())["results"]["rows"][0]["lhs"] == old_lhs
+
+
+def test_verify_baseline_that_is_not_a_report_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.suites, "run_suite", lambda *a: pytest.fail("the suite ran"))
+    bad = tmp_path / "bad.json"
+    for text in ('{"results": {}}', '{"results": {"rows": [{"suite": "cheng", "assertion": "a", "instance": 0, "seed": 1}]}}'):
+        bad.write_text(text)
+        assert run(["verify", "--suite", "cheng", "--instances", "1", "--baseline", str(bad)]) == 1
+    assert run(["verify", "--suite", "cheng", "--instances", "1", "--baseline", str(tmp_path / "missing.json")]) == 1
+    assert "is not a qdiv verify JSON report" in capsys.readouterr().err
+
+
 def test_comm_noiseless(files, capsys):
     code = run(["comm", "--channel", files["chan"], "--eps", "0.5", "--brute-force", "--m", "2"])
     assert code == 0

@@ -652,6 +652,79 @@ def test_convex_split_makes_no_eigh_or_validation_at_full_dimension(monkeypatch,
     assert kernel_calls("eigh") == [4] and kernel_calls("eigvalsh") == []
 
 
+def _mu_inputs(kind):
+    """(rho_ext, sigma) for the mu checks: a random and a rank-2 extension, a product one, sigma of rank 1."""
+    sigma = random_density(2, 2, 85)
+    if kind == "random":
+        return random_density(8, 8, 84), sigma
+    if kind == "rank2_ext":
+        return random_density(8, 2, 86), sigma
+    if kind == "product":
+        return DensityOperator(np.kron(random_density(4, 4, 87).mat, sigma.mat)), sigma
+    return random_density(8, 8, 88), DensityOperator(np.diag([0.0, 1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("kind", ["random", "rank2_ext", "product", "rank1_sigma"])
+def test_convex_split_mu_is_the_dense_collision_quantity(kind):
+    # mu is read from the factor y of rho_ext as ||(Dy)^dag (Dy)||_F^2 - 1; the
+    # reference builds rho_RB (x) sigma densely and evaluates Q_2 on its support
+    ext, sigma = _mu_inputs(kind)
+    q = q_alpha(ext, np.kron(_ptrace(ext.mat, [4, 2], [0]), sigma.mat), 2)
+    for n in (1, 3):
+        rep = convex_split_check(ext, (4, 2), sigma, n)
+        assert abs(rep.mu - max(q - 1.0, 0.0)) <= 1e-13 * q
+    if kind == "product":
+        assert q - 1.0 <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "ext, sigma, dims",
+    [
+        (random_density(8, 8, 77), DensityOperator(np.diag([0.35, 0.65]).astype(complex)), (4, 2)),
+        (random_density(8, 1, 82), DensityOperator(np.diag([0.35, 0.65]).astype(complex)), (4, 2)),
+        (random_density(8, 8, 78), DensityOperator(np.diag([1.0, 0.0]).astype(complex)), (4, 2)),
+        (random_density(6, 6, 80), random_density(3, 3, 81), (2, 3)),
+    ],
+    ids=["spin_blocks", "pure_extension", "rank1_sigma", "qutrit_rank3"],
+)
+def test_convex_split_takes_every_svd_on_the_tall_side(ext, sigma, dims, count_kernel_calls):
+    for n in range(1, 6 if dims == (4, 2) else 4):
+        kernel_calls = count_kernel_calls()
+        convex_split_check(ext, dims, sigma, n)
+        shapes = kernel_calls("svdvals")
+        assert shapes and all(m >= k for m, k in shapes), (n, shapes)
+
+
+def _block_fidelity_error(ext, sigma, n):
+    """sum over the spin blocks of (r_a (2j + 1))^2 eps_mach Tr sqrt(block), each Z_j built in the block's orientation."""
+    a, u = np.linalg.eigh(_ptrace(ext.mat, [4, 2], [0]))
+    b, w = np.linalg.eigh(sigma.mat)
+    on_a, on_b, on = a > 8 * np.finfo(float).eps, b > 8 * np.finfo(float).eps, ext.eigenvalues > ext.cutoff
+    h = np.kron(u[:, on_a] * np.sqrt(a[on_a]), w[:, on_b] * np.sqrt(b[on_b]))
+    y = h.conj().T @ (ext.eigenvectors[:, on] * np.sqrt(ext.eigenvalues[on]))
+    r_a = int(on_a.sum())
+    err = 0.0
+    for mult, dj, f in _spin_blocks(b[on_b] ** 2, n):
+        z = np.einsum("par,aix->pirx", y.reshape(r_a, 2, -1), f).reshape(r_a * dj.size, -1)
+        err += z.shape[0] ** 2 * np.finfo(float).eps * mult * np.sum(np.linalg.svd(z, compute_uv=False)) / math.sqrt(n)
+    return err
+
+
+@pytest.mark.parametrize("seed, rank", [(77, 8), (82, 1)])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_convex_split_fidelity_error_counts_the_block_dimension(seed, rank, n):
+    # m in m^2 eps_mach Tr sqrt(block) stays the block's dimension r_a (2j + 1)
+    # whichever side of the factor the SVD reads; a pure extension's blocks have
+    # fewer factor columns than rows, so there the dimension is the larger side
+    ext, sigma = random_density(8, rank, seed), DensityOperator(np.diag([0.35, 0.65]).astype(complex))
+    rep = convex_split_check(ext, (4, 2), sigma, n)
+    assert rep.fidelity_error == pytest.approx(_block_fidelity_error(ext, sigma, n), rel=1e-12)
+    ext3, sigma3 = random_density(6, 6, 80), random_density(3, 3, 81)
+    rep3 = convex_split_check(ext3, (2, 3), sigma3, min(n, 3))
+    fid = math.sqrt(1.0 - rep3.actual_p**2)
+    assert rep3.fidelity_error == pytest.approx((2 * 3 ** min(n, 3)) ** 2 * np.finfo(float).eps * fid, rel=1e-12)
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_convex_split_qutrit_slot_matches_validated_reference(rank, n):
