@@ -163,7 +163,7 @@ def d_umegaki(rho, sigma) -> DivergenceValue:
         return DivergenceValue(INF, "not_contained")
     ent = _xlogx_sum(r.eigenvalues)
     vecs = s.eigenvectors
-    cross = _log_cross(np.einsum("ji,jk,ki->i", vecs.conj(), r.mat, vecs).real.copy(), s.eigenvalues)
+    cross = _log_cross((vecs.conj() * (r.mat @ vecs)).sum(axis=0).real.copy(), s.eigenvalues)
     return DivergenceValue(ent - cross, "umegaki")
 
 

@@ -21,9 +21,10 @@ supremum.  Both induced thresholds solve `induced._q2_margin` and read their
 gradients from its decompositions.  The induced I_2 descent starts at the
 closed-form minimizer of the collision margin's small-eps model, a
 quadratic form in sigma (`_collision_start`), and its first threshold solve
-at that model's root; where the model does not apply (rho with a kernel, a
-minimizer that is not positive definite, no model root), at I/d_A and
-log2(eps / (1 - eps)).  The start changes the descent's length, not its
+at that model's root, and its first trial is the model's Newton point,
+taken with the true gradient; where the model does not apply (rho with a
+kernel, a minimizer that is not positive definite, no model root), at I/d_A
+and log2(eps / (1 - eps)).  The start changes the descent's length, not its
 certificate.
 """
 
@@ -213,6 +214,13 @@ def _mirror_step(l_mat: np.ndarray, grad: np.ndarray, eta: float) -> tuple[np.nd
     return l_new, _expm_density(l_new)
 
 
+def _centred_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """log ``mat`` minus (Tr log mat / d) I, its eigenvalues clipped at 1e-14, and its least eigenvalue."""
+    evals, vecs = _eigh(np.asarray(mat, dtype=np.complex128))
+    logs = np.log(np.clip(evals, 1e-14, None))
+    return (vecs * (logs - logs.mean())) @ vecs.conj().T, float(evals[0])
+
+
 def minimize_density(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     dim: int,
@@ -220,6 +228,7 @@ def minimize_density(
     tol: float = _DESCENT_TOL,
     sigma0: np.ndarray | None = None,
     slack: float = _SLACK,
+    first_trial: Callable[[np.ndarray, float, np.ndarray], np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, float, int, float]:
     """Exponentiated-gradient descent over density operators.
 
@@ -230,8 +239,13 @@ def minimize_density(
     iteration tries a step and halves it until the value does not rise by
     more than ``slack`` (1e-12; a caller whose values carry more noise than
     that passes their resolution).  The first iteration's first trial is
-    0.5.  After an accepted step, with s and y the changes of the
-    log-iterate and of the gradient, the next first trial is the
+    0.5, unless ``first_trial`` maps the start's (sigma, value, gradient)
+    to a trace-one point that is positive definite: that point is tried
+    first, under the same acceptance rule, and its log-iterate is its
+    trace-centred log.  A rejected point costs one objective call, and the
+    iteration then runs from 0.5 as without it.  After an accepted step,
+    with s and y the changes of the log-iterate and of the gradient, the
+    next first trial is the
     Barzilai-Borwein step <s, s>/<s, y> (Barzilai & Borwein 1988), clipped
     to [1e-3, 64], when <s, y> > 0.  Otherwise (no curvature along s, as on
     a linear objective) it is twice the last step (at most 64) when that
@@ -245,26 +259,26 @@ def minimize_density(
     is at most ``tol``, after ``max_iter`` iterations, or when 40 halvings
     all raise the value (a stalled line search).
     """
-    if sigma0 is None:
-        l_mat = np.zeros((dim, dim), dtype=np.complex128)
-    else:
-        evals, vecs = _eigh(np.asarray(sigma0, dtype=np.complex128))
-        logs = np.log(np.clip(evals, 1e-14, None))
-        l_mat = (vecs * (logs - logs.mean())) @ vecs.conj().T
+    l_mat = np.zeros((dim, dim), dtype=np.complex128) if sigma0 is None else _centred_log(sigma0)[0]
     sigma = _expm_density(l_mat)
     value, grad = value_and_grad(sigma)
     iterations = 0
     residual = math.inf
     first = _REFERENCE_STEP
+    point = None if first_trial is None else first_trial(sigma, value, grad)
+    if point is not None:  # (its log-iterate, the point), or None where it is not positive definite
+        l_point, least = _centred_log(point)
+        point = (l_point, point) if least > 0.0 else None
     for it in range(max_iter):
         iterations = it + 1
         eta = first
-        for trial in range(40):
-            l_try, sig_try = _mirror_step(l_mat, grad, eta)
+        for trial in range(0 if point is None else -1, 40):  # trial -1 is the first trial's point
+            l_try, sig_try = point if trial < 0 else _mirror_step(l_mat, grad, eta)
             val_try, grad_try = value_and_grad(sig_try)
             if val_try <= value + slack:
                 break
-            eta *= 0.5
+            if trial >= 0:
+                eta *= 0.5
         else:
             residual = _frank_wolfe_gap(grad, sigma)
             break
@@ -276,6 +290,7 @@ def minimize_density(
             first = min(2.0 * eta, _MAX_STEP)
         else:
             first = _REFERENCE_STEP
+        point = None
         l_mat, sigma, value, grad = l_try, sig_try, val_try, grad_try
         residual = _frank_wolfe_gap(grad, sigma)
         if residual <= tol:
@@ -414,19 +429,29 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
+class _CollisionModel(NamedTuple):
+    """A frozen collision model's minimizer over trace-one Hermitian sigma, its value q = c^T M c there, and the
+    eigenvalues and eigenvectors of M, the model's Gram matrix on `_hermitian_basis`."""
+
+    sigma: np.ndarray
+    q: float
+    m_vals: np.ndarray
+    m_vecs: np.ndarray
+
+
 def _collision_model_step(
     r_mat: np.ndarray, rho_b: np.ndarray, sigma: np.ndarray, t_hat: float, da: int, db: int
-) -> tuple[np.ndarray, float] | None:
-    """(sigma', q): the minimum over trace-one Hermitian sigma' of Q_2(sigma' (x) rho_B || X), X = rho + t_hat sigma (x) rho_B.
+) -> _CollisionModel | None:
+    """The minimum over trace-one Hermitian sigma' of Q_2(sigma' (x) rho_B || X), X = rho + t_hat sigma (x) rho_B.
 
     With X frozen, the model ||X^(-1/4) (sigma' (x) rho_B) X^(-1/4)||_F^2 is
     a quadratic form c^T M c in sigma''s real coefficients c on
     `_hermitian_basis`: M is the Gram matrix of the basis' images, read in
     X's eigenbasis from one `_eigh` of X.  The trace constraint w^T c = 1
     (w marks the diagonal units) gives the KKT point c = M^-1 w / (w^T
-    M^-1 w) and the value q = 1 / (w^T M^-1 w), from one `_eigh` of M.
-    None when X has a kernel (the model is not finite) or sigma' is not
-    positive definite.
+    M^-1 w) and the value q = 1 / (w^T M^-1 w), from one `_eigh` of M,
+    which the result keeps (`_collision_newton_step`).  None when X has a
+    kernel (the model is not finite) or sigma' is not positive definite.
     """
     evals, vecs = _eigh(r_mat + t_hat * _kron(sigma, rho_b))
     if _ascending_support(evals)[1]:
@@ -444,32 +469,61 @@ def _collision_model_step(
     sigma_new = ((y / mass) @ _hermitian_basis(da)).reshape(da, da)
     if not _eigvalsh(sigma_new)[0] > 0.0:
         return None
-    return sigma_new, 1.0 / mass
+    return _CollisionModel(sigma_new, 1.0 / mass, g_vals, g_vecs)
+
+
+def _collision_newton_step(model: _CollisionModel, grad: np.ndarray, eps: float) -> np.ndarray:
+    """Delta: the Newton step on the trace-zero plane of lambda_m = log2(2 eps / (1 + s)), s = sqrt(1 - 4 eps q),
+    at the model's minimizer, with the gradient ``grad`` (Tr[G dsigma]) in place of the model's.
+
+    q = c^T M c, so lambda_m's Hessian is lambda_m''(q) (2 M c)(2 M c)^T + 2
+    lambda_m'(q) M, with lambda_m' = 2 eps / (ln 2 s (1 + s)).  At the
+    minimizer M c is a multiple of w, so the first term vanishes on the
+    plane w^T Delta = 0, and the step solves the KKT system of the
+    quadratic g^T Delta + lambda_m' Delta^T M Delta there: with g_i =
+    Tr[G E_i], Delta = -(M^-1 g - M^-1 w (w^T M^-1 g) / (w^T M^-1 w)) / (2
+    lambda_m').  M^-1 is read from the model's eigenvectors, so no matrix
+    is decomposed.
+    """
+    da = len(grad)
+    basis = _hermitian_basis(da)
+    g = (basis.conj() @ grad.reshape(-1)).real  # Tr[G E_i]: the basis is Hermitian
+    vecs, vals = model.m_vecs, model.m_vals
+    y = vecs @ (vecs[:da].sum(axis=0) / vals)  # M^-1 w, as in `_collision_model_step`
+    z = vecs @ ((g @ vecs) / vals)  # M^-1 g
+    s = math.sqrt(1.0 - 4.0 * eps * model.q)
+    slope = 2.0 * eps / (_LN2 * s * (1.0 + s))  # lambda_m'(q)
+    delta = -(z - y * (z[:da].sum() / y[:da].sum())) / (2.0 * slope)
+    return (delta @ basis).reshape(da, da)
 
 
 _START_STEPS = 2  # frozen-model steps from I/d_A
+_NEWTON_BRANCH = 0.75  # 4 eps q above which the model's Newton step is not tried: s = sqrt(1 - 4 eps q) < 1/2
 
 
-def _collision_start(r: DensityOperator, rho_b: np.ndarray, da: int, db: int, eps: float) -> tuple[np.ndarray, float] | None:
-    """(sigma_0, lambda_0): the induced descent's start and its first threshold guess, or None for I/d_A.
+def _collision_start(
+    r: DensityOperator, rho_b: np.ndarray, da: int, db: int, eps: float
+) -> tuple[_CollisionModel, float] | None:
+    """(model, lambda_0): the last model step, whose minimizer is the induced descent's start, and its first threshold guess; or None for I/d_A.
 
     `_START_STEPS` model steps (`_collision_model_step`) from I/d_A with
     t_hat = eps / (1 - eps); lambda_0 is log2 of the model root 2 eps / (1 +
-    sqrt(1 - 4 eps q)) at the last one.  None when rho has a kernel, a step
-    fails or 4 eps q >= 1 (`induced_mutual_info_2`).
+    sqrt(1 - 4 eps q)) at the last one, whose factorization gives the
+    descent's first trial (`_collision_newton_step`).  None when rho has a
+    kernel, a step fails or 4 eps q >= 1 (`induced_mutual_info_2`).
     """
     if r.rank < r.dim:
         return None
     t_hat = eps / (1.0 - eps)
     sigma = np.eye(da, dtype=np.complex128) / da
     for _ in range(_START_STEPS):
-        step = _collision_model_step(r.mat, rho_b, sigma, t_hat, da, db)
-        if step is None:
+        model = _collision_model_step(r.mat, rho_b, sigma, t_hat, da, db)
+        if model is None:
             return None
-        sigma, q = step
-    if 4.0 * eps * q >= 1.0:
+        sigma = model.sigma
+    if 4.0 * eps * model.q >= 1.0:
         return None
-    return sigma, math.log2(2.0 * eps / (1.0 + math.sqrt(1.0 - 4.0 * eps * q)))
+    return model, math.log2(2.0 * eps / (1.0 + math.sqrt(1.0 - 4.0 * eps * model.q)))
 
 
 def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutualInfo:
@@ -498,7 +552,14 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     start near I/d_A at large eps; two such steps go from I/d_A.  The first
     solve starts at that model's root 2 eps / (1 + sqrt(1 - 4 eps q)), q the
     model's value there, and its first step is a tenth of the move the
-    model predicts from log2(eps / (1 - eps)).  Where the model does not
+    model predicts from log2(eps / (1 - eps)).  The descent's first trial is
+    the model's Newton point, taken with the gradient of the first solve
+    (`_collision_newton_step`), under the descent's acceptance rule; it is
+    not tried where the model's root lies near its branch point, 4 eps q >
+    3/4 (there the model's curvature, which grows like 1/sqrt(1 - 4 eps q),
+    made the step 4 to 16 times too short), or where the first solve lies
+    farther from lambda_0 than half of |lambda_0 - log2(eps / (1 - eps))|.
+    Where the model does not
     apply, the descent starts at I/d_A and the first solve at log2(eps / (1
     - eps)) with a unit step: rho has a kernel (the margin then has a 1/t
     term from it, and the start lengthened such descents), X has one, the
@@ -516,10 +577,18 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     guess = math.log2(eps / (1.0 - eps))  # lambda* when rho is sigma (x) rho_B
     start = _collision_start(r, rho_b, da, db, eps)
     if start is None:  # from I/d_A, the first solve at the guess with a unit step
-        sigma0, lam0, step0 = None, guess, 1.0
+        sigma0, lam0, step0, newton = None, guess, 1.0, None
     else:  # at the model's root, with a tenth of its move from the guess
-        sigma0, lam0 = start
+        model, lam0 = start
+        sigma0 = model.sigma
         step0 = min(1.0, max(0.1 * abs(lam0 - guess), 1e-9))
+
+        def newton(sigma: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray | None:
+            # the model's Newton point, unless its root is near the branch point 4 eps q = 1 or the first solve
+            # is far from that root
+            if 4.0 * eps * model.q > _NEWTON_BRANCH or not abs(value - lam0) <= 0.5 * abs(lam0 - guess):
+                return None
+            return sigma + _collision_newton_step(model, grad, eps)
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal last
@@ -543,7 +612,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
         solves.append((sigma, res))
         return res.raw, grad
 
-    sigma, _, iters, gap = minimize_density(value_grad, da, sigma0=sigma0, slack=_roots.BISECT_TOL)
+    sigma, _, iters, gap = minimize_density(value_grad, da, sigma0=sigma0, slack=_roots.BISECT_TOL, first_trial=newton)
     final = next(res for s, res in reversed(solves) if s is sigma)
     optimal = _vouched(sigma, *_eigh(sigma))
     return InducedMutualInfo(final.raw, optimal, final, iters, gap, gap <= _DESCENT_TOL, final.raw - gap)

@@ -357,7 +357,8 @@ def test_options_that_do_not_apply_are_rejected(files, capsys, argv):
 
 
 def test_qsr_warns_when_induced_term_hits_its_cap(files, tmp_path, capsys, monkeypatch):
-    argv = ["qsr", "--state", files["tri"], "--eps", "0.5", "--delta0", "0.005", "--delta1", "0.005"]
+    # at delta1 = 0.3 the induced descent skips its Newton trial and takes 4 iterations
+    argv = ["qsr", "--state", files["tri"], "--eps", "0.95", "--delta0", "0.001", "--delta1", "0.3"]
     descend = info.minimize_density
 
     def capped(value_and_grad, dim, **kwargs):  # the induced descent passes its slack; cap only it

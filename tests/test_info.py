@@ -369,9 +369,10 @@ def _seeded_marginal():
 
 def test_induced_mi_reports_whether_descent_converged(monkeypatch):
     assert induced_mutual_info_2(product_state(5, 6), (2, 2), 0.3).converged
-    # a descent cut at a 1-step cap reports it (from the collision model's start it converges in 2)
+    # a descent cut at a 1-step cap reports it; at eps = 0.9 the model's Newton trial is skipped and the
+    # descent takes 5 iterations (at 0.005 the trial converges in 1)
     monkeypatch.setattr(info, "minimize_density", functools.partial(minimize_density, max_iter=1))
-    out = induced_mutual_info_2(_seeded_marginal(), (2, 2), 0.005)
+    out = induced_mutual_info_2(_seeded_marginal(), (2, 2), 0.9)
     assert out.iterations == 1
     assert out.gradient_residual > 1e-7
     assert out.converged is False
@@ -412,7 +413,7 @@ def test_induced_mi_solves_start_at_the_tangent_prediction(monkeypatch):
     monkeypatch.setattr(info, "minimize_density", recording_descent)
     rho = _seeded_marginal()
     out = induced_mutual_info_2(rho, (2, 2), 0.005)
-    assert len(solves) == len(calls) > 2
+    assert len(solves) == len(calls) >= 2
     # the first solve starts at the collision model's root, with a tenth of its move from log2(eps / (1 - eps))
     _, lam0 = info._collision_start(rho, _ptrace(rho.mat, [2, 2], [1]), 2, 2, 0.005)
     assert solves[0][:2] == (lam0, 0.1 * abs(lam0 - math.log2(0.005 / 0.995)))
@@ -472,7 +473,7 @@ def test_collision_model_step_meets_its_kkt_condition(n, rank, dims, seed):
     rho_b = _ptrace(rho.mat, [da, db], [1])
     t_hat = eps / (1.0 - eps)
     for sigma in (np.eye(da) / da, random_density(da, da, seed + 1).mat):
-        sigma0, q = info._collision_model_step(rho.mat, rho_b, sigma, t_hat, da, db)
+        sigma0, q = info._collision_model_step(rho.mat, rho_b, sigma, t_hat, da, db)[:2]
         x = rho.mat + t_hat * np.kron(sigma, rho_b)
         evals, vecs = np.linalg.eigh(x)
         k = (vecs * evals**-0.5) @ vecs.conj().T
@@ -490,9 +491,9 @@ def test_collision_start_is_two_model_steps_from_the_maximally_mixed_state():
     eps = 0.005
     sigma, t_hat = np.eye(2) / 2, eps / (1.0 - eps)
     for _ in range(2):
-        sigma, q = info._collision_model_step(rho.mat, rho_b, sigma, t_hat, 2, 2)
-    sigma0, lam0 = info._collision_start(rho, rho_b, 2, 2, eps)
-    assert np.array_equal(sigma0, sigma)
+        sigma, q = info._collision_model_step(rho.mat, rho_b, sigma, t_hat, 2, 2)[:2]
+    model, lam0 = info._collision_start(rho, rho_b, 2, 2, eps)
+    assert np.array_equal(model.sigma, sigma)
     assert lam0 == math.log2(2.0 * eps / (1.0 + math.sqrt(1.0 - 4.0 * eps * q)))
     # the model's root is the root of eps - t + t^2 q
     t = 2.0**lam0
@@ -544,6 +545,102 @@ def test_collision_start_shortens_the_induced_descent(monkeypatch, n, rank, dims
     assert warm.converged and cold.converged
     assert warm_calls <= cold_calls
     assert abs(warm.certified_lower - cold.certified_lower) <= 1e-7
+
+
+def test_induced_mi_newton_trial_converges_in_one_step(monkeypatch):
+    # the first trial is the collision model's Newton point, taken with the true gradient at the model's minimizer;
+    # here it takes the Frank-Wolfe gap below 1e-7 at once (from 4.1e-6), so the descent makes two solves
+    out, calls = _induced_descent_calls(monkeypatch, _seeded_marginal(), (2, 2), 0.005, True)
+    assert out.converged
+    assert (out.iterations, calls) == (1, 2)
+
+
+def test_induced_mi_skips_the_newton_trial_where_the_model_mispredicts(monkeypatch):
+    # at eps = 0.9 the model's root is far from its branch point, but the first solve lies farther from that root
+    # than half the root's distance to log2(eps / (1 - eps)): no Newton step is taken, and the descent makes the
+    # 6 calls it made before the trial existed
+    rho, eps = _seeded_marginal(), 0.9
+    model, _ = info._collision_start(rho, _ptrace(rho.mat, [2, 2], [1]), 2, 2, eps)
+    assert 4.0 * eps * model.q < info._NEWTON_BRANCH
+    steps = []
+    monkeypatch.setattr(info, "_collision_newton_step", lambda *args: steps.append(args))
+    out, calls = _induced_descent_calls(monkeypatch, rho, (2, 2), eps, True)
+    assert not steps
+    assert out.converged and calls == 6
+
+
+def _quadratic_objective(target: np.ndarray, calls: list):
+    def value_grad(sigma):
+        calls.append(sigma)
+        diff = sigma - target
+        return float(np.vdot(diff, diff).real), 2.0 * diff
+
+    return value_grad
+
+
+def test_a_rejected_first_trial_costs_one_call_and_changes_nothing():
+    target = random_density(3, 3, 41).mat
+    calls = []
+    plain = minimize_density(_quadratic_objective(target, calls), 3)
+    n = len(calls)
+    far = np.diag([0.98, 0.01, 0.01]).astype(np.complex128)
+    seen = []
+
+    def trial(sigma, value, grad):
+        seen.append(value)
+        return far
+
+    tried = minimize_density(_quadratic_objective(target, calls), 3, first_trial=trial)
+    assert len(calls) == 2 * n + 1
+    assert calls[n + 1] is far and np.vdot(far - target, far - target).real > seen[0]  # tried, and it rose
+    assert np.array_equal(tried[0], plain[0]) and tried[1:] == plain[1:]
+    # a point that is not positive definite is not tried
+    calls.clear()
+    skipped = minimize_density(_quadratic_objective(target, calls), 3, first_trial=lambda *_: np.diag([1.5, -0.25, -0.25]))
+    assert len(calls) == n
+    assert np.array_equal(skipped[0], plain[0]) and skipped[1:] == plain[1:]
+
+
+def test_an_accepted_first_trial_is_the_next_iterate():
+    target = random_density(3, 3, 41).mat
+    calls = []
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), 3, first_trial=lambda *_: target)
+    assert sigma is target and len(calls) == 2
+    assert (value, iterations, residual) == (0.0, 1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "n, dims, seed", [(4, (2, 2), 3), (8, (2, 4), 4), (9, (3, 3), 3), (8, (4, 2), 2)], ids=["2x2", "2x4", "3x3", "4x2"]
+)
+def test_collision_newton_step_solves_the_model_kkt_system(n, dims, seed):
+    # Delta minimizes g^T Delta + lambda_m' Delta^T M Delta on the trace-zero plane; here M is built densely from
+    # K = X^(-1/2) and the KKT system is solved as one linear system
+    rho = random_density(n, n, seed)
+    da, db = dims
+    eps = 0.005
+    rho_b = _ptrace(rho.mat, [da, db], [1])
+    t_hat = eps / (1.0 - eps)
+    sigma = info._collision_model_step(rho.mat, rho_b, np.eye(da) / da, t_hat, da, db).sigma
+    model = info._collision_model_step(rho.mat, rho_b, sigma, t_hat, da, db)
+    evals, vecs = np.linalg.eigh(rho.mat + t_hat * np.kron(sigma, rho_b))
+    k = (vecs * evals**-0.5) @ vecs.conj().T
+    basis = info._hermitian_basis(da).reshape(-1, da, da)
+    images = [k @ np.kron(e, rho_b) for e in basis]
+    m = np.array([[np.trace(a @ b).real for b in images] for a in images])
+    c0 = np.array([np.trace(model.sigma @ e).real for e in basis])
+    assert abs(c0 @ m @ c0 - model.q) <= 1e-12 * model.q
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
+    grad = a + a.conj().T
+    g = np.array([np.trace(grad @ e).real for e in basis])
+    w = (np.arange(da * da) < da).astype(float)
+    s = math.sqrt(1.0 - 4.0 * eps * model.q)
+    slope = 2.0 * eps / (math.log(2.0) * s * (1.0 + s))
+    kkt = np.block([[2.0 * slope * m, w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    dense = np.einsum("i,ijk->jk", np.linalg.solve(kkt, np.append(-g, 0.0))[:-1], basis)
+    delta = info._collision_newton_step(model, grad, eps)
+    assert np.linalg.norm(delta - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert abs(np.trace(delta)) <= 1e-12 * np.linalg.norm(dense)
 
 
 # ---------------------------------------------------------------------------
