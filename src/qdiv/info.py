@@ -9,11 +9,15 @@ stops on its Frank-Wolfe gap, which bounds its distance to the minimum.
 I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors, on
 supp rho_A (x) B only (`_product_q2`): rho_A's eigenvalues and rho there come
 from one SVD of a factor of rho, the kernel of rho_A enters in closed form,
-and each objective call decomposes only sigma.  The smoothed I_2 descends
-its top depolarized candidate, then every other candidate from that
-optimum, unless its Frank-Wolfe lower bound there shows it cannot win; rho
-and its depolarized candidates share one SVD, and the result reports the
-winning descent's convergence.  The channel
+and each objective call decomposes only sigma.  Q_2 there is a quadratic
+form in sigma^(-1/2), so each I_2 descent starts at that form's minimizer
+over states, found by a fixed point that never calls the objective
+(`_quadratic_start`), and stops there when its Frank-Wolfe gap already
+certifies it; where a marginal has a kernel it starts as a plain descent
+does.  The smoothed I_2 descends its top depolarized candidate, then every
+other candidate, unless its Frank-Wolfe lower bound at the first optimum
+shows it cannot win; rho and its depolarized candidates share one SVD, and
+the result reports the winning descent's convergence.  The channel
 quantity, the raw induced D_2 of the cq state, is maximized over input
 distributions with multi-start projected gradient ascent; the reported value
 is attained by a feasible point, hence a certified lower bound on the
@@ -145,6 +149,14 @@ def _product_q2(
     whole spectrum at dimension d_A d_B, as the full-dimension objective
     cuts them, so nothing of dimension d_A d_B is decomposed, built or
     rotated; with shift 0 the kernel adds nothing.
+
+    Q_2 is a quadratic form in K = sigma^(-1/2): with c' = (c_A^(-1/2) (x) I)
+    c (c_A^(-1/2) (x) I) it is Tr[(I (x) K) c' (I (x) K) c].  The callable's
+    ``gram()`` gives its Gram matrix M, with Q_2 = k^T M k for k the real
+    coefficients of K on `_hermitian_basis(d_B)`, from one contraction of c
+    with c' over A on the support; the kernel block adds (d_A - k) c0^2 /
+    a_ker times the identity, as Tr sigma^(-1) = ||k||^2.  M is built only
+    when asked for (`_quadratic_start`).
     """
     a, rho_u = support
     k = a.size
@@ -168,6 +180,21 @@ def _product_q2(
             m -= np.diag(kernel * a_ker * inv * inv)
         return q, w @ m @ w.conj().T
 
+    def gram() -> np.ndarray:
+        # Q_2 = Tr[(I (x) K) c' (I (x) K) c], c' = (c_A^(-1/2) (x) I) c (c_A^(-1/2) (x) I): contract over A, then
+        # read the form of K[b0, b] K[b', b1] on the basis
+        scale = np.repeat(a_on**-0.5, db)
+        c = cand_u.reshape(dim, dim)
+        scaled = (scale[:, None] * c * scale).reshape(k, db, k, db)
+        t = np.tensordot(scaled, cand_u.reshape(k, db, k, db), axes=([0, 2], [2, 0]))  # [b, b', b1, b0]
+        basis = _hermitian_basis(db)
+        form = basis @ t.transpose(3, 0, 1, 2).reshape(db * db, db * db) @ basis.T
+        m = 0.5 * (form + form.T).real
+        if kernel > 0.0:  # Tr sigma^(-1) = ||k||^2
+            m.reshape(-1)[:: db * db + 1] += kernel / a_ker
+        return m
+
+    q2_and_contracted_gradient.gram = gram
     return q2_and_contracted_gradient
 
 
@@ -229,13 +256,19 @@ def minimize_density(
     sigma0: np.ndarray | None = None,
     slack: float = _SLACK,
     first_trial: Callable[[np.ndarray, float, np.ndarray], np.ndarray | None] | None = None,
+    exact_start: bool = False,
 ) -> tuple[np.ndarray, float, int, float]:
     """Exponentiated-gradient descent over density operators.
 
     The log-iterate L starts trace-centred: at 0 (sigma = I/d), or at log
     sigma0 minus (Tr L / d) I.  E(L) ignores a multiple of I, so only the
     centred L is a point of the exponentiated-gradient geometry (Tsuda,
-    Ratsch & Warmuth 2005), and every later iterate is centred too.  Each
+    Ratsch & Warmuth 2005), and every later iterate is centred too.  The
+    first call is at E(L), which keeps every eigenvalue above the iterate
+    floor 1e-8/d, unless ``exact_start``: then it is at ``sigma0`` as given,
+    a positive definite trace-one array, and L is its centred log.  When
+    the Frank-Wolfe gap there is already at most ``tol``, the descent
+    returns at once, after that one call and with 0 iterations.  Each
     iteration tries a step and halves it until the value does not rise by
     more than ``slack`` (1e-12; a caller whose values carry more noise than
     that passes their resolution).  The first iteration's first trial is
@@ -256,14 +289,21 @@ def minimize_density(
     computed there, and the residual is the Frank-Wolfe gap there
     (`_frank_wolfe_gap`), 0 only at a minimum; value - residual bounds a
     convex objective's minimum from below.  The descent stops once the gap
-    is at most ``tol``, after ``max_iter`` iterations, or when 40 halvings
-    all raise the value (a stalled line search).
+    is at most ``tol`` (at the start too), after ``max_iter`` iterations, or
+    when 40 halvings all raise the value (a stalled line search).
     """
-    l_mat = np.zeros((dim, dim), dtype=np.complex128) if sigma0 is None else _centred_log(sigma0)[0]
-    sigma = _expm_density(l_mat)
+    if exact_start:
+        l_mat, sigma = None, sigma0
+    else:
+        l_mat = np.zeros((dim, dim), dtype=np.complex128) if sigma0 is None else _centred_log(sigma0)[0]
+        sigma = _expm_density(l_mat)
     value, grad = value_and_grad(sigma)
     iterations = 0
-    residual = math.inf
+    residual = _frank_wolfe_gap(grad, sigma)
+    if residual <= tol:
+        return sigma, value, 0, residual
+    if l_mat is None:
+        l_mat = _centred_log(sigma)[0]
     first = _REFERENCE_STEP
     point = None if first_trial is None else first_trial(sigma, value, grad)
     if point is not None:  # (its log-iterate, the point), or None where it is not positive definite
@@ -279,8 +319,7 @@ def minimize_density(
                 break
             if trial >= 0:
                 eta *= 0.5
-        else:
-            residual = _frank_wolfe_gap(grad, sigma)
+        else:  # a stalled line search: the residual is still the gap at sigma
             break
         s, y = l_try - l_mat, grad_try - grad
         sy = float(np.vdot(s, y).real)
@@ -368,7 +407,8 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
     """I_alpha(A:B) = min over sigma on B of D_alpha(rho || rho_A (x) sigma).
 
     alpha = 1 has the closed-form minimizer sigma = rho_B; alpha = 2 runs
-    mirror descent over the reference state, started at rho_B.
+    mirror descent over the reference state, started at the minimizer of
+    its quadratic form in sigma^(-1/2) (`_quadratic_start` from rho_B).
     """
     a = canon_alpha(alpha)
     r = as_density(rho)
@@ -386,8 +426,56 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
     return _mutual_info_2(_product_q2(support, da, db), db, rho_b)
 
 
+_FIXED_POINT_STEPS = 16  # the most fixed-point steps `_quadratic_start` takes
+_FIXED_POINT_TOL = 1e-9  # the estimated distance to the fixed point at which it stops
+
+
+def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
+    """The minimizer of Q_2 = k^T M k over states, by a fixed point from ``sigma``; None where it does not apply.
+
+    k holds the coefficients of K = sigma^(-1/2) on `_hermitian_basis` and M
+    is the ``gram`` matrix of a `_product_q2` objective.  Minimizing k^T M k
+    under Tr K^(-2) = 1 gives the KKT condition G = Q_2 sigma^(3/2), G =
+    mat(M k), so a minimizer is a fixed point of sigma <- G^(2/3) / Tr
+    G^(2/3).  One `_eigh` of G per step gives that state and the next K,
+    G^(-1/3) up to a scale, which the map ignores; the objective is never
+    called.  The steps stop when the estimated distance to the fixed point,
+    m^2 / (m' - m) for the last two moves m' and m (the largest entry of the
+    change of sigma), is at most 1e-9, or after 16 steps.  None when
+    ``sigma`` or a G is not positive definite (the candidate's marginal has a
+    kernel, and the minimizer lies on its boundary).
+    """
+    db = len(sigma)
+    basis = _hermitian_basis(db)
+    sup = basis.T @ gram @ basis.conj()  # vec(mat(M k)) = sup @ vec(K): K -> G as one matrix
+    evals, vecs = _eigh(sigma)
+    if _ascending_support(evals)[1]:
+        return None
+    k_vec = ((vecs * evals**-0.5) @ vecs.conj().T).reshape(-1)
+    last = 0.0  # the last move: no estimate before the second step
+    for _ in range(_FIXED_POINT_STEPS):
+        g_vals, g_vecs = _eigh((sup @ k_vec).reshape(db, db))
+        if _ascending_support(g_vals)[1]:
+            return None
+        power = g_vals ** (2.0 / 3.0)
+        new = (g_vecs * (power / power.sum())) @ g_vecs.conj().T
+        k_vec = ((g_vecs * g_vals ** (-1.0 / 3.0)) @ g_vecs.conj().T).reshape(-1)
+        moved = float(np.max(np.abs(new - sigma)))
+        sigma = new
+        if moved * moved <= _FIXED_POINT_TOL * (last - moved):
+            break
+        last = moved
+    return sigma
+
+
 def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.ndarray) -> MutualInfoResult:
-    """I_2 by mirror descent from ``sigma0`` on a `_product_q2` objective."""
+    """I_2 by mirror descent on a `_product_q2` objective, from the minimizer of its quadratic form.
+
+    The descent starts at `_quadratic_start` from ``sigma0``, evaluated as
+    given, and stops there after one objective call when the Frank-Wolfe
+    gap is already at most 1e-7; where the fixed point does not apply it
+    starts at ``sigma0``, as a plain descent does.
+    """
     spectra = []  # (sigma, its eigendecomposition) of each call
 
     def value_grad(sigma: np.ndarray) -> tuple[float, np.ndarray]:
@@ -396,7 +484,9 @@ def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.nda
         grad = m / (q * _LN2)
         return math.log2(q), 0.5 * (grad + grad.conj().T)
 
-    sigma, value, iters, res = minimize_density(value_grad, db, sigma0=sigma0)
+    start = _quadratic_start(q2_and_contracted_gradient.gram(), sigma0)
+    exact = start is not None
+    sigma, value, iters, res = minimize_density(value_grad, db, sigma0=start if exact else sigma0, exact_start=exact)
     optimal = _vouched(sigma, *next(spectrum for s, spectrum in reversed(spectra) if s is sigma))
     return MutualInfoResult(value, optimal, iters, res, res <= _DESCENT_TOL)
 
@@ -711,12 +801,15 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     dimension rank(rho_A) d_B: rho and its depolarized candidates share one
     SVD of rho's support factor, and the kernel of rho_A enters in closed
     form.  The top depolarized candidate (the largest rung inside the ball)
-    is descended first, from rho_B, as it usually wins and its bounds then
-    prune the rest; then rho and the other candidates, in
-    `_smoothing_candidates` order, start at its optimum sigma*.  Each
-    objective is convex in sigma (Frank & Lieb 2013), so the start changes
-    the length of a descent, not the minimum it certifies.  By the same
-    convexity, the Frank-Wolfe bound
+    is descended first, as it usually wins and its bounds then prune the
+    rest; then rho and the other candidates, in `_smoothing_candidates`
+    order.  Each descent starts at the minimizer of its candidate's
+    quadratic form in sigma^(-1/2) (`_quadratic_start`), whose fixed point
+    runs from rho_B for the first and from the first one's optimum sigma*
+    for the others; where a candidate's marginal has a kernel, the descent
+    starts at rho_B or sigma* itself.  Each objective is convex in sigma
+    (Frank & Lieb 2013), so the start changes the length of a descent, not
+    the minimum it certifies.  By the same convexity, the Frank-Wolfe bound
     Q - (Tr[G sigma*] - lambda_min(G)) at sigma* is below a candidate's
     minimum Q_2; a candidate whose bound lies above the best value so far
     (by more than rounding) cannot win and is not descended.  With no
@@ -741,24 +834,27 @@ def _smoothed_mutual_info_2(r: DensityOperator | _Spectrum, dims: tuple[int, int
 
     rho_B, the first descent's start, comes with the candidates, and a
     `_Spectrum`'s state is built only when rho wins (`_candidate_state`).
+    The pruning reads every objective at sigma* with sigma*'s cached
+    eigenpairs, so sigma* is decomposed once.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     db = dims[1]
     warm, candidates = _smoothing_candidates(r, dims, eps)  # rho_B, then the first descent's optimum
+    warm_spectrum = None  # the first optimum's cached eigenpairs, which the pruning reads
     top = next((i for i, cand in enumerate(candidates) if cand[0].startswith("depolarized@")), 0)
     candidates.insert(0, candidates.pop(top))
     best: tuple[str, np.ndarray, float, MutualInfoResult] | None = None
     unsmoothed = None  # rho's entry, when it is descended
     for name, spectrum, dist, objective in candidates:
         if best is not None:
-            q, m = objective(warm)
+            q, m = objective(warm, warm_spectrum)
             lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
             if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
                 continue
         mi = _mutual_info_2(objective, db, warm)
         if best is None:
-            warm = mi.optimal_sigma.mat
+            warm, warm_spectrum = mi.optimal_sigma.mat, (mi.optimal_sigma.eigenvalues, mi.optimal_sigma.eigenvectors)
         if name == "rho":
             unsmoothed = (name, spectrum, dist, mi)
         if best is None or mi.value < best[3].value:

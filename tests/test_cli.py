@@ -392,6 +392,9 @@ def test_qsr_warns_when_smoothed_term_does_not_converge(files, capsys, monkeypat
     def capped(value_and_grad, dim, **kwargs):  # the induced descent passes its slack; cap only the others
         return descend(value_and_grad, dim, **({} if "slack" in kwargs else {"max_iter": 2}), **kwargs)
 
+    # the smoothed descents start at their quadratic forms' minimizers, where they stop at once: start them at
+    # rho_B and sigma* instead, where 2 iterations do not converge
+    monkeypatch.setattr(info, "_quadratic_start", lambda *args: None)
     monkeypatch.setattr(info, "minimize_density", capped)
     assert run(argv) == 0
     captured = capsys.readouterr()

@@ -307,6 +307,42 @@ def test_restricted_objective_matches_q_alpha_and_finite_differences(rho, dims):
     assert kinds == {"rho", "depolarized", "truncated"}
 
 
+def _kernel_source(db, seed):
+    """A random state on C^2 (x) C^db embedded in C^3 (x) C^db: rho_A has rank 2 of 3, so its kernel block is not empty."""
+    inner = random_density(2 * db, 2 * db, seed).mat.reshape(2, db, 2, db)
+    mat = np.zeros((3, db, 3, db), dtype=np.complex128)
+    mat[:2, :, :2, :] = inner
+    return DensityOperator(mat.reshape(3 * db, 3 * db)), (3, db)
+
+
+def _gram_cases():
+    for db in (2, 3, 4):
+        yield pytest.param(random_density(2 * db, 2 * db, db), (2, db), id=f"full,db={db}")
+        yield pytest.param(*_kernel_source(db, db + 10), id=f"kernel,db={db}")
+    yield pytest.param(*_eqsr_smoothing_input(0), id="eqsr_marginal,db=2")
+
+
+@pytest.mark.parametrize("rho, dims", _gram_cases())
+def test_gram_matrix_gives_q2_as_a_quadratic_form_in_sigma_to_the_minus_half(rho, dims):
+    # Q_2(c || c_A (x) sigma) = k^T M k, k the coefficients of K = sigma^(-1/2) on the Hermitian basis, for every
+    # kind of candidate; with k < d_A the depolarized candidates' kernel block adds a multiple of the identity to M
+    da, db = dims
+    basis = info._hermitian_basis(db).reshape(-1, db, db)
+    candidates = info._smoothing_candidates(rho, dims, 0.5)[1]
+    assert {name.split("@")[0] for name, *_ in candidates} == {"rho", "depolarized", "truncated"}
+    assert (info._marginal_support(rho.eigenvalues, rho.eigenvectors, da, db)[0].size < da) == (da != 2)
+    for _, _, _, objective in candidates:
+        m = objective.gram()
+        assert np.array_equal(m, m.T)
+        for seed in (5, 6, 7):
+            sigma = random_density(db, db, seed).mat
+            evals, vecs = np.linalg.eigh(sigma)
+            k_mat = (vecs * evals**-0.5) @ vecs.conj().T
+            k = np.array([np.trace(e @ k_mat).real for e in basis])
+            q = objective(sigma)[0]
+            assert abs(k @ m @ k - q) <= 1e-12 * q
+
+
 def test_mutual_info_objective_decomposes_only_sigma(monkeypatch, count_kernel_calls):
     rho, dims = _eqsr_smoothing_input(0)
     assert dims == (16, 2)
@@ -609,6 +645,24 @@ def test_an_accepted_first_trial_is_the_next_iterate():
     assert (value, iterations, residual) == (0.0, 1, 0.0)
 
 
+def test_a_certified_start_costs_one_call_and_no_iteration():
+    # an exact start is evaluated as given, with no iterate floor, and returned when its Frank-Wolfe gap is at most tol
+    target = random_density(3, 3, 41).mat
+    calls = []
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), 3, sigma0=target, exact_start=True)
+    assert sigma is target and len(calls) == 1 and calls[0] is target
+    assert (value, iterations, residual) == (0.0, 0, 0.0)
+    # the floored start E(log sigma0) is certified too when its gap is: Tr[sigma^2] is minimal at I/3
+    calls.clear()
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(np.eye(3) / 3, calls), 3)
+    assert len(calls) == 1 and iterations == 0 and residual <= 1e-7
+    # an uncertified exact start descends from its centred log
+    calls.clear()
+    start = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), 3, sigma0=start, exact_start=True)
+    assert calls[0] is start and iterations >= 1 and residual <= 1e-7
+
+
 @pytest.mark.parametrize(
     "n, dims, seed", [(4, (2, 2), 3), (8, (2, 4), 4), (9, (3, 3), 3), (8, (4, 2), 2)], ids=["2x2", "2x4", "3x3", "4x2"]
 )
@@ -688,35 +742,41 @@ def _product_source(seed=0):
 
 
 def _warm_and_cold_descents(monkeypatch, rho, dims, eps):
-    """The smoothed results and each descent's result by candidate name, with every descent but the first started at
-    the first one's optimum (warm), as `smoothed_mutual_info_2` does, and at its own candidate's B marginal (cold)."""
-    da, db = dims
-    helper, candidates = info._mutual_info_2, info._smoothing_candidates
-    runs = {"warm": {}, "cold": {}}  # each descent's result, by candidate name
-    listed = {}  # each candidate's name and state, by its objective
+    """The smoothed results and each descent's (result, objective calls) by candidate name: as
+    `smoothed_mutual_info_2` runs them, each from the minimizer of its candidate's quadratic form (warm), and with
+    that start left out, the first from rho_B and the others from the first one's optimum (cold)."""
+    helper, candidates, descend = info._mutual_info_2, info._smoothing_candidates, info.minimize_density
+    runs = {"warm": {}, "cold": {}}
+    names, calls = {}, [0]
 
     def listing(r, *args):
         out = candidates(r, *args)
-        for name, spectrum, _, objective in out[1]:
-            listed[id(objective)] = (name, info._candidate_state(r, name, spectrum))
+        names.update((id(objective), name) for name, _, _, objective in out[1])
         return out
 
-    def recording(kind, from_rho_b):
+    def counting(value_and_grad, *args, **kwargs):
+        def counted(sigma):
+            calls[0] += 1
+            return value_and_grad(sigma)
+
+        return descend(counted, *args, **kwargs)
+
+    def recording(kind):
         def run(objective, db, sigma0):
-            name, state = listed[id(objective)]
-            if from_rho_b and runs[kind]:
-                sigma0 = _ptrace(state.mat, [da, db], [1])
+            calls[0] = 0
             out = helper(objective, db, sigma0)
-            runs[kind][name] = out
+            runs[kind][names[id(objective)]] = (out, calls[0])
             return out
 
         return run
 
     with monkeypatch.context() as m:
         m.setattr(info, "_smoothing_candidates", listing)
-        m.setattr(info, "_mutual_info_2", recording("warm", False))
+        m.setattr(info, "minimize_density", counting)
+        m.setattr(info, "_mutual_info_2", recording("warm"))
         warm = smoothed_mutual_info_2(rho, dims, eps)
-        m.setattr(info, "_mutual_info_2", recording("cold", True))
+        m.setattr(info, "_mutual_info_2", recording("cold"))
+        m.setattr(info, "_quadratic_start", lambda *args: None)
         cold = smoothed_mutual_info_2(rho, dims, eps)
     assert runs["warm"].keys() == runs["cold"].keys()
     return warm, cold, runs
@@ -725,35 +785,59 @@ def _warm_and_cold_descents(monkeypatch, rho, dims, eps):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("eps", [0.005, 0.05])
 def test_smoothed_warm_starts_reach_the_cold_start_values(monkeypatch, seed, eps):
-    # every candidate but the first starts at the first one's optimum; each objective is convex
-    # in sigma, so the start changes the length of a descent, not its minimum.  On a product
-    # source every candidate is descended
+    # every candidate starts at the minimizer of its quadratic form in sigma^(-1/2), where its Frank-Wolfe gap is
+    # already at most 1e-7: one objective call and no iteration.  Each objective is convex in sigma, so the start
+    # changes the length of a descent, not its minimum.  On a product source every candidate is descended
     rho, dims = _product_source(seed)
     warm, cold, runs = _warm_and_cold_descents(monkeypatch, rho, dims, eps)
     assert len(runs["warm"]) >= 2
-    assert all(mi.converged for kind in runs for mi in runs[kind].values())
+    assert all(mi.converged for kind in runs for mi, _ in runs[kind].values())
+    assert all(mi.iterations == 0 and calls == 1 for mi, calls in runs["warm"].values())
     assert abs(warm.value - cold.value) <= 1e-12
     assert warm.candidate == cold.candidate
-    for name, w in runs["warm"].items():
-        assert abs(w.value - runs["cold"][name].value) <= 1e-12
+    for name, (w, _) in runs["warm"].items():
+        assert abs(w.value - runs["cold"][name][0].value) <= 1e-12
 
 
 def test_smoothed_warm_starts_shorten_the_descents(monkeypatch):
-    # full-rank 8x8 sources at (2, 4) with a wide ball, where the top rung's bounds leave
-    # several candidates to descend: started at its optimum, they take no more iterations on any
-    # source than from each candidate's own B marginal, and fewer over the 20 sources, 272
-    # against 279 iterations.  (They are not shorter everywhere: 71 against 70 on 4x4 sources at
-    # (2, 2), and 20 against 13 on the product source above at seed 0, eps = 0.005)
-    warm_total = cold_total = 0
+    # full-rank 8x8 sources at (2, 4) with a wide ball, where the top rung's bounds leave several candidates to
+    # descend: all 60 descents stop at their start, after one objective call each, where the descents from rho_B and
+    # the first optimum take 486 calls and 423 iterations
+    warm_calls = cold_calls = descents = 0
     for seed in range(300, 320):
         _, _, runs = _warm_and_cold_descents(monkeypatch, random_density(8, 8, seed), (2, 4), 0.2)
-        later = list(runs["warm"])[1:]  # the first descent starts at rho_B in both runs
-        if later:
-            warm_iters = sum(runs["warm"][name].iterations for name in later)
-            cold_iters = sum(runs["cold"][name].iterations for name in later)
-            assert warm_iters <= cold_iters
-            warm_total, cold_total = warm_total + warm_iters, cold_total + cold_iters
-    assert 0 < warm_total < cold_total
+        assert all(mi.iterations == 0 and calls == 1 for mi, calls in runs["warm"].values())
+        assert sum(calls for _, calls in runs["warm"].values()) <= sum(calls for _, calls in runs["cold"].values())
+        descents += len(runs["warm"])
+        warm_calls += sum(calls for _, calls in runs["warm"].values())
+        cold_calls += sum(calls for _, calls in runs["cold"].values())
+    assert (descents, warm_calls) == (60, 60)
+    assert cold_calls > 400
+
+
+def test_smoothed_descent_starts_as_before_where_g_is_not_positive_definite(monkeypatch):
+    # the truncated candidates of I/2 (x) rho_B drop one vector of a degenerate pair, so their B marginal has a
+    # kernel, G = mat(M k) is singular and the minimizer lies on the boundary: the descent runs from sigma0 with
+    # the iterate floor, bitwise as a descent with no quadratic start (cut at 20 iterations: at 500 they cap)
+    rho = DensityOperator(np.kron(np.eye(2) / 2, random_density(4, 4, 900).mat))
+    rho_b, candidates = info._smoothing_candidates(rho, (2, 4), 0.2)
+    singular = [
+        objective for name, _, _, objective in candidates
+        if name.startswith("truncated@") and info._quadratic_start(objective.gram(), rho_b) is None
+    ]
+    assert len(singular) == 3
+    monkeypatch.setattr(info, "minimize_density", functools.partial(minimize_density, max_iter=20))
+    for objective in singular:
+        out = info._mutual_info_2(objective, 4, rho_b)
+
+        def value_grad(sigma):  # the descent's objective, log2 Q_2 and its symmetrized gradient
+            q, m = objective(sigma)
+            grad = m / (q * math.log(2.0))
+            return math.log2(q), 0.5 * (grad + grad.conj().T)
+
+        sigma, value, iterations, residual = minimize_density(value_grad, 4, max_iter=20, sigma0=rho_b)
+        assert (out.value, out.iterations, out.gradient_residual) == (value, iterations, residual)
+        assert np.array_equal(out.optimal_sigma.mat, 0.5 * (sigma + sigma.conj().T))
 
 
 def _top_rung_first(candidates):
@@ -804,6 +888,49 @@ def test_smoothed_pruning_keeps_the_unpruned_result(monkeypatch, seed, eps):
     assert out.distance_used == dist
     assert np.array_equal(out.smoothing_state.mat, cand.mat)
     assert len(descended) < len(info._smoothing_candidates(rho, dims, eps)[1])
+
+
+@pytest.mark.parametrize("seed", [300, 308, 312])
+def test_smoothed_pruning_reads_the_first_optimums_cached_spectrum(monkeypatch, seed):
+    # every pruning bound is read at sigma* with the eigenpairs its descent cached, so no bound decomposes sigma*
+    # again; the result, and which candidates are descended, are bitwise those where each bound decomposes sigma*
+    rho, dims = random_density(8, 8, seed), (2, 4)
+    helper, candidates = info._mutual_info_2, info._smoothing_candidates
+    descents, bounds = [], []
+
+    def descending(*args):
+        descents.append(None)  # a call of an objective inside a descent is not a pruning bound
+        descents[-1] = helper(*args)
+        return descents[-1]
+
+    def listing(decompose):
+        def bounded(objective):
+            def call(sigma, spectrum=None):
+                if descents and descents[-1] is not None:
+                    bounds.append(spectrum)
+                    spectrum = None if decompose else spectrum
+                return objective(sigma, spectrum)
+
+            call.gram = objective.gram
+            return call
+
+        def listed(*args):
+            rho_b, out = candidates(*args)
+            return rho_b, [(name, spectrum, dist, bounded(objective)) for name, spectrum, dist, objective in out]
+
+        return listed
+
+    monkeypatch.setattr(info, "_mutual_info_2", descending)
+    runs = []
+    for decompose in (False, True):
+        descents.clear(), bounds.clear()
+        monkeypatch.setattr(info, "_smoothing_candidates", listing(decompose))
+        out = smoothed_mutual_info_2(rho, dims, 0.2)
+        first = descents[0].optimal_sigma
+        assert bounds and all(b[0] is first.eigenvalues and b[1] is first.eigenvectors for b in bounds)
+        runs.append((out.value, out.candidate, out.iterations, out.gradient_residual, out.smoothing_state.mat.tobytes(),
+                     [mi.optimal_sigma.mat.tobytes() for mi in descents]))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("eps", [0.005, 0.05, 0.2])
