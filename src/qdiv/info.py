@@ -9,32 +9,32 @@ stops on its Frank-Wolfe gap, which bounds its distance to the minimum.
 I_2 reads X = rho_A (x) sigma in the eigenbasis of its factors, on
 supp rho_A (x) B only (`_product_q2`): rho_A's eigenvalues and rho there come
 from one SVD of a factor of rho, the kernel of rho_A enters in closed form,
-and each objective call decomposes only sigma.  Q_2 there is a quadratic
-form in sigma^(-1/2), so each I_2 descent starts at that form's minimizer
-over states, found by a fixed point that never calls the objective
-(`_quadratic_start`), and stops there when its Frank-Wolfe gap already
-certifies it; where a marginal has a kernel it starts as a plain descent
-does.  The smoothed I_2 descends its top depolarized candidate, then every
-other candidate, unless its Frank-Wolfe lower bound at the first optimum
-shows it cannot win; rho and its depolarized candidates share one SVD, and
-the result reports the winning descent's convergence.  The channel
-quantity, the raw induced D_2 of the cq state, is maximized over input
-distributions with multi-start projected gradient ascent; the reported value
-is attained by a feasible point, hence a certified lower bound on the
-supremum.  Both induced thresholds solve `induced._q2_margin` and read their
-gradients from its decompositions.  The induced I_2 descent starts at the
-closed-form minimizer of the collision margin's small-eps model, a
-quadratic form in sigma (`_collision_start`), and its first threshold solve
-at that model's root, and its first trial is the model's Newton point,
-taken with the true gradient; where the model does not apply (rho with a
-kernel, a minimizer that is not positive definite, no model root), at I/d_A
-and log2(eps / (1 - eps)).  The start changes the descent's length, not its
-certificate.
+and each objective call decomposes only sigma.  Both I_2 starts minimize
+a quadratic form on one factor's operators, built by `_quadratic_form`.
+For I_2 it is Q_2 in sigma^(-1/2), on supp c_B where the marginal c_B has
+a kernel; each descent starts at its minimizer over states, found by a
+fixed point that never calls the objective (`_quadratic_start`), and
+stops there when its Frank-Wolfe gap already certifies it.  The smoothed
+I_2 descends its top depolarized candidate, then every other candidate,
+unless its Frank-Wolfe lower bound at the first optimum shows it cannot
+win; rho and its depolarized candidates share one SVD, and the result
+reports the winning descent's convergence.  The channel quantity, the raw
+induced D_2 of the cq state, is maximized over input distributions with
+multi-start projected gradient ascent; the reported value is attained by
+a feasible point, hence a certified lower bound on the supremum.  Both
+induced thresholds solve `induced._q2_margin` and read their gradients
+from its decompositions.  The induced I_2 descent starts at the minimizer
+of the collision margin's small-eps model, a quadratic form in sigma on
+the trace-one plane (`_collision_start`, `_trace_plane_minimizer`), its
+first threshold solve at that model's root, and its first trial is the
+model's Newton point, taken with the true gradient; where the model does
+not apply (rho with a kernel, a minimizer that is not positive definite,
+no model root), at I/d_A and log2(eps / (1 - eps)).  The start changes
+the descent's length, not its certificate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -126,6 +126,18 @@ def _marginal_support(
     return a[:k], g @ g.conj().T
 
 
+def _quadratic_form(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """M with vec(E)^dag M vec(F) = Tr[(I (x) E^dag) p (I (x) F) r] for p, r on C^n (x) C^d as (n, d, n, d) arrays.
+
+    vec is row-major, and mat(M vec(F)) = Tr_1[p (I (x) F) r], from one
+    matmul over the first factor.  Every caller's form is Hermitian, up to
+    rounding, and maps Hermitian F to Hermitian G.
+    """
+    n, d = p.shape[:2]
+    m = p.transpose(1, 3, 0, 2).reshape(d * d, n * n) @ r.transpose(2, 0, 3, 1).reshape(n * n, d * d)
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def _product_q2(
     support: tuple[np.ndarray, np.ndarray], da: int, db: int, shift: float = 0.0
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
@@ -151,12 +163,13 @@ def _product_q2(
     rotated; with shift 0 the kernel adds nothing.
 
     Q_2 is a quadratic form in K = sigma^(-1/2): with c' = (c_A^(-1/2) (x) I)
-    c (c_A^(-1/2) (x) I) it is Tr[(I (x) K) c' (I (x) K) c].  The callable's
-    ``gram()`` gives its Gram matrix M, with Q_2 = k^T M k for k the real
-    coefficients of K on `_hermitian_basis(d_B)`, from one contraction of c
-    with c' over A on the support; the kernel block adds (d_A - k) c0^2 /
-    a_ker times the identity, as Tr sigma^(-1) = ||k||^2.  M is built only
-    when asked for (`_quadratic_start`).
+    c (c_A^(-1/2) (x) I) it is Tr[(I (x) K) c' (I (x) K) c].  ``gram()``
+    gives (M, None), M the `_quadratic_form` of (c', c) plus (d_A - k) c0^2 /
+    a_ker I from the kernel block (Tr sigma^(-1) = ||vec(K)||^2), built only
+    when asked for (`_quadratic_start`).  Where c_B has a kernel (shift 0),
+    pinching onto supp c_B leaves c unchanged, so it cannot raise D_2 (Frank
+    & Lieb 2013): there ``gram()`` gives (T^dag M T, V), T = V (x) conj(V)
+    for c_B's support eigenvectors V, from c and c' rotated by I (x) V.
     """
     a, rho_u = support
     k = a.size
@@ -180,19 +193,20 @@ def _product_q2(
             m -= np.diag(kernel * a_ker * inv * inv)
         return q, w @ m @ w.conj().T
 
-    def gram() -> np.ndarray:
-        # Q_2 = Tr[(I (x) K) c' (I (x) K) c], c' = (c_A^(-1/2) (x) I) c (c_A^(-1/2) (x) I): contract over A, then
-        # read the form of K[b0, b] K[b', b1] on the basis
-        scale = np.repeat(a_on**-0.5, db)
-        c = cand_u.reshape(dim, dim)
-        scaled = (scale[:, None] * c * scale).reshape(k, db, k, db)
-        t = np.tensordot(scaled, cand_u.reshape(k, db, k, db), axes=([0, 2], [2, 0]))  # [b, b', b1, b0]
-        basis = _hermitian_basis(db)
-        form = basis @ t.transpose(3, 0, 1, 2).reshape(db * db, db * db) @ basis.T
-        m = 0.5 * (form + form.T).real
-        if kernel > 0.0:  # Tr sigma^(-1) = ||k||^2
-            m.reshape(-1)[:: db * db + 1] += kernel / a_ker
-        return m
+    def gram() -> tuple[np.ndarray, np.ndarray | None]:
+        c, v, n = cand_u.reshape(dim, dim), None, db
+        if shift == 0.0:  # a depolarized c_B is at least shift/d_B I
+            b_vals, b_vecs = _eigh(cand_u.reshape(k, db, k, db).trace(axis1=0, axis2=2))
+            j = _ascending_support(b_vals)[1]
+            if j:  # c_B has a kernel: rotate c onto supp c_B
+                v, n = b_vecs[:, j:], db - j
+                u = _kron(np.eye(k), v)
+                c = u.conj().T @ c @ u
+        scale = np.repeat(a_on**-0.5, n)
+        m = _quadratic_form((scale[:, None] * c * scale).reshape(k, n, k, n), c.reshape(k, n, k, n))
+        if kernel > 0.0:  # Tr sigma^(-1) = ||vec(K)||^2
+            m.reshape(-1)[:: n * n + 1] += kernel / a_ker
+        return 0.5 * (m + m.conj().T), v
 
     q2_and_contracted_gradient.gram = gram
     return q2_and_contracted_gradient
@@ -431,30 +445,26 @@ _FIXED_POINT_TOL = 1e-9  # the estimated distance to the fixed point at which it
 
 
 def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
-    """The minimizer of Q_2 = k^T M k over states, by a fixed point from ``sigma``; None where it does not apply.
+    """The minimizer of Q_2 = vec(K)^dag M vec(K) over states, by a fixed point from ``sigma``, or None.
 
-    k holds the coefficients of K = sigma^(-1/2) on `_hermitian_basis` and M
-    is the ``gram`` matrix of a `_product_q2` objective.  Minimizing k^T M k
-    under Tr K^(-2) = 1 gives the KKT condition G = Q_2 sigma^(3/2), G =
-    mat(M k), so a minimizer is a fixed point of sigma <- G^(2/3) / Tr
-    G^(2/3).  One `_eigh` of G per step gives that state and the next K,
-    G^(-1/3) up to a scale, which the map ignores; the objective is never
-    called.  The steps stop when the estimated distance to the fixed point,
-    m^2 / (m' - m) for the last two moves m' and m (the largest entry of the
-    change of sigma), is at most 1e-9, or after 16 steps.  None when
-    ``sigma`` or a G is not positive definite (the candidate's marginal has a
-    kernel, and the minimizer lies on its boundary).
+    K = sigma^(-1/2) and M is a `_product_q2` objective's ``gram`` matrix.
+    Minimizing the form under Tr K^(-2) = 1 gives the KKT condition G = Q_2
+    sigma^(3/2), G = mat(M vec(K)), so a minimizer is a fixed point of sigma
+    <- G^(2/3) / Tr G^(2/3).  One `_eigh` of G per step gives that state and
+    the next K, G^(-1/3) up to a scale, which the map ignores; the objective
+    is never called.  The steps stop when the estimated distance to the
+    fixed point, m^2 / (m' - m) for the last two moves m' and m (the largest
+    entry of the change of sigma), is at most 1e-9, or after 16 steps.  None
+    when ``sigma`` or a G is not positive definite.
     """
     db = len(sigma)
-    basis = _hermitian_basis(db)
-    sup = basis.T @ gram @ basis.conj()  # vec(mat(M k)) = sup @ vec(K): K -> G as one matrix
     evals, vecs = _eigh(sigma)
     if _ascending_support(evals)[1]:
         return None
     k_vec = ((vecs * evals**-0.5) @ vecs.conj().T).reshape(-1)
     last = 0.0  # the last move: no estimate before the second step
     for _ in range(_FIXED_POINT_STEPS):
-        g_vals, g_vecs = _eigh((sup @ k_vec).reshape(db, db))
+        g_vals, g_vecs = _eigh((gram @ k_vec).reshape(db, db))
         if _ascending_support(g_vals)[1]:
             return None
         power = g_vals ** (2.0 / 3.0)
@@ -471,10 +481,11 @@ def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
 def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.ndarray) -> MutualInfoResult:
     """I_2 by mirror descent on a `_product_q2` objective, from the minimizer of its quadratic form.
 
-    The descent starts at `_quadratic_start` from ``sigma0``, evaluated as
-    given, and stops there after one objective call when the Frank-Wolfe
-    gap is already at most 1e-7; where the fixed point does not apply it
-    starts at ``sigma0``, as a plain descent does.
+    The descent starts at `_quadratic_start` from ``sigma0`` (at V tau V^dag,
+    tau from V^dag sigma0 V renormalized, where ``gram()`` is on supp c_B),
+    evaluated as given, and stops there after one objective call when the
+    Frank-Wolfe gap is already at most 1e-7; where the fixed point does not
+    apply it starts at ``sigma0``, as a plain descent does.
     """
     spectra = []  # (sigma, its eigendecomposition) of each call
 
@@ -484,10 +495,17 @@ def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.nda
         grad = m / (q * _LN2)
         return math.log2(q), 0.5 * (grad + grad.conj().T)
 
-    start = _quadratic_start(q2_and_contracted_gradient.gram(), sigma0)
+    gram, v = q2_and_contracted_gradient.gram()
+    if v is None:
+        start = _quadratic_start(gram, sigma0)
+    else:
+        sub = v.conj().T @ sigma0 @ v
+        start = _quadratic_start(gram, sub / sub.trace().real)
+        start = None if start is None else v @ start @ v.conj().T
     exact = start is not None
     sigma, value, iters, res = minimize_density(value_grad, db, sigma0=start if exact else sigma0, exact_start=exact)
-    optimal = _vouched(sigma, *next(spectrum for s, spectrum in reversed(spectra) if s is sigma))
+    evals, vecs = next(spectrum for s, spectrum in reversed(spectra) if s is sigma)
+    optimal = _vouched(sigma, np.maximum(evals, 0.0), vecs)  # a start on supp c_B has rounding on its kernel
     return MutualInfoResult(value, optimal, iters, res, res <= _DESCENT_TOL)
 
 
@@ -501,32 +519,23 @@ class InducedMutualInfo(NamedTuple):
     certified_lower: float  # value minus the gap: a lower bound on the minimum (lambda* is convex)
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Rows vec(E_i) of an orthonormal basis of the d x d Hermitian matrices, the d diagonal units first.
-
-    Then (e_ab + e_ba)/sqrt 2 and i (e_ab - e_ba)/sqrt 2 for a < b: real
-    coefficients c give the Hermitian c @ basis, of trace c[:d].sum().
-    """
-    basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    for a in range(d):
-        basis[a, a, a] = 1.0
-    for i, (a, b) in enumerate((a, b) for a in range(d) for b in range(a + 1, d)):
-        basis[d + 2 * i, a, b] = basis[d + 2 * i, b, a] = math.sqrt(0.5)
-        basis[d + 2 * i + 1, a, b], basis[d + 2 * i + 1, b, a] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
-    basis = basis.reshape(d * d, d * d)
-    basis.setflags(write=False)
-    return basis
-
-
 class _CollisionModel(NamedTuple):
-    """A frozen collision model's minimizer over trace-one Hermitian sigma, its value q = c^T M c there, and the
-    eigenvalues and eigenvectors of M, the model's Gram matrix on `_hermitian_basis`."""
+    """A frozen collision model's minimizer over trace-one Hermitian sigma, its value q = vec(sigma)^dag M
+    vec(sigma) there, and M^-1, M the model's `_quadratic_form` on sigma's factor."""
 
     sigma: np.ndarray
     q: float
-    m_vals: np.ndarray
-    m_vecs: np.ndarray
+    m_inv: np.ndarray
+
+
+def _trace_plane_minimizer(m_inv: np.ndarray, g: np.ndarray, total: float) -> np.ndarray:
+    """The Hermitian x of trace ``total`` minimizing vec(x)^dag M vec(x) + Tr[g x], from M^-1 of a positive definite
+    `_quadratic_form`: the KKT system 2 M vec(x) + vec(g) = mu w, w = vec(I), gives x = (total + w^dag z / 2) y /
+    (w^dag y) - z / 2 with y = M^-1 w and z = M^-1 vec(g), Hermitian up to rounding."""
+    d = len(g)
+    y = m_inv[:, :: d + 1].sum(axis=1)  # w marks every (d + 1)-th entry
+    z = m_inv @ g.reshape(-1)
+    return (y * ((total + 0.5 * z[:: d + 1].sum().real) / y[:: d + 1].sum().real) - 0.5 * z).reshape(d, d)
 
 
 def _collision_model_step(
@@ -534,57 +543,41 @@ def _collision_model_step(
 ) -> _CollisionModel | None:
     """The minimum over trace-one Hermitian sigma' of Q_2(sigma' (x) rho_B || X), X = rho + t_hat sigma (x) rho_B.
 
-    With X frozen, the model ||X^(-1/4) (sigma' (x) rho_B) X^(-1/4)||_F^2 is
-    a quadratic form c^T M c in sigma''s real coefficients c on
-    `_hermitian_basis`: M is the Gram matrix of the basis' images, read in
-    X's eigenbasis from one `_eigh` of X.  The trace constraint w^T c = 1
-    (w marks the diagonal units) gives the KKT point c = M^-1 w / (w^T
-    M^-1 w) and the value q = 1 / (w^T M^-1 w), from one `_eigh` of M,
-    which the result keeps (`_collision_newton_step`).  None when X has a
-    kernel (the model is not finite) or sigma' is not positive definite.
+    With X frozen, the model is the `_quadratic_form` of p = r = (I (x)
+    rho_B) X^(-1/2) on A, from one `_eigh` of X, and its minimizer is
+    `_trace_plane_minimizer` with g = 0 and total 1, with the value q = 1 /
+    (w^dag M^-1 w), w = vec(I).  M^-1 comes from one `_eigh` of M and is kept
+    (`_collision_newton_step`).  None when X has a kernel (the model is not
+    finite), or M or sigma' is not positive definite.
     """
     evals, vecs = _eigh(r_mat + t_hat * _kron(sigma, rho_b))
     if _ascending_support(evals)[1]:
         return None
-    w = vecs.reshape(da, db, -1) * evals**-0.25  # X's eigenvectors scaled by x^(-1/4): X^(-1/2) = W W^dag
-    # the image of the matrix unit e_ac, W^dag (e_ac (x) rho_B) W, as row (a, c)
-    units = np.einsum("abm,bd,cdn->acmn", w.conj(), rho_b, w).reshape(da * da, -1)
-    images = _hermitian_basis(da) @ units
-    gram = (images @ images.conj().T).real
-    g_vals, g_vecs = _eigh(gram)
-    if not g_vals[0] > 0.0:
+    p = rho_b @ ((vecs * evals**-0.5) @ vecs.conj().T).reshape(da, db, -1)  # (I (x) rho_B) X^(-1/2)
+    p = p.reshape(da, db, da, db).transpose(1, 0, 3, 2)  # B first: A is the form's factor
+    m = _quadratic_form(p, p)
+    m_vals, m_vecs = _eigh(m)
+    if not m_vals[0] > 0.0:
         return None
-    y = g_vecs @ (g_vecs[:da].sum(axis=0) / g_vals)  # M^-1 w
-    mass = float(y[:da].sum())  # w^T M^-1 w
-    sigma_new = ((y / mass) @ _hermitian_basis(da)).reshape(da, da)
+    m_inv = (m_vecs / m_vals) @ m_vecs.conj().T
+    sigma_new = _trace_plane_minimizer(m_inv, np.zeros((da, da)), 1.0)
     if not _eigvalsh(sigma_new)[0] > 0.0:
         return None
-    return _CollisionModel(sigma_new, 1.0 / mass, g_vals, g_vecs)
+    return _CollisionModel(sigma_new, 1.0 / float(m_inv[:: da + 1, :: da + 1].sum().real), m_inv)
 
 
 def _collision_newton_step(model: _CollisionModel, grad: np.ndarray, eps: float) -> np.ndarray:
     """Delta: the Newton step on the trace-zero plane of lambda_m = log2(2 eps / (1 + s)), s = sqrt(1 - 4 eps q),
     at the model's minimizer, with the gradient ``grad`` (Tr[G dsigma]) in place of the model's.
 
-    q = c^T M c, so lambda_m's Hessian is lambda_m''(q) (2 M c)(2 M c)^T + 2
-    lambda_m'(q) M, with lambda_m' = 2 eps / (ln 2 s (1 + s)).  At the
-    minimizer M c is a multiple of w, so the first term vanishes on the
-    plane w^T Delta = 0, and the step solves the KKT system of the
-    quadratic g^T Delta + lambda_m' Delta^T M Delta there: with g_i =
-    Tr[G E_i], Delta = -(M^-1 g - M^-1 w (w^T M^-1 g) / (w^T M^-1 w)) / (2
-    lambda_m').  M^-1 is read from the model's eigenvectors, so no matrix
-    is decomposed.
+    q = vec(sigma)^dag M vec(sigma), and at the minimizer M vec(sigma) is a
+    multiple of vec(I), so on the trace-zero plane lambda_m's Hessian is 2
+    lambda_m'(q) M, lambda_m' = 2 eps / (ln 2 s (1 + s)): the step is
+    `_trace_plane_minimizer` with g = G / lambda_m' and total 0.
     """
-    da = len(grad)
-    basis = _hermitian_basis(da)
-    g = (basis.conj() @ grad.reshape(-1)).real  # Tr[G E_i]: the basis is Hermitian
-    vecs, vals = model.m_vecs, model.m_vals
-    y = vecs @ (vecs[:da].sum(axis=0) / vals)  # M^-1 w, as in `_collision_model_step`
-    z = vecs @ ((g @ vecs) / vals)  # M^-1 g
     s = math.sqrt(1.0 - 4.0 * eps * model.q)
     slope = 2.0 * eps / (_LN2 * s * (1.0 + s))  # lambda_m'(q)
-    delta = -(z - y * (z[:da].sum() / y[:da].sum())) / (2.0 * slope)
-    return (delta @ basis).reshape(da, da)
+    return _trace_plane_minimizer(model.m_inv, grad / slope, 0.0)
 
 
 _START_STEPS = 2  # frozen-model steps from I/d_A
@@ -806,8 +799,8 @@ def smoothed_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> SmoothedRe
     order.  Each descent starts at the minimizer of its candidate's
     quadratic form in sigma^(-1/2) (`_quadratic_start`), whose fixed point
     runs from rho_B for the first and from the first one's optimum sigma*
-    for the others; where a candidate's marginal has a kernel, the descent
-    starts at rho_B or sigma* itself.  Each objective is convex in sigma
+    for the others, on supp c_B where a candidate's marginal c_B has a
+    kernel (`_product_q2`).  Each objective is convex in sigma
     (Frank & Lieb 2013), so the start changes the length of a descent, not
     the minimum it certifies.  By the same convexity, the Frank-Wolfe bound
     Q - (Tr[G sigma*] - lambda_min(G)) at sigma* is below a candidate's

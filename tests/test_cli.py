@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdiv import DensityOperator, cli, info
+from qdiv import DensityOperator, cli, info, suites
 from qdiv.states import basis_state, classical_channel, maximally_mixed, random_density, save_channel, save_state
 
 
@@ -221,6 +222,22 @@ def test_verify_baseline_that_is_not_a_report_is_refused_before_the_run(tmp_path
         assert run(["verify", "--suite", "cheng", "--instances", "1", "--baseline", str(bad)]) == 1
     assert run(["verify", "--suite", "cheng", "--instances", "1", "--baseline", str(tmp_path / "missing.json")]) == 1
     assert "is not a qdiv verify JSON report" in capsys.readouterr().err
+
+
+VERIFY_BASELINE = Path(__file__).parent / "baselines" / "verify-all-5-seed7.json"
+
+
+def test_verify_report_matches_the_committed_baseline():
+    # the committed report of `qdiv verify --suite all --instances 5 --seed 7 --format json --out <this file>`: a
+    # change that moves a row rewrites the file with that command, and its diff declares the move.  numpy < 2 ships an
+    # older LAPACK that may round differently, so there only the pass flags and the set of rows are compared
+    baseline = cli._baseline_rows(str(VERIFY_BASELINE))
+    rows = suites.run_suite("all", 5, 7)
+    assert len(rows) == len(baseline) == 416
+    moved = cli._moved_rows(baseline, rows)
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        moved = [line for line in moved if "passed" in line or line.endswith("baseline")]
+    assert moved == []
 
 
 def test_comm_noiseless(files, capsys):

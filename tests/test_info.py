@@ -315,32 +315,43 @@ def _kernel_source(db, seed):
     return DensityOperator(mat.reshape(3 * db, 3 * db)), (3, db)
 
 
+def _degenerate_product(da, db, seed):
+    """I/d_A (x) rho_B: its truncated candidates drop degenerate pairs, so their B marginal can have a kernel."""
+    return DensityOperator(np.kron(np.eye(da) / da, random_density(db, db, seed).mat)), (da, db)
+
+
 def _gram_cases():
-    for db in (2, 3, 4):
-        yield pytest.param(random_density(2 * db, 2 * db, db), (2, db), id=f"full,db={db}")
-        yield pytest.param(*_kernel_source(db, db + 10), id=f"kernel,db={db}")
-    yield pytest.param(*_eqsr_smoothing_input(0), id="eqsr_marginal,db=2")
+    for db in (2, 3, 4):  # at db = 3 the candidate truncated at 0.5 keeps one eigenvector: its c_B has rank 2
+        yield pytest.param(random_density(2 * db, 2 * db, db), (2, db), int(db == 3), id=f"full,db={db}")
+        yield pytest.param(*_kernel_source(db, db + 10), 0, id=f"kernel,db={db}")
+    yield pytest.param(*_eqsr_smoothing_input(0), 0, id="eqsr_marginal,db=2")
+    yield pytest.param(*_degenerate_product(2, 4, 900), 5, id="truncated_on_supp_c_B,db=4")
 
 
-@pytest.mark.parametrize("rho, dims", _gram_cases())
-def test_gram_matrix_gives_q2_as_a_quadratic_form_in_sigma_to_the_minus_half(rho, dims):
-    # Q_2(c || c_A (x) sigma) = k^T M k, k the coefficients of K = sigma^(-1/2) on the Hermitian basis, for every
-    # kind of candidate; with k < d_A the depolarized candidates' kernel block adds a multiple of the identity to M
+@pytest.mark.parametrize("rho, dims, restricted", _gram_cases())
+def test_gram_matrix_gives_q2_as_a_quadratic_form_in_sigma_to_the_minus_half(rho, dims, restricted):
+    # Q_2(c || c_A (x) sigma) = vec(K)^dag M vec(K), K = sigma^(-1/2), for every kind of candidate; with k < d_A the
+    # depolarized candidates' kernel block adds a multiple of the identity to M.  Where a truncated candidate's
+    # marginal c_B has a kernel, M is the form on supp c_B = range(V), and K there is (V^dag sigma V)^(-1/2)
     da, db = dims
-    basis = info._hermitian_basis(db).reshape(-1, db, db)
     candidates = info._smoothing_candidates(rho, dims, 0.5)[1]
     assert {name.split("@")[0] for name, *_ in candidates} == {"rho", "depolarized", "truncated"}
     assert (info._marginal_support(rho.eigenvalues, rho.eigenvectors, da, db)[0].size < da) == (da != 2)
-    for _, _, _, objective in candidates:
-        m = objective.gram()
-        assert np.array_equal(m, m.T)
+    supports = []
+    for name, _, _, objective in candidates:
+        m, v = objective.gram()
+        assert np.array_equal(m, m.conj().T)
+        if v is not None:
+            assert name.startswith("truncated@") and np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-14)
+            supports.append(v.shape[1])
+        n = db if v is None else v.shape[1]
         for seed in (5, 6, 7):
-            sigma = random_density(db, db, seed).mat
-            evals, vecs = np.linalg.eigh(sigma)
-            k_mat = (vecs * evals**-0.5) @ vecs.conj().T
-            k = np.array([np.trace(e @ k_mat).real for e in basis])
-            q = objective(sigma)[0]
-            assert abs(k @ m @ k - q) <= 1e-12 * q
+            sub = random_density(n, n, seed).mat
+            evals, vecs = np.linalg.eigh(sub)
+            k = ((vecs * evals**-0.5) @ vecs.conj().T).reshape(-1)
+            q = objective(sub if v is None else v @ sub @ v.conj().T)[0]
+            assert abs(np.vdot(k, m @ k).real - q) <= 1e-12 * q
+    assert len(supports) == restricted and all(0 < n < db for n in supports)
 
 
 def test_mutual_info_objective_decomposes_only_sigma(monkeypatch, count_kernel_calls):
@@ -663,6 +674,18 @@ def test_a_certified_start_costs_one_call_and_no_iteration():
     assert calls[0] is start and iterations >= 1 and residual <= 1e-7
 
 
+def _hermitian_basis(d):
+    """An orthonormal basis of the d x d Hermitian matrices, the d diagonal units first: real coefficients c give
+    the Hermitian sum_i c_i E_i, of trace c[:d].sum()."""
+    basis = [np.diag(np.eye(d)[a]).astype(np.complex128) for a in range(d)]
+    for a in range(d):
+        for b in range(a + 1, d):
+            unit = np.zeros((d, d), dtype=np.complex128)
+            unit[a, b] = 1.0
+            basis += [(unit + unit.T) / math.sqrt(2.0), 1j * (unit - unit.T) / math.sqrt(2.0)]
+    return np.array(basis)
+
+
 @pytest.mark.parametrize(
     "n, dims, seed", [(4, (2, 2), 3), (8, (2, 4), 4), (9, (3, 3), 3), (8, (4, 2), 2)], ids=["2x2", "2x4", "3x3", "4x2"]
 )
@@ -678,7 +701,7 @@ def test_collision_newton_step_solves_the_model_kkt_system(n, dims, seed):
     model = info._collision_model_step(rho.mat, rho_b, sigma, t_hat, da, db)
     evals, vecs = np.linalg.eigh(rho.mat + t_hat * np.kron(sigma, rho_b))
     k = (vecs * evals**-0.5) @ vecs.conj().T
-    basis = info._hermitian_basis(da).reshape(-1, da, da)
+    basis = _hermitian_basis(da)
     images = [k @ np.kron(e, rho_b) for e in basis]
     m = np.array([[np.trace(a @ b).real for b in images] for a in images])
     c0 = np.array([np.trace(model.sigma @ e).real for e in basis])
@@ -815,29 +838,35 @@ def test_smoothed_warm_starts_shorten_the_descents(monkeypatch):
     assert cold_calls > 400
 
 
-def test_smoothed_descent_starts_as_before_where_g_is_not_positive_definite(monkeypatch):
-    # the truncated candidates of I/2 (x) rho_B drop one vector of a degenerate pair, so their B marginal has a
-    # kernel, G = mat(M k) is singular and the minimizer lies on the boundary: the descent runs from sigma0 with
-    # the iterate floor, bitwise as a descent with no quadratic start (cut at 20 iterations: at 500 they cap)
-    rho = DensityOperator(np.kron(np.eye(2) / 2, random_density(4, 4, 900).mat))
-    rho_b, candidates = info._smoothing_candidates(rho, (2, 4), 0.2)
-    singular = [
-        objective for name, _, _, objective in candidates
-        if name.startswith("truncated@") and info._quadratic_start(objective.gram(), rho_b) is None
-    ]
-    assert len(singular) == 3
-    monkeypatch.setattr(info, "minimize_density", functools.partial(minimize_density, max_iter=20))
-    for objective in singular:
+def test_smoothed_descent_certifies_its_start_on_the_support_of_a_marginal_with_a_kernel(monkeypatch):
+    # the truncated candidates of I/2 (x) rho_B drop degenerate pairs, so their B marginal c_B has a kernel and the
+    # form in sigma^(-1/2) is singular on all of B: the fixed point runs on supp c_B, and each descent stops at its
+    # start, of c_B's rank, after one call (from rho_B with the iterate floor, these descents cap at 500)
+    rho, dims = _degenerate_product(2, 4, 900)
+    rho_b, candidates = info._smoothing_candidates(rho, dims, 0.2)
+    restricted = [(name, objective) for name, _, _, objective in candidates if objective.gram()[1] is not None]
+    assert [name.split("@")[0] for name, _ in restricted] == ["truncated"] * 3
+    calls = [0]
+    descend = info.minimize_density
+
+    def counting(value_and_grad, *args, **kwargs):
+        def counted(sigma):
+            calls[0] += 1
+            return value_and_grad(sigma)
+
+        return descend(counted, *args, **kwargs)
+
+    monkeypatch.setattr(info, "minimize_density", counting)
+    for _, objective in restricted:
+        calls[0] = 0
         out = info._mutual_info_2(objective, 4, rho_b)
-
-        def value_grad(sigma):  # the descent's objective, log2 Q_2 and its symmetrized gradient
-            q, m = objective(sigma)
-            grad = m / (q * math.log(2.0))
-            return math.log2(q), 0.5 * (grad + grad.conj().T)
-
-        sigma, value, iterations, residual = minimize_density(value_grad, 4, max_iter=20, sigma0=rho_b)
-        assert (out.value, out.iterations, out.gradient_residual) == (value, iterations, residual)
-        assert np.array_equal(out.optimal_sigma.mat, 0.5 * (sigma + sigma.conj().T))
+        assert out.converged and out.iterations == 0 and calls[0] == 1
+        rank = objective.gram()[1].shape[1]
+        assert np.sum(out.optimal_sigma.eigenvalues > 1e-12) == rank < 4
+        with monkeypatch.context() as m:  # the plain descent from rho_B, cut at 20 iterations, lies above it
+            m.setattr(info, "_quadratic_start", lambda *args: None)
+            m.setattr(info, "minimize_density", functools.partial(minimize_density, max_iter=20))
+            assert out.value < info._mutual_info_2(objective, 4, rho_b).value
 
 
 def _top_rung_first(candidates):
