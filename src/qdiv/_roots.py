@@ -1,12 +1,13 @@
 """The one root-finder contract for continuous thresholds.
 
 Every continuous threshold in the package (the induced-divergence
-threshold, the induced-D_2 channel objective, the information-spectrum
-divergence, and the Neyman-Pearson multiplier of the hypothesis-testing
-divergence where it lies between two jumps of the pass probability) is the
-largest x with f(x) >= 0 for a nonincreasing f, and is found by
-``bisect_decreasing``: one evaluation at a start point, a walk by
-doubling steps to bracket the sign change, then a safeguarded
+threshold, the channel value, whose f maximizes the channel's collision
+margin over input distributions at each point (`info.channel_mutual_info`),
+the information-spectrum divergence, and the Neyman-Pearson multiplier of
+the hypothesis-testing divergence where it lies between two jumps of the
+pass probability) is the largest x with f(x) >= 0 for a nonincreasing f,
+and is found by ``bisect_decreasing``: one evaluation at a start point, a
+walk by doubling steps to bracket the sign change, then a safeguarded
 inverse-quadratic search inside that bracket (Chandrupatla, Adv. Eng.
 Softw. 28, 145, 1997) to an absolute width of 1e-11 on the unknown and a
 residual of at most 1e-10, with a hard cap of 200 steps.  No point is

@@ -294,6 +294,12 @@ def _cmd_comm(args) -> int:
         raise ValidationError("--m does not apply without --brute-force")
     chan = load_channel(args.channel)
     bound = distill_lower_bound(chan, args.eps, seed=args.seed)
+    if not bound.converged:
+        print(
+            "warning: the input ascent at the channel value stopped without converging (Frank-Wolfe gap "
+            "above 1e-7); induced_value is still attained by best_p, a lower bound that may be loose",
+            file=sys.stderr,
+        )
     results = {
         "eps": args.eps,
         "best_p": list(bound.best_p),

@@ -19,11 +19,11 @@ I_2 descends its top depolarized candidate, then every other candidate,
 unless its Frank-Wolfe lower bound at the first optimum shows it cannot
 win; rho and its depolarized candidates share one SVD, and the result
 reports the winning descent's convergence.  The channel quantity, the raw
-induced D_2 of the cq state, is maximized over input distributions with
-multi-start projected gradient ascent; the reported value is attained by
-a feasible point, hence a certified lower bound on the supremum.  Both
-induced thresholds solve `induced._q2_margin` and read their gradients
-from its decompositions.  The induced I_2 descent starts at the minimizer
+induced D_2 of the cq state maximized over inputs, is one root search in
+lambda over the maximum of an explicit margin; its value is attained by a
+feasible input, hence a certified lower bound on the supremum.  Both
+induced margins are `induced._q2_margin`, with gradients read from its
+decompositions.  The induced I_2 descent starts at the minimizer
 of the collision margin's small-eps model, a quadratic form in sigma on
 the trace-one plane (`_collision_start`, `_trace_plane_minimizer`), its
 first threshold solve at that model's root, and its first trial is the
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _roots
 from .divergences import canon_alpha, d_umegaki
-from .induced import InducedResult, _decompose, _q2_decomposed, _q2_margin, _threshold
+from .induced import LAMBDA_CEILING, LAMBDA_FLOOR, InducedResult, _decompose, _q2_decomposed, _q2_margin, _threshold
 from .linalg import (
     DensityOperator,
     PositiveOperator,
@@ -362,34 +362,35 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def maximize_simplex(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    starts: Sequence[np.ndarray],
-) -> tuple[float, np.ndarray]:
-    """Multi-start projected gradient ascent over the simplex, 200 steps per start."""
-    best_val = -math.inf
-    best_p = None
-    for p0 in starts:
-        p = project_simplex(np.asarray(p0, dtype=np.float64))
-        val, grad = value_and_grad(p)
-        for _ in range(200):
-            moved = False
-            eta = 1.0
-            for _ in range(40):
-                cand = project_simplex(p + eta * grad)
-                if float(np.max(np.abs(cand - p))) < 1e-15:
-                    break
-                val_c, grad_c = value_and_grad(cand)
-                if val_c > val + 1e-12:
-                    p, val, grad = cand, val_c, grad_c
-                    moved = True
-                    break
-                eta *= 0.5
-            if not moved:
+_ASCENT_TOL = 1e-13  # the Frank-Wolfe gap at which maximize_simplex stops
+
+
+def maximize_simplex(value_and_grad: Callable, p: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Projected gradient ascent over the simplex from ``p``: (value, p, Frank-Wolfe gap) at its last point.
+
+    A trial `project_simplex`(p + eta a), a = grad - <grad, p>, is accepted
+    when the value rises by more than 1e-4 <a, step> (Armijo), else eta
+    halves.  eta starts at 1, then is the Barzilai-Borwein <s, s> / -<s, y>
+    where <s, y> < 0, else twice the last.  It stops once the gap max a,
+    which bounds a concave objective's distance to its maximum (Jaggi 2013),
+    is at most 1e-13, or when 40 halvings all fail (a stall at rounding).
+    """
+    value, grad = value_and_grad(p)
+    eta = 1.0
+    while (gap := float((ascent := grad - grad @ p).max())) > _ASCENT_TOL:  # a keeps p + eta a near the simplex
+        for _ in range(40):
+            cand = project_simplex(p + eta * ascent)
+            rise = float(ascent @ (cand - p))
+            if rise > 0.0 and (trial := value_and_grad(cand))[0] - value > 1e-4 * rise:
                 break
-        if val > best_val:
-            best_val, best_p = val, p
-    return best_val, best_p
+            eta *= 0.5
+        else:
+            break
+        s, y = cand - p, trial[1] - grad
+        sy = float(s @ y)
+        eta = float(s @ s) / -sy if sy < 0.0 else 2.0 * eta
+        p, (value, grad) = cand, trial
+    return value, p, gap
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +455,14 @@ def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     the next K, G^(-1/3) up to a scale, which the map ignores; the objective
     is never called.  The steps stop when the estimated distance to the
     fixed point, m^2 / (m' - m) for the last two moves m' and m (the largest
-    entry of the change of sigma), is at most 1e-9, or after 16 steps.  None
-    when ``sigma`` or a G is not positive definite.
+    entry of the change of sigma), is at most 1e-9, or after 16 steps.  A
+    singular ``sigma`` is mixed half and half with I/d first.  None when a G
+    is not positive definite.
     """
     db = len(sigma)
     evals, vecs = _eigh(sigma)
-    if _ascending_support(evals)[1]:
-        return None
+    if _ascending_support(evals)[1]:  # a singular start: from (sigma + I/d) / 2, on sigma's eigenvectors
+        sigma, evals = 0.5 * (sigma + np.eye(db) / db), 0.5 * (evals + 1.0 / db)
     k_vec = ((vecs * evals**-0.5) @ vecs.conj().T).reshape(-1)
     last = 0.0  # the last move: no estimate before the second step
     for _ in range(_FIXED_POINT_STEPS):
@@ -870,71 +872,69 @@ class ChannelMutualInfo(NamedTuple):
     value: float
     best_p: np.ndarray
     epsilon: float
+    converged: bool  # the ascent's Frank-Wolfe gap at best_p and value is at most 1e-7
 
 
-def _induced_channel_value_grad(chan: Channel, eps: float) -> Callable:
-    """Objective p -> raw induced D_2 of the cq state, with implicit gradient.
+def _channel_margin(chan: Channel, eps: float) -> Callable[[np.ndarray, float], tuple[float, np.ndarray]]:
+    """(p, lam) -> (g(p, 2^lam) - (1 - eps), grad_p g), g(p, t) = sum_x p_x Q_2(sigma_x || sigma_x + t sigma_bar).
 
-    The direct-sum identity reduces the defining condition to blocks of size
-    |B|: g(p, t) = sum_x p_x Q_2(sigma_x || sigma_x + t sigma_bar) = 1 - eps.
-    Q_2 is jointly homogeneous, so that is the collision margin
-    (`_q2_margin`) over the blocks (p_x sigma_x, p_x sigma_bar) of the inputs
-    with p_x > 0, and d lambda / dp = -(dg/dp) / (dg/dlambda) is read from
-    the decompositions the margin made at lambda*.  An input with p_x = 0
-    adds Q_2(sigma_x || sigma_x + t sigma_bar) to dg/dp_x, from one more
-    decomposition.  Classical channels keep their outputs as diagonal
-    vectors, which the margin reads from their shape.
+    g - (1 - eps) is the collision margin (`_q2_margin`) over the blocks (p_x
+    sigma_x, p_x sigma_bar), p_x > 0, and dg/dp_z = Q_2(sigma_z || X_z) + t
+    Tr[sum_x p_x G_x sigma_z], G_x the gradient of Q_2(sigma_x || .) at X_x =
+    sigma_x + t sigma_bar, is read from its decompositions (one more where
+    p_z = 0).  Classical outputs are kept as diagonal vectors.
     """
-    classical = chan.is_classical()
-    outs = [np.diag(o.mat).real.copy() if classical else o.mat for o in chan.outputs]
-    k = chan.input_size
+    outs = [np.diag(o.mat).real.copy() for o in chan.outputs] if chan.is_classical() else [o.mat for o in chan.outputs]
 
-    def pair(g: np.ndarray, h: np.ndarray) -> float:  # Tr[G H] for Hermitian H
-        return float(np.vdot(h, g).real)
-
-    def value_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
-        sbar = sum(p[x] * outs[x] for x in range(k))
-        live = [x for x in range(k) if p[x] > 0.0]
+    def value_grad(p: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+        t = 2.0**lam
+        sbar = sum(px * o for px, o in zip(p, outs))
+        live = [x for x, px in enumerate(p) if px > 0.0]
         blocks = [(p[x] * outs[x], p[x] * sbar) for x in live]
         margin, evaluated = _q2_margin(blocks, eps)
-        # sigma_x + t sbar >= (1 + t p_x) sigma_x, so g < k / t - (1 - eps) < 0
-        # at the ceiling t = 2^60 (k <= 8, 1 - eps >= 2^-53): lambda* is finite.
-        res = _threshold(margin, math.log2(eps / (1.0 - eps)), eps, "renyi(2)")
-        lam, t = res.lambda_star, res.t_star
-
+        value = margin(lam)
         # Q_2(p a || p X) = p Q_2(a || X), and the gradient in X does not scale
         grads = {x: _q2_and_gradient(a, *dec) for x, (a, _), dec in zip(live, blocks, evaluated[lam])}
-        dgdp = np.zeros(k)
-        for x in range(k):
-            cross = sum(p[y] * pair(grads[y][1], outs[x]) for y in live)
-            q = grads[x][0] / p[x] if x in grads else _q2_decomposed(outs[x], *_decompose(outs[x] + t * sbar))
-            dgdp[x] = q + t * cross
-        dgdlam = _LN2 * t * sum(p[y] * pair(grads[y][1], sbar) for y in live)
-        if abs(dgdlam) < 1e-300:
-            return lam, np.zeros(k)
-        return lam, -dgdp / dgdlam
+        gsum = sum(p[x] * grads[x][1] for x in live)
+        q = [grads[z][0] / p[z] if z in grads else _q2_decomposed(o, *_decompose(o + t * sbar)) for z, o in enumerate(outs)]
+        return value, np.array(q) + t * np.array([np.vdot(o, gsum).real for o in outs])
 
     return value_grad
 
 
 def channel_mutual_info(chan: Channel, eps: float, seed: int = 0) -> ChannelMutualInfo:
-    """Maximize the raw induced D_2 of the cq state over input distributions.
+    """max over inputs p of the raw induced D_2 lambda*(p) of the cq state, from below.
 
-    The induced collision divergence is taken against the product of the cq
-    state's marginals.  Multi-start projected gradient ascent with 20 seeded
-    random starts plus the uniform start.
+    lambda*(p) >= lam iff g(p, 2^lam) >= 1 - eps (`_channel_margin`), so the
+    maximum is the root of h(lam) = max_p g(p, 2^lam) - (1 - eps) (Dinkelbach
+    1967), searched from log2(eps / (1 - eps)) by `maximize_simplex` ascents,
+    each from the last maximizer (the uniform input first); h < 0 at t = 2^60,
+    where g < k / t.  g is not concave in p: 20 seeded inputs are then
+    ascended at the root + `BISECT_TOL`, and one with h >= 0 there restarts
+    the search.  The value is the search's lower end, where g(best_p) >= 1 -
+    eps: lambda*(best_p) >= value.
     """
     k = chan.input_size
     if k > MAX_CHANNEL_INPUTS:
         raise ValidationError(f"channel input size {k} exceeds {MAX_CHANNEL_INPUTS}")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
+    margin = _channel_margin(chan, eps)
+    found, p = {}, np.full(k, 1.0 / k)  # lam -> (maximizer, gap) of each evaluation of h; the warm start
+
+    def h(lam: float, start: np.ndarray | None = None) -> float:
+        nonlocal p
+        value, p, gap = maximize_simplex(lambda q: margin(q, lam), p if start is None else start)
+        found[lam] = (p, gap)
+        return value
+
+    lam = _roots.bisect_decreasing(h, math.log2(eps / (1.0 - eps)), LAMBDA_FLOOR, LAMBDA_CEILING)[0]
     rng = rng_from_seed(seed)
-    starts = [np.full(k, 1.0 / k)]
     for _ in range(20):
-        starts.append(random_probability(k, rng))
-    value, best_p = maximize_simplex(_induced_channel_value_grad(chan, eps), starts)
-    return ChannelMutualInfo(value, best_p, eps)
+        above = lam + _roots.BISECT_TOL
+        if h(above, random_probability(k, rng)) >= 0.0:
+            lam = _roots.bisect_decreasing(h, above, LAMBDA_FLOOR, LAMBDA_CEILING)[0]
+    return ChannelMutualInfo(lam, found[lam][0], eps, found[lam][1] <= _DESCENT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,7 @@ class CommBound:
     floor_bits: float  # exact line: log2(1 + floor(2^induced_value))
     floor_m: int
     tc_upper_curve: tuple[tuple[int, float], ...]
+    converged: bool  # the input ascent's Frank-Wolfe gap at best_p is at most 1e-7 (`ChannelMutualInfo`)
 
     def assembly_gap(self) -> float:
         """Deviation of bound_bits from its defining arithmetic."""
@@ -292,11 +293,12 @@ class CommBound:
 def distill_lower_bound(chan: Channel, eps: float, seed: int = 0) -> CommBound:
     """Lower bound on one-shot distillable communication.
 
-    Maximizes the raw induced collision divergence over input distributions
-    (by the direct-sum identity, the objective is the threshold of the cq
-    state itself), then records both the exact floor form log(1 + floor(2^raw)),
-    whose m is the largest family size the decoding guarantee covers, and the
-    relaxed additive line raw + log(eps/(1-eps)).
+    Takes the raw induced collision divergence of the cq state at its best
+    input distribution (`channel_mutual_info`: one root search in lambda
+    whose evaluations maximize an explicit function of the input), a value
+    attained by ``best_p``, then records both the exact floor form log(1 +
+    floor(2^raw)), whose m is the largest family size the decoding
+    guarantee covers, and the relaxed additive line raw + log(eps/(1-eps)).
     """
     cm = channel_mutual_info(chan, eps=eps, seed=seed)
     best_p = cm.best_p
@@ -307,7 +309,7 @@ def distill_lower_bound(chan: Channel, eps: float, seed: int = 0) -> CommBound:
     curve = tuple(
         (m, tc_upper(chan, m, best_p)) for m in range(1, min(floor_m + 2, 64) + 1)
     )
-    return CommBound(eps, best_p, cm.value, bound_bits, floor_bits, floor_m, curve)
+    return CommBound(eps, best_p, cm.value, bound_bits, floor_bits, floor_m, curve, cm.converged)
 
 
 def _stochastic_matrix(chan_or_matrix) -> np.ndarray:

@@ -247,6 +247,25 @@ def test_comm_noiseless(files, capsys):
     assert "brute_force_tc(m=2): 0.0" in out
 
 
+def test_comm_warns_when_the_input_ascent_does_not_converge(files, capsys, monkeypatch):
+    argv = ["comm", "--channel", files["chan"], "--eps", "0.3", "--format", "json"]
+    assert run(argv) == 0
+    converged = capsys.readouterr()
+    assert "warning" not in converged.err
+
+    ascend = info.maximize_simplex
+
+    def unconverged(value_and_grad, p):  # the same ascent, reporting a gap above 1e-7
+        value, p, _ = ascend(value_and_grad, p)
+        return value, p, 1.0
+
+    monkeypatch.setattr(info, "maximize_simplex", unconverged)
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == converged.out  # the report is the same; only stderr says more
+    assert "without converging" in captured.err
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [(["--m", "3"], "does not apply"), (["--brute-force"], "--m is required")],

@@ -1057,6 +1057,24 @@ def test_induced_mi_sweep_converges_in_few_iterations():
     assert all(out.value - out.certified_lower <= 1e-7 for out in solves)
 
 
+@pytest.mark.parametrize("eps", [0.005, 0.05, 0.2])
+def test_smoothed_descent_of_a_pure_source_starts_at_its_form_minimizer(monkeypatch, eps):
+    # a pure source's rho_B is singular at (2, 3), while its top depolarized candidate's form is on all of B:
+    # the fixed point runs from (rho_B + I/3) / 2, and from rho_B itself, floored, the descent took 8-16 iterations
+    iterations = []
+    descend = info.minimize_density
+
+    def recording(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(info, "minimize_density", recording)
+    out = smoothed_mutual_info_2(random_density(6, 1, 600), (2, 3), eps)
+    assert out.candidate.startswith("depolarized@")
+    assert iterations[0] <= 1
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("eps", [0.005, 0.05, 0.2])
 def test_smoothed_descents_accept_every_first_trial(monkeypatch, seed, eps):
@@ -1130,14 +1148,48 @@ def test_channel_dpi_post_processing(eps):
 
 
 def test_channel_objective_has_a_strict_local_maximum_on_a_face():
-    # lambda*(p) is not quasi-concave: from the uniform start the ascent stops at
-    # p = (0.4848, 0, 0.5152), where the derivative into the interior is -0.061,
-    # while the seeded starts reach 2.1393689685 at (0.446, 0.116, 0.438)
+    # g(p, t) is not concave in p: at eps 0.4 the ascents from the uniform input stop at a local maximum
+    # (0.272327), and only the seeded inputs ascended at the root reach the interior maximum
     chan = channel([random_density(3, r, 7760 + x) for x, r in enumerate([2, 3, 1])])
-    best = channel_mutual_info(chan, 0.7).value
-    assert best >= 2.1393689685 - 1e-9
-    uniform, _ = info.maximize_simplex(info._induced_channel_value_grad(chan, 0.7), [np.full(3, 1.0 / 3.0)])
-    assert uniform <= best - 1e-2
+    assert channel_mutual_info(chan, 0.7).value >= 2.1393689685 - 1e-9
+    face = channel_mutual_info(chan, 0.4)
+    assert face.value >= 0.27514087790 - 1e-9
+    assert face.converged  # the ascent's Frank-Wolfe gap at the returned input is at most 1e-7
+
+
+def _concave_quadratic(center, weights):
+    # -sum_i w_i (p_i - c_i)^2 and its gradient
+    def value_grad(p):
+        d = p - center
+        return -float(weights @ d**2), -2.0 * weights * d
+
+    return value_grad
+
+
+@pytest.mark.parametrize(
+    "center, weights, maximizer",
+    [
+        ([0.2, 0.5, 0.3], [1.0, 3.0, 0.5], [0.2, 0.5, 0.3]),  # interior
+        ([0.7, 0.5, -0.2], [1.0, 2.0, 1.0], [1.7 / 3.0, 1.3 / 3.0, 0.0]),  # on the face p_3 = 0, by KKT
+    ],
+)
+def test_maximize_simplex_reaches_the_maximizer(center, weights, maximizer):
+    objective = _concave_quadratic(np.array(center), np.array(weights))
+    _, p, gap = info.maximize_simplex(objective, np.full(3, 1.0 / 3.0))
+    assert gap <= 1e-13
+    assert np.max(np.abs(p - maximizer)) <= 1e-9
+
+
+def test_maximize_simplex_stops_when_no_halving_raises_the_value():
+    calls = []
+
+    def flat(p):
+        calls.append(p)
+        return 1.0, np.array([1e-9, 0.0, 0.0])
+
+    value, p, gap = info.maximize_simplex(flat, np.full(3, 1.0 / 3.0))
+    assert len(calls) <= 45
+    assert value == 1.0 and p is calls[0] and gap > 1e-13
 
 
 def test_channel_input_size_cap():
