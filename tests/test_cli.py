@@ -1,9 +1,9 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import console_baselines
 from qdiv import DensityOperator, cli, info, suites
 from qdiv.states import basis_state, classical_channel, maximally_mixed, random_density, save_channel, save_state
 
@@ -224,13 +224,14 @@ def test_verify_baseline_that_is_not_a_report_is_refused_before_the_run(tmp_path
     assert "is not a qdiv verify JSON report" in capsys.readouterr().err
 
 
-VERIFY_BASELINE = Path(__file__).parent / "baselines" / "verify-all-5-seed7.json"
+VERIFY_BASELINE = console_baselines.BASELINES / "verify-all-5-seed7.json"
 
 
 def test_verify_report_matches_the_committed_baseline():
     # the committed report of `qdiv verify --suite all --instances 5 --seed 7 --format json --out <this file>`: a
-    # change that moves a row rewrites the file with that command, and its diff declares the move.  numpy < 2 ships an
-    # older LAPACK that may round differently, so there only the pass flags and the set of rows are compared
+    # change that moves a row rewrites the file with tests/console_baselines.py, and its diff declares the move.
+    # numpy < 2 ships an older LAPACK that may round differently, so there only the pass flags and the set of rows
+    # are compared
     baseline = cli._baseline_rows(str(VERIFY_BASELINE))
     rows = suites.run_suite("all", 5, 7)
     assert len(rows) == len(baseline) == 416
@@ -238,6 +239,21 @@ def test_verify_report_matches_the_committed_baseline():
     if np.lib.NumpyVersion(np.__version__) < "2.0.0":
         moved = [line for line in moved if "passed" in line or line.endswith("baseline")]
     assert moved == []
+
+
+@pytest.mark.parametrize("name", sorted(console_baselines.CONSOLE))
+def test_console_report_matches_the_committed_baseline(name, tmp_path):
+    # each qsr and comm run of the console-script CI step against its committed report, which
+    # tests/console_baselines.py rewrites; on numpy < 2 only the fields are compared, as above
+    console_baselines.save_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert run(console_baselines.console_argv(name, tmp_path, out)) == 0
+    results = json.loads(out.read_text())["results"]
+    baseline = json.loads((console_baselines.BASELINES / f"{name}.json").read_text())["results"]
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        assert results.keys() == baseline.keys()
+    else:
+        assert results == baseline
 
 
 def test_comm_noiseless(files, capsys):
