@@ -29,8 +29,10 @@ the trace-one plane (`_collision_start`, `_trace_plane_minimizer`), its
 first threshold solve at that model's root, and its first trial is the
 model's Newton point, taken with the true gradient; where the model does
 not apply (rho with a kernel, a minimizer that is not positive definite,
-no model root), at I/d_A and log2(eps / (1 - eps)).  The start changes
-the descent's length, not its certificate.
+no model root), at I/d_A and log2(eps / (1 - eps)).  Every descent is
+evaluated first at the state its caller hands over, as given
+(`minimize_density`): the start changes the descent's length, not its
+certificate.
 """
 
 from __future__ import annotations
@@ -228,20 +230,6 @@ def _frank_wolfe_gap(grad: np.ndarray, sigma: np.ndarray) -> float:
 
 
 _ITERATE_FLOOR = 1e-8
-
-
-def _expm_density(l_mat: np.ndarray) -> np.ndarray:
-    evals, vecs = _eigh(l_mat)
-    e = np.exp(evals - evals[-1])
-    mat = (vecs * e) @ vecs.conj().T
-    # keep iterates strictly inside the state space: objectives built on
-    # support-projected inverse powers lose accuracy at singular arguments;
-    # the floor's I/d is added on the diagonal of the new array in place
-    mat = (1.0 - _ITERATE_FLOOR) * (mat / mat.trace().real)
-    mat.reshape(-1)[:: len(mat) + 1] += _ITERATE_FLOOR / len(mat)
-    return mat
-
-
 _DESCENT_TOL = 1e-7  # Frank-Wolfe gap at which minimize_density stops: a convex minimum is at most this below
 _REFERENCE_STEP = 0.5  # the first trial step
 _MIN_STEP, _MAX_STEP = 1e-3, 64.0  # the range of a first trial after the first iteration
@@ -252,7 +240,14 @@ def _mirror_step(l_mat: np.ndarray, grad: np.ndarray, eta: float) -> tuple[np.nd
     """The log-iterate L - eta G (trace-centred on the diagonal of the new array, in place) and its density operator."""
     l_new = l_mat - eta * grad
     l_new.reshape(-1)[:: len(l_new) + 1] -= l_new.trace().real / len(l_new)
-    return l_new, _expm_density(l_new)
+    evals, vecs = _eigh(l_new)
+    mat = (vecs * np.exp(evals - evals[-1])) @ vecs.conj().T
+    # keep iterates strictly inside the state space: objectives built on
+    # support-projected inverse powers lose accuracy at singular arguments;
+    # the floor's I/d is added on the diagonal of the new array in place
+    mat = (1.0 - _ITERATE_FLOOR) * (mat / mat.trace().real)
+    mat.reshape(-1)[:: len(mat) + 1] += _ITERATE_FLOOR / len(mat)
+    return l_new, mat
 
 
 def _centred_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -264,25 +259,24 @@ def _centred_log(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
 def minimize_density(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    dim: int,
+    start: np.ndarray,
     max_iter: int = 500,
     tol: float = _DESCENT_TOL,
-    sigma0: np.ndarray | None = None,
     slack: float = _SLACK,
     first_trial: Callable[[np.ndarray, float, np.ndarray], np.ndarray | None] | None = None,
-    exact_start: bool = False,
 ) -> tuple[np.ndarray, float, int, float]:
-    """Exponentiated-gradient descent over density operators.
+    """Exponentiated-gradient descent over density operators, from ``start``.
 
-    The log-iterate L starts trace-centred: at 0 (sigma = I/d), or at log
-    sigma0 minus (Tr L / d) I.  E(L) ignores a multiple of I, so only the
-    centred L is a point of the exponentiated-gradient geometry (Tsuda,
-    Ratsch & Warmuth 2005), and every later iterate is centred too.  The
-    first call is at E(L), which keeps every eigenvalue above the iterate
-    floor 1e-8/d, unless ``exact_start``: then it is at ``sigma0`` as given,
-    a positive definite trace-one array, and L is its centred log.  When
-    the Frank-Wolfe gap there is already at most ``tol``, the descent
-    returns at once, after that one call and with 0 iterations.  Each
+    The first call is at ``start`` as given, a trace-one array that is
+    positive definite, or positive on a support known to hold a minimizer
+    (`_mutual_info_2` on supp c_B); the Frank-Wolfe gap certifies any start,
+    so none is moved.  When that gap is already at most ``tol``, the descent
+    returns at once, after that one call and with 0 iterations.  Otherwise
+    the log-iterate L starts at log start minus (Tr L / d) I, eigenvalues
+    clipped at 1e-14 (`_centred_log`): E(L) ignores a multiple of I, so only
+    the centred L is a point of the exponentiated-gradient geometry (Tsuda,
+    Ratsch & Warmuth 2005), and every later iterate is centred too.  Each mirror step keeps every
+    eigenvalue above the iterate floor 1e-8/d (`_mirror_step`).  Each
     iteration tries a step and halves it until the value does not rise by
     more than ``slack`` (1e-12; a caller whose values carry more noise than
     that passes their resolution).  The first iteration's first trial is
@@ -306,18 +300,13 @@ def minimize_density(
     is at most ``tol`` (at the start too), after ``max_iter`` iterations, or
     when 40 halvings all raise the value (a stalled line search).
     """
-    if exact_start:
-        l_mat, sigma = None, sigma0
-    else:
-        l_mat = np.zeros((dim, dim), dtype=np.complex128) if sigma0 is None else _centred_log(sigma0)[0]
-        sigma = _expm_density(l_mat)
+    sigma = start
     value, grad = value_and_grad(sigma)
     iterations = 0
     residual = _frank_wolfe_gap(grad, sigma)
     if residual <= tol:
         return sigma, value, 0, residual
-    if l_mat is None:
-        l_mat = _centred_log(sigma)[0]
+    l_mat = _centred_log(sigma)[0]
     first = _REFERENCE_STEP
     point = None if first_trial is None else first_trial(sigma, value, grad)
     if point is not None:  # (its log-iterate, the point), or None where it is not positive definite
@@ -438,15 +427,15 @@ def mutual_info(rho, dims: tuple[int, int], alpha) -> MutualInfoResult:
     if a != 2.0:
         raise ValidationError(f"mutual_info supports alpha in {{1, 2}}, got {a}")
     support = _marginal_support(r.eigenvalues, r.eigenvectors, da, db)
-    return _mutual_info_2(_product_q2(support, da, db), db, rho_b)
+    return _mutual_info_2(_product_q2(support, da, db), rho_b)
 
 
 _FIXED_POINT_STEPS = 16  # the most fixed-point steps `_quadratic_start` takes
 _FIXED_POINT_TOL = 1e-9  # the estimated distance to the fixed point at which it stops
 
 
-def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
-    """The minimizer of Q_2 = vec(K)^dag M vec(K) over states, by a fixed point from ``sigma``, or None.
+def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The minimizer of Q_2 = vec(K)^dag M vec(K) over states, by a fixed point from ``sigma``.
 
     K = sigma^(-1/2) and M is a `_product_q2` objective's ``gram`` matrix.
     Minimizing the form under Tr K^(-2) = 1 gives the KKT condition G = Q_2
@@ -456,8 +445,8 @@ def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     is never called.  The steps stop when the estimated distance to the
     fixed point, m^2 / (m' - m) for the last two moves m' and m (the largest
     entry of the change of sigma), is at most 1e-9, or after 16 steps.  A
-    singular ``sigma`` is mixed half and half with I/d first.  None when a G
-    is not positive definite.
+    singular ``sigma`` is mixed half and half with I/d first.  Where a G is
+    not positive definite the steps stop at the last state, which is.
     """
     db = len(sigma)
     evals, vecs = _eigh(sigma)
@@ -468,7 +457,7 @@ def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     for _ in range(_FIXED_POINT_STEPS):
         g_vals, g_vecs = _eigh((gram @ k_vec).reshape(db, db))
         if _ascending_support(g_vals)[1]:
-            return None
+            break
         power = g_vals ** (2.0 / 3.0)
         new = (g_vecs * (power / power.sum())) @ g_vecs.conj().T
         k_vec = ((g_vecs * g_vals ** (-1.0 / 3.0)) @ g_vecs.conj().T).reshape(-1)
@@ -480,14 +469,13 @@ def _quadratic_start(gram: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     return sigma
 
 
-def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.ndarray) -> MutualInfoResult:
+def _mutual_info_2(q2_and_contracted_gradient: Callable, warm: np.ndarray) -> MutualInfoResult:
     """I_2 by mirror descent on a `_product_q2` objective, from the minimizer of its quadratic form.
 
-    The descent starts at `_quadratic_start` from ``sigma0`` (at V tau V^dag,
-    tau from V^dag sigma0 V renormalized, where ``gram()`` is on supp c_B),
-    evaluated as given, and stops there after one objective call when the
-    Frank-Wolfe gap is already at most 1e-7; where the fixed point does not
-    apply it starts at ``sigma0``, as a plain descent does.
+    The descent starts at `_quadratic_start` from ``warm`` (at V tau V^dag,
+    tau from V^dag warm V renormalized, where ``gram()`` is on supp c_B),
+    and stops there after one objective call when the Frank-Wolfe gap is
+    already at most 1e-7.
     """
     spectra = []  # (sigma, its eigendecomposition) of each call
 
@@ -499,13 +487,11 @@ def _mutual_info_2(q2_and_contracted_gradient: Callable, db: int, sigma0: np.nda
 
     gram, v = q2_and_contracted_gradient.gram()
     if v is None:
-        start = _quadratic_start(gram, sigma0)
+        start = _quadratic_start(gram, warm)
     else:
-        sub = v.conj().T @ sigma0 @ v
-        start = _quadratic_start(gram, sub / sub.trace().real)
-        start = None if start is None else v @ start @ v.conj().T
-    exact = start is not None
-    sigma, value, iters, res = minimize_density(value_grad, db, sigma0=start if exact else sigma0, exact_start=exact)
+        sub = v.conj().T @ warm @ v
+        start = v @ _quadratic_start(gram, sub / sub.trace().real) @ v.conj().T
+    sigma, value, iters, res = minimize_density(value_grad, start)
     evals, vecs = next(spectrum for s, spectrum in reversed(spectra) if s is sigma)
     optimal = _vouched(sigma, np.maximum(evals, 0.0), vecs)  # a start on supp c_B has rounding on its kernel
     return MutualInfoResult(value, optimal, iters, res, res <= _DESCENT_TOL)
@@ -662,10 +648,10 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
     guess = math.log2(eps / (1.0 - eps))  # lambda* when rho is sigma (x) rho_B
     start = _collision_start(r, rho_b, da, db, eps)
     if start is None:  # from I/d_A, the first solve at the guess with a unit step
-        sigma0, lam0, step0, newton = None, guess, 1.0, None
+        origin, lam0, step0, newton = np.eye(da, dtype=np.complex128) / da, guess, 1.0, None
     else:  # at the model's root, with a tenth of its move from the guess
         model, lam0 = start
-        sigma0 = model.sigma
+        origin = model.sigma
         step0 = min(1.0, max(0.1 * abs(lam0 - guess), 1e-9))
 
         def newton(sigma: np.ndarray, value: float, grad: np.ndarray) -> np.ndarray | None:
@@ -697,7 +683,7 @@ def induced_mutual_info_2(rho, dims: tuple[int, int], eps: float) -> InducedMutu
         solves.append((sigma, res))
         return res.raw, grad
 
-    sigma, _, iters, gap = minimize_density(value_grad, da, sigma0=sigma0, slack=_roots.BISECT_TOL, first_trial=newton)
+    sigma, _, iters, gap = minimize_density(value_grad, origin, slack=_roots.BISECT_TOL, first_trial=newton)
     final = next(res for s, res in reversed(solves) if s is sigma)
     optimal = _vouched(sigma, *_eigh(sigma))
     return InducedMutualInfo(final.raw, optimal, final, iters, gap, gap <= _DESCENT_TOL, final.raw - gap)
@@ -834,7 +820,6 @@ def _smoothed_mutual_info_2(r: DensityOperator | _Spectrum, dims: tuple[int, int
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
-    db = dims[1]
     warm, candidates = _smoothing_candidates(r, dims, eps)  # rho_B, then the first descent's optimum
     warm_spectrum = None  # the first optimum's cached eigenpairs, which the pruning reads
     top = next((i for i, cand in enumerate(candidates) if cand[0].startswith("depolarized@")), 0)
@@ -847,7 +832,7 @@ def _smoothed_mutual_info_2(r: DensityOperator | _Spectrum, dims: tuple[int, int
             lower = q - _frank_wolfe_gap(0.5 * (m + m.conj().T), warm)
             if lower > 0.0 and math.log2(lower) > best[3].value + _PRUNE_MARGIN:
                 continue
-        mi = _mutual_info_2(objective, db, warm)
+        mi = _mutual_info_2(objective, warm)
         if best is None:
             warm, warm_spectrum = mi.optimal_sigma.mat, (mi.optimal_sigma.eigenvalues, mi.optimal_sigma.eigenvectors)
         if name == "rho":
@@ -919,6 +904,7 @@ def channel_mutual_info(chan: Channel, eps: float, seed: int = 0) -> ChannelMutu
         raise ValidationError(f"channel input size {k} exceeds {MAX_CHANNEL_INPUTS}")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
+    rng = rng_from_seed(seed)
     margin = _channel_margin(chan, eps)
     found, p = {}, np.full(k, 1.0 / k)  # lam -> (maximizer, gap) of each evaluation of h; the warm start
 
@@ -929,7 +915,6 @@ def channel_mutual_info(chan: Channel, eps: float, seed: int = 0) -> ChannelMutu
         return value
 
     lam = _roots.bisect_decreasing(h, math.log2(eps / (1.0 - eps)), LAMBDA_FLOOR, LAMBDA_CEILING)[0]
-    rng = rng_from_seed(seed)
     for _ in range(20):
         above = lam + _roots.BISECT_TOL
         if h(above, random_probability(k, rng)) >= 0.0:

@@ -63,6 +63,8 @@ def _power_exceeds(base: int, factor: int, power: int, limit: int) -> bool:
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
+    if int(seed) < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

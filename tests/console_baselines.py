@@ -19,7 +19,6 @@ from qdiv import cli
 from qdiv.states import channel, classical_channel, random_density, save_channel, save_state
 
 BASELINES = Path(__file__).parent / "baselines"
-VERIFY_ARGV = ["verify", "--suite", "all", "--instances", "5", "--seed", "7"]
 
 # baseline name -> argv; an argument ending in .json names a file that `save_inputs` writes
 CONSOLE = {
@@ -61,7 +60,7 @@ def main() -> int:
             if cli.main(console_argv(name, Path(tmp), BASELINES / f"{name}.json")) != cli.EXIT_OK:
                 return 1
     out = BASELINES / "verify-all-5-seed7.json"
-    return cli.main(VERIFY_ARGV + ["--format", "json", "--out", str(out)])
+    return cli.main(["verify", "--suite", "all", "--instances", "5", "--seed", "7", "--format", "json", "--out", str(out)])
 
 
 if __name__ == "__main__":

@@ -263,6 +263,14 @@ def test_comm_noiseless(files, capsys):
     assert "brute_force_tc(m=2): 0.0" in out
 
 
+def test_comm_refuses_a_negative_seed(files, capsys, monkeypatch):
+    monkeypatch.setattr(info._roots, "bisect_decreasing", lambda *args: pytest.fail("searched before the seed check"))
+    assert run(["comm", "--channel", files["chan"], "--eps", "0.2", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: seed must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+
+
 def test_comm_warns_when_the_input_ascent_does_not_converge(files, capsys, monkeypatch):
     argv = ["comm", "--channel", files["chan"], "--eps", "0.3", "--format", "json"]
     assert run(argv) == 0
@@ -413,8 +421,8 @@ def test_qsr_warns_when_induced_term_hits_its_cap(files, tmp_path, capsys, monke
     argv = ["qsr", "--state", files["tri"], "--eps", "0.95", "--delta0", "0.001", "--delta1", "0.3"]
     descend = info.minimize_density
 
-    def capped(value_and_grad, dim, **kwargs):  # the induced descent passes its slack; cap only it
-        return descend(value_and_grad, dim, **({"max_iter": 1} if "slack" in kwargs else {}), **kwargs)
+    def capped(value_and_grad, start, **kwargs):  # the induced descent passes its slack; cap only it
+        return descend(value_and_grad, start, **({"max_iter": 1} if "slack" in kwargs else {}), **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(info, "minimize_density", capped)
@@ -441,12 +449,15 @@ def test_qsr_warns_when_smoothed_term_does_not_converge(files, capsys, monkeypat
 
     descend = info.minimize_density
 
-    def capped(value_and_grad, dim, **kwargs):  # the induced descent passes its slack; cap only the others
-        return descend(value_and_grad, dim, **({} if "slack" in kwargs else {"max_iter": 2}), **kwargs)
+    def capped(value_and_grad, start, **kwargs):  # the induced descent passes its slack; cap only the others
+        return descend(value_and_grad, start, **({} if "slack" in kwargs else {"max_iter": 2}), **kwargs)
+
+    def floored(gram, sigma):  # sigma mixed with 1e-8 of I/d, as a mirror step floors its iterates
+        return (1.0 - info._ITERATE_FLOOR) * sigma + info._ITERATE_FLOOR * np.eye(len(sigma)) / len(sigma)
 
     # the smoothed descents start at their quadratic forms' minimizers, where they stop at once: start them at
-    # rho_B and sigma* instead, where 2 iterations do not converge
-    monkeypatch.setattr(info, "_quadratic_start", lambda *args: None)
+    # rho_B and sigma*, floored, instead, where 2 iterations do not converge
+    monkeypatch.setattr(info, "_quadratic_start", floored)
     monkeypatch.setattr(info, "minimize_density", capped)
     assert run(argv) == 0
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from qdiv import (
 )
 from qdiv import _roots, info, linalg
 from qdiv.divergences import q_alpha
-from qdiv.induced import induced_renyi
+from qdiv.induced import ParentDivergence, induced_renyi
 from qdiv.info import InducedMutualInfo, minimize_density
 from qdiv.linalg import _ptrace, permute_systems
 from qdiv.states import (
@@ -136,8 +137,8 @@ def test_minimize_density_quadratic():
     def vg(sigma):
         return float(np.trace(sigma @ sigma).real), 2.0 * sigma
 
-    for sigma0 in (None, np.diag([0.7, 0.2, 0.1])):
-        sigma, value, iters, res = minimize_density(vg, 3, sigma0=sigma0)
+    for start in (np.eye(3) / 3, np.diag([0.7, 0.2, 0.1])):
+        sigma, value, iters, res = minimize_density(vg, start)
         assert abs(value - 1.0 / 3.0) < 1e-8
         assert np.max(np.abs(sigma - np.eye(3) / 3)) < 1e-6
         assert res == info._frank_wolfe_gap(2.0 * sigma, sigma) <= 1e-7
@@ -153,7 +154,7 @@ def test_minimize_density_reports_a_stalled_line_search():
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         return float(rng.random()), g + g.conj().T
 
-    _, _, iters, res = minimize_density(vg, 3)
+    _, _, iters, res = minimize_density(vg, np.eye(3) / 3)
     assert iters < 500
     assert res > 1e-7
 
@@ -166,10 +167,22 @@ def test_minimize_density_grows_its_step_on_a_linear_objective():
     def vg(sigma):
         return float(np.trace(g @ sigma).real), g
 
-    _, value, iters, res = minimize_density(vg, 3)
+    _, value, iters, res = minimize_density(vg, np.eye(3) / 3)
     assert res <= 1e-7
     assert iters <= 15
     assert value < 1e-7
+
+
+def test_the_benchmark_tracer_hooks_are_in_place():
+    # perfbench/tracer.py wraps these by name: it binds minimize_density's max_iter and tol to count cap hits and
+    # unpacks its 4-tuple, forwards bisect_decreasing's first_step, and patches margin_factory from the class dict
+    bound = inspect.signature(minimize_density).bind(lambda sigma: (0.0, np.zeros_like(sigma)), np.eye(2) / 2)
+    bound.apply_defaults()
+    assert (bound.arguments["max_iter"], bound.arguments["tol"]) == (500, 1e-7)
+    assert len(minimize_density(*bound.args, **bound.kwargs)) == 4
+    assert "first_step" in inspect.signature(_roots.bisect_decreasing).parameters
+    assert inspect.isfunction(ParentDivergence.__dict__["margin_factory"])
+    assert inspect.isfunction(info.maximize_simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +641,7 @@ def _quadratic_objective(target: np.ndarray, calls: list):
 def test_a_rejected_first_trial_costs_one_call_and_changes_nothing():
     target = random_density(3, 3, 41).mat
     calls = []
-    plain = minimize_density(_quadratic_objective(target, calls), 3)
+    plain = minimize_density(_quadratic_objective(target, calls), np.eye(3) / 3)
     n = len(calls)
     far = np.diag([0.98, 0.01, 0.01]).astype(np.complex128)
     seen = []
@@ -637,13 +650,14 @@ def test_a_rejected_first_trial_costs_one_call_and_changes_nothing():
         seen.append(value)
         return far
 
-    tried = minimize_density(_quadratic_objective(target, calls), 3, first_trial=trial)
+    tried = minimize_density(_quadratic_objective(target, calls), np.eye(3) / 3, first_trial=trial)
     assert len(calls) == 2 * n + 1
     assert calls[n + 1] is far and np.vdot(far - target, far - target).real > seen[0]  # tried, and it rose
     assert np.array_equal(tried[0], plain[0]) and tried[1:] == plain[1:]
     # a point that is not positive definite is not tried
     calls.clear()
-    skipped = minimize_density(_quadratic_objective(target, calls), 3, first_trial=lambda *_: np.diag([1.5, -0.25, -0.25]))
+    start, bad = np.eye(3) / 3, np.diag([1.5, -0.25, -0.25])
+    skipped = minimize_density(_quadratic_objective(target, calls), start, first_trial=lambda *_: bad)
     assert len(calls) == n
     assert np.array_equal(skipped[0], plain[0]) and skipped[1:] == plain[1:]
 
@@ -651,27 +665,42 @@ def test_a_rejected_first_trial_costs_one_call_and_changes_nothing():
 def test_an_accepted_first_trial_is_the_next_iterate():
     target = random_density(3, 3, 41).mat
     calls = []
-    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), 3, first_trial=lambda *_: target)
+    objective = _quadratic_objective(target, calls)
+    sigma, value, iterations, residual = minimize_density(objective, np.eye(3) / 3, first_trial=lambda *_: target)
     assert sigma is target and len(calls) == 2
     assert (value, iterations, residual) == (0.0, 1, 0.0)
 
 
 def test_a_certified_start_costs_one_call_and_no_iteration():
-    # an exact start is evaluated as given, with no iterate floor, and returned when its Frank-Wolfe gap is at most tol
+    # the start is evaluated as given, with no iterate floor, and returned when its Frank-Wolfe gap is at most tol
     target = random_density(3, 3, 41).mat
     calls = []
-    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), 3, sigma0=target, exact_start=True)
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), target)
     assert sigma is target and len(calls) == 1 and calls[0] is target
     assert (value, iterations, residual) == (0.0, 0, 0.0)
-    # the floored start E(log sigma0) is certified too when its gap is: Tr[sigma^2] is minimal at I/3
+    # I/3 as given: Tr[sigma^2] is minimal there
     calls.clear()
-    sigma, value, iterations, residual = minimize_density(_quadratic_objective(np.eye(3) / 3, calls), 3)
-    assert len(calls) == 1 and iterations == 0 and residual <= 1e-7
-    # an uncertified exact start descends from its centred log
+    start = np.eye(3) / 3
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(start, calls), start)
+    assert sigma is start and len(calls) == 1 and calls[0] is start and iterations == 0 and residual <= 1e-7
+    # an uncertified start is evaluated as given too, and descends from its centred log
     calls.clear()
     start = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)
-    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), 3, sigma0=start, exact_start=True)
+    sigma, value, iterations, residual = minimize_density(_quadratic_objective(target, calls), start)
     assert calls[0] is start and iterations >= 1 and residual <= 1e-7
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_quadratic_start_stops_at_its_start_where_the_form_is_not_positive(d):
+    # with M = -I every G = mat(M vec(K)) is negative definite: no fixed-point step is taken, and the start is
+    # returned, mixed half and half with I/d first when it is singular; either way a positive definite state
+    gram = -np.eye(d * d, dtype=np.complex128)
+    full = random_density(d, d, 42).mat
+    singular = random_density(d, 1, 43).mat
+    for start, expected in ((full, full), (singular, 0.5 * (singular + np.eye(d) / d))):
+        out = info._quadratic_start(gram, start)
+        assert np.array_equal(out, expected)
+        assert abs(np.trace(out) - 1.0) <= 1e-14 and np.linalg.eigvalsh(out)[0] > 0.0
 
 
 def _hermitian_basis(d):
@@ -764,10 +793,28 @@ def _product_source(seed=0):
     return DensityOperator(np.kron(random_density(4, 4, seed + 5).mat, random_density(2, 2, seed + 6).mat)), (4, 2)
 
 
+def _floored(sigma: np.ndarray) -> np.ndarray:
+    """``sigma`` mixed with 1e-8 of I/d, as a mirror step floors its iterates: a cold start, off the form's minimizer."""
+    d = len(sigma)
+    return (1.0 - info._ITERATE_FLOOR) * sigma + info._ITERATE_FLOOR * np.eye(d) / d
+
+
+def _log2_q2(objective):
+    """sigma -> (log2 Q_2, its gradient) of a `_product_q2` objective: what `_mutual_info_2` descends."""
+
+    def value_grad(sigma):
+        q, m = objective(sigma)
+        grad = m / (q * math.log(2.0))
+        return math.log2(q), 0.5 * (grad + grad.conj().T)
+
+    return value_grad
+
+
 def _warm_and_cold_descents(monkeypatch, rho, dims, eps):
     """The smoothed results and each descent's (result, objective calls) by candidate name: as
     `smoothed_mutual_info_2` runs them, each from the minimizer of its candidate's quadratic form (warm), and with
-    that start left out, the first from rho_B and the others from the first one's optimum (cold)."""
+    each start replaced by its fixed point's origin, floored: rho_B for the first and the first one's optimum for the
+    others (cold)."""
     helper, candidates, descend = info._mutual_info_2, info._smoothing_candidates, info.minimize_density
     runs = {"warm": {}, "cold": {}}
     names, calls = {}, [0]
@@ -785,9 +832,9 @@ def _warm_and_cold_descents(monkeypatch, rho, dims, eps):
         return descend(counted, *args, **kwargs)
 
     def recording(kind):
-        def run(objective, db, sigma0):
+        def run(objective, warm):
             calls[0] = 0
-            out = helper(objective, db, sigma0)
+            out = helper(objective, warm)
             runs[kind][names[id(objective)]] = (out, calls[0])
             return out
 
@@ -799,7 +846,7 @@ def _warm_and_cold_descents(monkeypatch, rho, dims, eps):
         m.setattr(info, "_mutual_info_2", recording("warm"))
         warm = smoothed_mutual_info_2(rho, dims, eps)
         m.setattr(info, "_mutual_info_2", recording("cold"))
-        m.setattr(info, "_quadratic_start", lambda *args: None)
+        m.setattr(info, "_quadratic_start", lambda gram, sigma: _floored(sigma))
         cold = smoothed_mutual_info_2(rho, dims, eps)
     assert runs["warm"].keys() == runs["cold"].keys()
     return warm, cold, runs
@@ -859,14 +906,12 @@ def test_smoothed_descent_certifies_its_start_on_the_support_of_a_marginal_with_
     monkeypatch.setattr(info, "minimize_density", counting)
     for _, objective in restricted:
         calls[0] = 0
-        out = info._mutual_info_2(objective, 4, rho_b)
+        out = info._mutual_info_2(objective, rho_b)
         assert out.converged and out.iterations == 0 and calls[0] == 1
         rank = objective.gram()[1].shape[1]
         assert np.sum(out.optimal_sigma.eigenvalues > 1e-12) == rank < 4
-        with monkeypatch.context() as m:  # the plain descent from rho_B, cut at 20 iterations, lies above it
-            m.setattr(info, "_quadratic_start", lambda *args: None)
-            m.setattr(info, "minimize_density", functools.partial(minimize_density, max_iter=20))
-            assert out.value < info._mutual_info_2(objective, 4, rho_b).value
+        # the plain descent from rho_B, floored, cut at 20 iterations, lies above it
+        assert out.value < minimize_density(_log2_q2(objective), _floored(rho_b), max_iter=20)[1]
 
 
 def _top_rung_first(candidates):
@@ -882,12 +927,11 @@ def _unpruned_smoothed(rho, dims, eps):
     depolarized candidate from rho_B, then the others from its optimum; rho is kept when no candidate is
     lower by more than the pruning margin.
     """
-    db = dims[1]
     rho_b, candidates = info._smoothing_candidates(rho, dims, eps)
     warm = best = unsmoothed = None
     for name, spectrum, dist, objective in _top_rung_first(candidates):
         cand = info._candidate_state(rho, name, spectrum)
-        mi = info._mutual_info_2(objective, db, rho_b if warm is None else warm)
+        mi = info._mutual_info_2(objective, rho_b if warm is None else warm)
         if warm is None:
             warm = mi.optimal_sigma.mat
         if name == "rho":
@@ -1007,7 +1051,7 @@ def test_frank_wolfe_bound_is_below_every_candidate_minimum(seed):
     sigma_star = None
     for name, spectrum, _, q2_and_contracted_gradient in info._smoothing_candidates(rho, (da, db), 0.2)[1]:
         cand = info._candidate_state(rho, name, spectrum)
-        mi = info._mutual_info_2(q2_and_contracted_gradient, db, _ptrace(cand.mat, [da, db], [1]))
+        mi = info._mutual_info_2(q2_and_contracted_gradient, _ptrace(cand.mat, [da, db], [1]))
         assert mi.converged
         if sigma_star is None:  # rho's optimum, where the pruning reads the bound
             sigma_star = mi.optimal_sigma.mat
